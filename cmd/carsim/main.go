@@ -7,6 +7,7 @@
 //	carsim -w MST -config cars    # V100 + CARS
 //	carsim -w PTA -config 10mb -v
 //	carsim -w FIB -config cars -san
+//	carsim -w MST -config cars -occupancy   # static occupancy per ladder level
 //	carsim -spec my.json -config cars   # declarative workload spec
 //	carsim -list                  # workload names
 //
@@ -22,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"carsgo"
@@ -30,6 +32,7 @@ import (
 	"carsgo/internal/san"
 	"carsgo/internal/spec"
 	"carsgo/internal/stats"
+	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
 )
 
@@ -43,7 +46,7 @@ func main() {
 	cname := flag.String("config", "base", "configuration")
 	list := flag.Bool("list", false, "list workloads and exit")
 	verbose := flag.Bool("v", false, "print per-launch stats")
-	occupancy := flag.Bool("occupancy", false, "print the occupancy calculation per launch and exit")
+	occupancy := flag.Bool("occupancy", false, "print the static occupancy rows per launch shape and exit")
 	sanitize := flag.Bool("san", false, "run under the shadow sanitizer and check static/dynamic dominance")
 	timeout := flag.Duration("timeout", 0, "kill the simulation after this long (0 = no limit)")
 	flag.Parse()
@@ -85,7 +88,10 @@ func main() {
 		os.Exit(1)
 	}
 	if *occupancy {
-		printOccupancy(w, cfg)
+		if err := printOccupancy(os.Stdout, w, cfg, lto); err != nil {
+			fmt.Fprintln(os.Stderr, "carsim:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if *sanitize {
@@ -141,42 +147,51 @@ func runSanitized(ctx context.Context, w *workloads.Workload, cfg carsgo.Config,
 		w.Name, cfg.Name, len(obs.Funcs), len(obs.Kernels))
 }
 
-// printOccupancy shows the §II occupancy factors for every launch of
-// the workload — at the baseline allocation and, for CARS configs, at
-// each watermark ladder point.
-func printOccupancy(w *workloads.Workload, cfg carsgo.Config) {
-	prog, err := carsgo.Compile(cfg, w.Modules(), false)
+// printOccupancy prints, for every distinct launch shape of the
+// workload, vet's static occupancy rows for the configuration: the
+// baseline allocation, or for CARS configs every watermark ladder
+// level. Each row's resident warps is the opening-wave residency the
+// simulator measures for that launch.
+func printOccupancy(out io.Writer, w *workloads.Workload, cfg carsgo.Config, lto bool) error {
+	prog, err := carsgo.Compile(cfg, w.Modules(), lto)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "carsim:", err)
-		os.Exit(1)
+		return err
 	}
 	gpu, err := carsgo.NewGPU(cfg, prog)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "carsim:", err)
-		os.Exit(1)
+		return err
 	}
 	launches, err := w.Setup(gpu)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "carsim:", err)
-		os.Exit(1)
+		return err
 	}
-	seen := map[string]bool{}
-	for _, l := range launches {
-		if seen[l.Kernel] {
+	rep := vet.Report(prog)
+	seen := map[vet.LaunchShape]bool{}
+	for _, shape := range san.Shapes(launches) {
+		if seen[shape] {
 			continue
 		}
-		seen[l.Kernel] = true
-		o, err := gpu.OccupancyFor(l, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "carsim:", err)
-			os.Exit(1)
+		seen[shape] = true
+		if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), []vet.LaunchShape{shape}); err != nil {
+			return err
 		}
-		fmt.Printf("%s: grid %d x %d threads, %d warps/block\n",
-			l.Kernel, l.Dim.Grid, l.Dim.Block, o.WarpsPerBlock)
-		fmt.Printf("  baseline %3d regs/warp: blocks by threads %d, slots %d, smem %s, regs %d -> %d blocks (%d warps), limited by %s\n",
-			o.RegsPerWarp, o.BlocksByThreads, o.BlocksBySlots,
-			smemStr(o.BlocksBySmem), o.BlocksByRegs, o.Blocks, o.Warps, o.LimitedBy())
+		fmt.Fprintln(out, shapeHeader(shape))
+		for _, o := range rep.Kernel(shape.Kernel).Perf.Occupancy {
+			partial := ""
+			if o.Partial {
+				partial = ", partial"
+			}
+			fmt.Fprintf(out, "  %-6s stack %3d, %3d regs/warp: blocks by threads %d, slots %d, smem %s, regs %d -> %d blocks (%d warps), %d resident warps, limited by %s%s\n",
+				o.Level, o.StackSlots, o.RegsPerWarp, o.BlocksByThreads, o.BlocksBySlots,
+				smemStr(o.BlocksBySmem), o.BlocksByRegs, o.Blocks, o.Warps, o.ResidentWarps, o.LimitedBy, partial)
+		}
 	}
+	return nil
+}
+
+// shapeHeader names one launch shape in the -occupancy output.
+func shapeHeader(s vet.LaunchShape) string {
+	return fmt.Sprintf("%s: grid %d x %d threads, %dB shared", s.Kernel, s.Grid, s.Block, s.SharedBytes)
 }
 
 func smemStr(v int) string {

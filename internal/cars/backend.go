@@ -58,28 +58,6 @@ func ParseBackend(s string) (Backend, error) {
 	return 0, fmt.Errorf("unknown backend %q (want cars, smem, or rfcache)", s)
 }
 
-// ForcedBackendPolicy pins every thread block to one design point of
-// one backend. For BackendCARS this is exactly ForcedPolicy; for the
-// other backends the level indexes the backend's own ladder (the
-// window ladder for the RF cache, the single full-frame point for
-// shared-memory spilling).
-func ForcedBackendPolicy(b Backend, l Level) Policy {
-	return Policy{Backend: b, Forced: l}
-}
-
-// NewSmemPlan builds the (single-point) shared-memory spilling ladder:
-// RegDem has no watermark to tune — every call spills its whole frame
-// to the statically-sized smem segment, costing zero extra registers.
-// The degenerate one-level plan keeps the backend addressable by the
-// same ladder indices as the others.
-func NewSmemPlan(base int) *Plan {
-	return &Plan{
-		Base:    base,
-		Levels:  []Level{{Kind: KindHigh, StackSlots: 0}},
-		Backend: BackendSmemSpill,
-	}
-}
-
 // NewWindowPlan builds the RF-cache window ladder for a kernel whose
 // per-thread shared-memory spill frame totals spillWords words and
 // whose largest single function frame is maxFrameWords.
@@ -92,41 +70,5 @@ func NewSmemPlan(base int) *Plan {
 // window size in warp-register slots beyond the kernel base (one
 // cached spill word per thread costs one vector register per warp).
 func NewWindowPlan(base, maxFrameWords, spillWords, maxWarpsOther, regSlotsPerSM int) *Plan {
-	p := &Plan{Base: base, Backend: BackendRFCache}
-	low := maxFrameWords
-	high := spillWords
-	if low > high {
-		low = high
-	}
-	// The window lives in the register file: cap High at the capacity
-	// left beyond the kernel base, exactly as NewPlan caps its High.
-	if regSlotsPerSM > 0 {
-		if maxStack := regSlotsPerSM - base; high > maxStack {
-			if maxStack < low {
-				maxStack = low
-			}
-			if maxStack < 0 {
-				maxStack = 0
-			}
-			high = maxStack
-		}
-	}
-	if low >= high {
-		p.Levels = []Level{{Kind: KindHigh, StackSlots: high}}
-	} else {
-		p.Levels = append(p.Levels, Level{Kind: KindLow, N: 1, StackSlots: low})
-		if low > 0 {
-			for n := 2; low*n < high; n *= 2 {
-				p.Levels = append(p.Levels, Level{Kind: KindNxLow, N: n, StackSlots: low * n})
-			}
-		}
-		p.Levels = append(p.Levels, Level{Kind: KindHigh, StackSlots: high})
-	}
-	if maxWarpsOther > 0 {
-		minRegsPerWarp := regSlotsPerSM / maxWarpsOther
-		if minRegsPerWarp >= p.Base+high {
-			p.HighFree = true
-		}
-	}
-	return p
+	return newLadder(base, min(maxFrameWords, spillWords), spillWords, maxWarpsOther, regSlotsPerSM)
 }

@@ -63,9 +63,6 @@ func TestNewWindowPlanLadder(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := cars.NewWindowPlan(tc.base, tc.maxFrame, tc.spill, tc.warps, tc.regSlots)
-			if p.Backend != cars.BackendRFCache {
-				t.Fatalf("Backend = %v, want rfcache", p.Backend)
-			}
 			if len(p.Levels) != len(tc.wantSlots) {
 				t.Fatalf("ladder %+v, want slots %v", p.Levels, tc.wantSlots)
 			}
@@ -90,21 +87,6 @@ func TestNewWindowPlanLadder(t *testing.T) {
 	}
 }
 
-func TestNewSmemPlan(t *testing.T) {
-	p := cars.NewSmemPlan(24)
-	if p.Backend != cars.BackendSmemSpill {
-		t.Fatalf("Backend = %v, want smem", p.Backend)
-	}
-	if p.Base != 24 {
-		t.Fatalf("Base = %d, want 24", p.Base)
-	}
-	// RegDem has no watermark: exactly one zero-register design point,
-	// still shaped like a ladder so level indices stay meaningful.
-	if len(p.Levels) != 1 || p.Levels[0].Kind != cars.KindHigh || p.Levels[0].StackSlots != 0 {
-		t.Fatalf("smem ladder = %+v, want single zero-slot High", p.Levels)
-	}
-}
-
 func TestParseBackendRoundTrip(t *testing.T) {
 	for _, b := range cars.Backends {
 		got, err := cars.ParseBackend(b.String())
@@ -120,18 +102,5 @@ func TestParseBackendRoundTrip(t *testing.T) {
 	}
 	if s := cars.Backend(7).String(); !strings.Contains(s, "7") {
 		t.Fatalf("undeclared backend renders %q, want the ordinal visible", s)
-	}
-}
-
-func TestForcedBackendPolicy(t *testing.T) {
-	lvl := cars.Level{Kind: cars.KindNxLow, N: 2, StackSlots: 12}
-	pol := cars.ForcedBackendPolicy(cars.BackendRFCache, lvl)
-	if pol.Backend != cars.BackendRFCache || pol.Adaptive || pol.Forced != lvl {
-		t.Fatalf("policy = %+v, want forced rfcache at %+v", pol, lvl)
-	}
-	// The zero backend is CARS, so ForcedBackendPolicy(BackendCARS, l)
-	// must be indistinguishable from the pre-lattice ForcedPolicy.
-	if cars.ForcedBackendPolicy(cars.BackendCARS, lvl) != cars.ForcedPolicy(lvl) {
-		t.Fatal("CARS backend policy must equal ForcedPolicy")
 	}
 }

@@ -46,10 +46,6 @@ func (l Level) Name() string {
 
 // Policy selects how the runtime chooses a level.
 type Policy struct {
-	// Backend names the spill-policy lattice rung the level indexes.
-	// The zero value is BackendCARS, so existing policies are CARS
-	// policies unchanged.
-	Backend Backend
 	// Adaptive enables the Fig. 5 state machine. When false, Forced is
 	// used for every thread block (the per-mechanism study of Fig. 14).
 	Adaptive bool
@@ -79,9 +75,6 @@ type Plan struct {
 	// MaxFRU is the largest single function FRU; every level's stack is
 	// at least this big so any single frame fits the hardware stack.
 	MaxFRU int
-	// Backend names the lattice rung whose ladder this is. The zero
-	// value is BackendCARS: NewPlan builds CARS plans.
-	Backend Backend
 }
 
 // NewPlan builds the level ladder for a kernel.
@@ -90,26 +83,24 @@ type Plan struct {
 // (threads, blocks, shared memory); regSlotsPerSM is the register file
 // capacity in warp-register slots.
 func NewPlan(a *callgraph.Analysis, maxWarpsOther, regSlotsPerSM int) *Plan {
-	p := &Plan{
-		Base:   a.KernelBase,
-		Cyclic: a.Cyclic,
-		MaxFRU: a.MaxFRU,
-	}
 	low := a.StackSlots(a.LowWatermark())
-	high := a.StackSlots(a.HighWatermark())
-	if high < low {
-		high = low
-	}
+	high := max(a.StackSlots(a.HighWatermark()), low)
+	p := newLadder(a.KernelBase, low, high, maxWarpsOther, regSlotsPerSM)
+	p.Cyclic, p.MaxFRU = a.Cyclic, a.MaxFRU
+	return p
+}
+
+// newLadder builds the Low, N×Low, High ladder over per-warp sizes
+// low ≤ high beyond base: the shape NewPlan's register stacks and
+// NewWindowPlan's RF-cache windows share.
+func newLadder(base, low, high, maxWarpsOther, regSlotsPerSM int) *Plan {
+	p := &Plan{Base: base}
 	// A warp can never own more than the register file: cap High at the
-	// capacity left beyond the kernel base. Cyclic graphs already assume
-	// one iteration, but a deep acyclic chain can still overshoot.
-	if regSlotsPerSM > 0 {
-		if maxStack := regSlotsPerSM - a.KernelBase; high > maxStack {
-			if maxStack < low {
-				maxStack = low
-			}
-			high = maxStack
-		}
+	// capacity left beyond the base, keeping Low viable. Cyclic graphs
+	// already assume one iteration, but a deep acyclic chain can still
+	// overshoot.
+	if maxStack := regSlotsPerSM - base; regSlotsPerSM > 0 && high > maxStack {
+		high = max(maxStack, low)
 	}
 	if high == low {
 		// Degenerate ladder (call-free kernels, single-frame recursion):
@@ -127,12 +118,8 @@ func NewPlan(a *callgraph.Analysis, maxWarpsOther, regSlotsPerSM int) *Plan {
 		}
 		p.Levels = append(p.Levels, Level{Kind: KindHigh, StackSlots: high})
 	}
-
-	if maxWarpsOther > 0 {
-		minRegsPerWarp := regSlotsPerSM / maxWarpsOther
-		if minRegsPerWarp >= p.Base+high {
-			p.HighFree = true
-		}
+	if maxWarpsOther > 0 && regSlotsPerSM/maxWarpsOther >= base+high {
+		p.HighFree = true
 	}
 	return p
 }

@@ -26,15 +26,17 @@ const DefaultSMs = 8
 func V100() sim.Config {
 	n := DefaultSMs
 	return sim.Config{
-		Name:            "V100",
-		NumSMs:          n,
-		MaxWarpsPerSM:   64,
-		MaxBlocksPerSM:  32,
-		MaxThreadsPerSM: 2048,
+		Name: "V100",
+		Machine: cars.Machine{
+			NumSMs:          n,
+			MaxWarpsPerSM:   64,
+			MaxBlocksPerSM:  32,
+			MaxThreadsPerSM: 2048,
+			RegFileSlots:    2048, // 256KB / 128B
+			RegGranularity:  8,
+			SharedMemBytes:  96 * 1024,
+		},
 		SchedulersPerSM: 4,
-		RegFileSlots:    2048, // 256KB / 128B
-		RegGranularity:  8,
-		SharedMemBytes:  96 * 1024,
 		L1D: mem.L1Config{
 			Cache:      mem.CacheConfig{Bytes: 128 * 1024, Assoc: 8, LineBytes: 128, SectorBytes: 32},
 			HitLatency: 28,

@@ -52,7 +52,8 @@ func adviseLattice(w *workloads.Workload, smemOK bool) (adv latticeAdvice, fit b
 			kernel = launches[0].Kernel
 		}
 		for _, l := range launches {
-			if l.SharedBytes+prog.SmemSpillPerThread*l.Dim.Block > cfg.SharedMemBytes {
+			shape := cars.Shape{Dim: l.Dim, SharedBytes: l.SharedBytes, SpillPerThread: prog.SmemSpillPerThread}
+			if shape.BlockSmem() > cfg.SharedMemBytes {
 				fit = false
 			}
 		}

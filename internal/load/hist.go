@@ -103,7 +103,8 @@ func (h *Hist) Merge(other *Hist) {
 
 // Quantile returns the latency at quantile q ∈ [0,1]: the bucket upper
 // edge of the ⌈q·count⌉-th smallest sample (q=0 → first sample's
-// bucket). Zero when the recorder is empty.
+// bucket), clamped to the observed max so no quantile exceeds it. Zero
+// when the recorder is empty.
 func (h *Hist) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
@@ -120,7 +121,7 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	for i := range h.counts {
 		seen += h.counts[i].Load()
 		if seen >= rank {
-			return time.Duration(bucketMax(i))
+			return time.Duration(min(bucketMax(i), h.maxNs.Load()))
 		}
 	}
 	return time.Duration(h.maxNs.Load())

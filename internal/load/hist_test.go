@@ -106,6 +106,30 @@ func TestHistEmptyAndNegative(t *testing.T) {
 	}
 }
 
+// TestQuantileNeverExceedsMax: a bucket's upper edge can lie above
+// every recorded sample (126.238174 ms lands in a bucket ending at
+// 127.926271 ms), yet no quantile may exceed the observed max.
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	for _, samples := range [][]time.Duration{
+		{126238174},
+		{21660000, 3100000, 21500000, 9870000, 14000001},
+	} {
+		var h Hist
+		for _, v := range samples {
+			h.Observe(v)
+		}
+		s := h.Summarize()
+		for _, q := range []time.Duration{s.P50, s.P90, s.P99, s.P999, h.Quantile(1)} {
+			if q > s.Max {
+				t.Fatalf("samples %v: quantile %v above max %v (summary %+v)", samples, q, s.Max, s)
+			}
+		}
+		if s.P999 != s.Max {
+			t.Fatalf("samples %v: p999 = %v, want the max %v", samples, s.P999, s.Max)
+		}
+	}
+}
+
 func TestHistMerge(t *testing.T) {
 	var a, b, whole Hist
 	r := NewRNG(17)

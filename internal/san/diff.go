@@ -23,12 +23,6 @@ import (
 // observed dynamic maximum — if the dynamic machine ever exceeds a
 // static bound, one of the two models is wrong.
 
-// ErrNoFit reports that a launch cannot be scheduled under the given
-// configuration: its shared-memory demand (including the per-thread
-// shared-spill frame) exceeds a single SM's capacity, so no block
-// would ever be admitted.
-var ErrNoFit = errors.New("launch exceeds shared-memory capacity")
-
 // DiffResult is the outcome of one workload under one ABI mode.
 type DiffResult struct {
 	Workload string `json:"workload"`
@@ -99,11 +93,6 @@ func runVetted(ctx context.Context, prog *isa.Program, cfg sim.Config, rep *vet.
 		return nil, rep, err
 	}
 	for _, l := range launches {
-		need := l.SharedBytes + prog.SmemSpillPerThread*l.Dim.Block
-		if !cfg.UnlimitedSmem && need > cfg.SharedMemBytes {
-			return nil, rep, fmt.Errorf("san: launch %s: %w (needs %dB, SM has %dB)",
-				l.Kernel, ErrNoFit, need, cfg.SharedMemBytes)
-		}
 		if _, err := g.RunContext(ctx, l); err != nil {
 			return nil, rep, fmt.Errorf("san: launch %s: %w", l.Kernel, err)
 		}
@@ -205,7 +194,7 @@ func RunWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) (*Di
 	}
 	s, rep, err := RunProgram(ctx, prog, ConfigFor(mode), w.Setup)
 	if err != nil {
-		if errors.Is(err, ErrNoFit) {
+		if errors.Is(err, sim.ErrNoFit) {
 			// The static shared-spill frame is too large for the target
 			// SM. The program is rejected by capacity, not by the ABI.
 			res.Skipped = true

@@ -92,11 +92,6 @@ func runSide(ctx context.Context, w *workloads.Workload, mode abi.Mode, mods []*
 	}
 	r := &optRun{rep: rep, san: s, cars: prog.CARS}
 	for _, l := range launches {
-		need := l.SharedBytes + prog.SmemSpillPerThread*l.Dim.Block
-		if !cfg.UnlimitedSmem && need > cfg.SharedMemBytes {
-			return nil, fmt.Errorf("launch %s: %w (needs %dB, SM has %dB)",
-				l.Kernel, ErrNoFit, need, cfg.SharedMemBytes)
-		}
 		st, err := g.RunContext(ctx, l)
 		if err != nil {
 			return nil, fmt.Errorf("launch %s: %w", l.Kernel, err)
@@ -125,7 +120,7 @@ func OptDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) 
 			res.Skipped, res.Reason = true, "recursive call graph"
 			return res, nil
 		}
-		if errors.Is(err, ErrNoFit) {
+		if errors.Is(err, sim.ErrNoFit) {
 			res.Skipped, res.Reason = true, "shared-spill frame exceeds shared memory"
 			return res, nil
 		}

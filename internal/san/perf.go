@@ -89,19 +89,7 @@ func (r *PerfResult) OK() bool { return r.Skipped || len(r.Violations) == 0 }
 // parameter struct internal/vet's occupancy model consumes (vet cannot
 // import internal/sim).
 func MachineParamsFor(cfg sim.Config) vet.MachineParams {
-	return vet.MachineParams{
-		NumSMs:          cfg.NumSMs,
-		MaxWarpsPerSM:   cfg.MaxWarpsPerSM,
-		MaxBlocksPerSM:  cfg.MaxBlocksPerSM,
-		MaxThreadsPerSM: cfg.MaxThreadsPerSM,
-		RegFileSlots:    cfg.RegFileSlots,
-		RegGranularity:  cfg.RegGranularity,
-		SharedMemBytes:  cfg.SharedMemBytes,
-		UnlimitedRegs:   cfg.UnlimitedRegs,
-		UnlimitedSmem:   cfg.UnlimitedSmem,
-		UnlimitedBlocks: cfg.UnlimitedBlocks,
-		CARS:            cfg.CARSEnabled,
-	}
+	return vet.MachineParams{Machine: cfg.Machine, CARS: cfg.CARSEnabled}
 }
 
 // Shapes extracts the occupancy-relevant geometry of a launch list.
@@ -135,11 +123,6 @@ func runMeasured(ctx context.Context, prog *isa.Program, cfg sim.Config,
 	}
 	var sts []*stats.Kernel
 	for _, l := range launches {
-		need := l.SharedBytes + prog.SmemSpillPerThread*l.Dim.Block
-		if !cfg.UnlimitedSmem && need > cfg.SharedMemBytes {
-			return nil, nil, nil, fmt.Errorf("san: launch %s: %w (needs %dB, SM has %dB)",
-				l.Kernel, ErrNoFit, need, cfg.SharedMemBytes)
-		}
 		st, err := g.RunContext(ctx, l)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("san: launch %s: %w", l.Kernel, err)
@@ -195,7 +178,7 @@ func PerfDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode,
 	cfg := ConfigFor(mode)
 	s, launches, sts, err := runMeasured(ctx, prog, cfg, w.Setup)
 	if err != nil {
-		if errors.Is(err, ErrNoFit) {
+		if errors.Is(err, sim.ErrNoFit) {
 			res.Skipped, res.Reason = true, "shared-spill frame exceeds shared memory"
 			return res, nil
 		}

@@ -21,20 +21,11 @@ import (
 type Config struct {
 	Name string
 
-	// Core geometry.
-	NumSMs          int
-	MaxWarpsPerSM   int
-	MaxBlocksPerSM  int
-	MaxThreadsPerSM int
+	// Machine holds the occupancy limits: core geometry, register file,
+	// shared memory and the Idealized Virtual Warps switches.
+	cars.Machine
+
 	SchedulersPerSM int
-
-	// RegFileSlots is the register file capacity per SM in warp-register
-	// slots (one slot = 32 lanes × 4B = 128B). V100: 256KB → 2048 slots.
-	RegFileSlots int
-	// RegGranularity rounds per-warp register allocations (slots).
-	RegGranularity int
-
-	SharedMemBytes int // per SM
 
 	// L1D cache and port bandwidth.
 	L1D                mem.L1Config
@@ -53,11 +44,8 @@ type Config struct {
 	Mem            mem.SystemConfig
 	GlobalMemWords int
 
-	// Idealisations and limiters (§V-D).
-	SWLLimit        int  // >0: static wavefront limiter warp cap per SM
-	UnlimitedRegs   bool // Idealized Virtual Warps: registers
-	UnlimitedSmem   bool // Idealized Virtual Warps: shared memory
-	UnlimitedBlocks bool // Idealized Virtual Warps: thread-block slots
+	// Static wavefront limiter (§V-D): >0 caps the active warps per SM.
+	SWLLimit int
 
 	// CARS.
 	CARSEnabled bool
@@ -106,14 +94,4 @@ type Config struct {
 // WarpsPerScheduler returns the warp slots owned by each scheduler.
 func (c *Config) WarpsPerScheduler() int {
 	return (c.MaxWarpsPerSM + c.SchedulersPerSM - 1) / c.SchedulersPerSM
-}
-
-// roundRegs rounds a per-warp register demand up to the allocation
-// granularity.
-func (c *Config) roundRegs(slots int) int {
-	g := c.RegGranularity
-	if g <= 1 {
-		return slots
-	}
-	return (slots + g - 1) / g * g
 }

@@ -1,6 +1,15 @@
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrNoFit reports a launch whose single block can never be admitted:
+// its shared-memory demand, the shared-spill frame included, exceeds
+// one SM's capacity. RunContext returns it wrapped from launch
+// validation, before any cycle runs.
+var ErrNoFit = errors.New("launch exceeds shared-memory capacity")
 
 // CancelError is the structured error RunContext returns when a
 // launch's context is cancelled or its deadline expires mid-

@@ -19,10 +19,6 @@ const localWordsPerWarp = 16384
 // maxLaunchCycles guards against simulation deadlock.
 const maxLaunchCycles = int64(1) << 31
 
-// debugHang enables coarse progress prints (see SetDebugHang); it is a
-// diagnostic for runs that appear stuck.
-var debugHang = false
-
 // TraceSink receives one event per issued warp-instruction, in issue
 // order — the role NVBit's instrumentation plays for the paper (§V-A).
 // A nil sink costs one branch per instruction.
@@ -59,6 +55,7 @@ type GPU struct {
 	plan            *cars.Plan
 	kstate          *cars.KernelState
 	windowSize      int // fixed frame size under WindowedStacks
+	blockSmem       int // per-block shared-memory demand
 	analysis        *callgraph.Analysis
 	kernelStats     *stats.Kernel
 	nextBlock       int
@@ -167,6 +164,12 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 		return nil, fmt.Errorf("sim: block of %d threads exceeds the architectural limit of %d",
 			launch.Dim.Block, isa.MaxBlockThreads)
 	}
+	shape := cars.Shape{Dim: launch.Dim, SharedBytes: launch.SharedBytes, SpillPerThread: g.Prog.SmemSpillPerThread}
+	smem := shape.BlockSmem()
+	if !g.Cfg.UnlimitedSmem && smem > g.Cfg.SharedMemBytes {
+		return nil, fmt.Errorf("sim: kernel %s: %w (block needs %dB, SM has %dB)",
+			launch.Kernel, ErrNoFit, smem, g.Cfg.SharedMemBytes)
+	}
 	if g.San != nil && g.Cfg.WindowedStacks {
 		// Windowed stacks skip the PUSH/POP micro-ops and rename whole
 		// fixed-size windows, so the shadow stack's exact-FRU model
@@ -176,6 +179,7 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 
 	g.launch = &launch
 	g.kernelFunc = kf
+	g.blockSmem = smem
 	g.kernelStats = &stats.Kernel{Name: launch.Kernel, CARSLevels: map[string]int{}}
 	g.nextBlock, g.blocksDone = 0, 0
 	g.totalBlocks = launch.Dim.Grid
@@ -198,10 +202,10 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 		return nil, err
 	}
 	g.analysis = an
-	g.kernelBaseRegs = g.Cfg.roundRegs(an.KernelBase)
+	g.kernelBaseRegs = g.Cfg.RoundRegs(an.KernelBase)
 	// Baseline allocation: worst-case register usage over the kernel's
 	// reachable call graph (§II), not the whole program.
-	g.baseRegsPerWarp = g.Cfg.roundRegs(an.MaxRegs)
+	g.baseRegsPerWarp = g.Cfg.RoundRegs(an.MaxRegs)
 	if win := g.Cfg.RFCacheWindow; win > 0 {
 		// The RF-cache backend provisions its window at admission: one
 		// cached spill word per thread is one vector register per warp,
@@ -209,11 +213,11 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 		if g.Cfg.CARSEnabled {
 			return nil, fmt.Errorf("sim: RFCacheWindow requires the shared-spill ABI, not CARS")
 		}
-		g.baseRegsPerWarp = g.Cfg.roundRegs(an.MaxRegs + win)
+		g.baseRegsPerWarp = g.Cfg.RoundRegs(an.MaxRegs + win)
 	}
 
 	if g.Cfg.CARSEnabled {
-		g.plan = cars.NewPlan(an, g.maxWarpsOther(launch), g.Cfg.RegFileSlots)
+		g.plan = cars.NewPlan(an, g.Cfg.MaxWarpsOther(shape), g.Cfg.RegFileSlots)
 		g.windowSize = g.plan.MaxFRU
 		g.kstate = g.Controller.Launch(launch.Kernel, g.plan)
 		for _, sm := range g.sms {
@@ -278,10 +282,6 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 					cycle, g.blocksDone, g.totalBlocks)
 			}
 		}
-		if debugHang && cycle%5_000_000 == 0 {
-			fmt.Printf("sim: progress cycle=%d blocks=%d/%d instrs=%d\n",
-				cycle, g.blocksDone, g.totalBlocks, g.kernelStats.TotalInstructions())
-		}
 		if cycle-start > maxLaunchCycles {
 			return nil, fmt.Errorf("sim: launch exceeded %d cycles", maxLaunchCycles)
 		}
@@ -316,32 +316,6 @@ func addClass(dst, after, before [mem.NumClasses]uint64) [mem.NumClasses]uint64 
 		dst[i] += after[i] - before[i]
 	}
 	return dst
-}
-
-// maxWarpsOther computes the per-SM warp bound from the non-register
-// occupancy limits (§III-B: known at kernel launch time).
-func (g *GPU) maxWarpsOther(l isa.Launch) int {
-	cfg := &g.Cfg
-	wpb := l.Dim.Warps()
-	blocks := cfg.MaxBlocksPerSM
-	if cfg.UnlimitedBlocks {
-		blocks = 1 << 20
-	}
-	if byThr := cfg.MaxThreadsPerSM / l.Dim.Block; byThr < blocks {
-		blocks = byThr
-	}
-	if l.SharedBytes > 0 && !cfg.UnlimitedSmem {
-		if bySmem := cfg.SharedMemBytes / l.SharedBytes; bySmem < blocks {
-			blocks = bySmem
-		}
-	}
-	if byWarps := cfg.MaxWarpsPerSM / wpb; byWarps < blocks {
-		blocks = byWarps
-	}
-	if blocks > l.Dim.Grid {
-		blocks = l.Dim.Grid
-	}
-	return blocks * wpb
 }
 
 // scheduleBlocks assigns pending grid blocks to SMs round-robin.
@@ -420,92 +394,4 @@ func (s *SM) noteTraffic(now int64, class mem.AccessClass, sectors int) {
 	case mem.ClassLocalSpill, mem.ClassLocalOther:
 		g.tlCur.LocalSectors += uint64(sectors)
 	}
-}
-
-// SetDebugHang toggles coarse progress printing (test diagnostics).
-func SetDebugHang(v bool) { debugHang = v }
-
-// Occupancy describes the per-SM residency a launch achieves under one
-// register allocation: the limiter-by-limiter block counts contemporary
-// occupancy calculators report (§II's four factors).
-type Occupancy struct {
-	WarpsPerBlock   int
-	RegsPerWarp     int // rounded allocation (slots = per-thread regs)
-	BlocksByThreads int
-	BlocksBySlots   int // thread-block slots
-	BlocksBySmem    int // -1 when the launch uses no shared memory
-	BlocksByRegs    int
-	Blocks          int // min of the limits, capped by the grid
-	Warps           int
-}
-
-// limitedBy names the binding constraint.
-func (o Occupancy) LimitedBy() string {
-	switch o.Blocks {
-	case o.BlocksByRegs:
-		return "registers"
-	case o.BlocksByThreads:
-		return "threads"
-	case o.BlocksBySmem:
-		return "shared memory"
-	case o.BlocksBySlots:
-		return "block slots"
-	}
-	return "grid"
-}
-
-// OccupancyFor computes the launch's per-SM occupancy at a given
-// per-warp register allocation (pass 0 to use the baseline worst-case
-// allocation for the kernel's call graph).
-func (g *GPU) OccupancyFor(launch isa.Launch, regsPerWarp int) (Occupancy, error) {
-	if _, err := g.Prog.Kernel(launch.Kernel); err != nil {
-		return Occupancy{}, err
-	}
-	an, err := callgraph.Analyze(g.Prog, launch.Kernel)
-	if err != nil {
-		return Occupancy{}, err
-	}
-	if regsPerWarp <= 0 {
-		regsPerWarp = g.Cfg.roundRegs(an.MaxRegs + g.Cfg.RFCacheWindow)
-	}
-	cfg := &g.Cfg
-	o := Occupancy{
-		WarpsPerBlock: launch.Dim.Warps(),
-		RegsPerWarp:   regsPerWarp,
-	}
-	o.BlocksByThreads = cfg.MaxThreadsPerSM / launch.Dim.Block
-	o.BlocksBySlots = cfg.MaxBlocksPerSM
-	if cfg.UnlimitedBlocks {
-		o.BlocksBySlots = 1 << 20
-	}
-	o.BlocksBySmem = -1
-	smem := launch.SharedBytes + g.Prog.SmemSpillPerThread*launch.Dim.Block
-	if smem > 0 && !cfg.UnlimitedSmem {
-		o.BlocksBySmem = cfg.SharedMemBytes / smem
-	}
-	regSlots := cfg.RegFileSlots
-	if cfg.UnlimitedRegs {
-		regSlots = 1 << 30
-	}
-	o.BlocksByRegs = regSlots / (regsPerWarp * o.WarpsPerBlock)
-
-	o.Blocks = o.BlocksByThreads
-	for _, b := range []int{o.BlocksBySlots, o.BlocksByRegs} {
-		if b < o.Blocks {
-			o.Blocks = b
-		}
-	}
-	if o.BlocksBySmem >= 0 && o.BlocksBySmem < o.Blocks {
-		o.Blocks = o.BlocksBySmem
-	}
-	if launch.Dim.Grid < o.Blocks {
-		o.Blocks = launch.Dim.Grid
-	}
-	o.Warps = o.Blocks * o.WarpsPerBlock
-	if o.Warps > cfg.MaxWarpsPerSM {
-		o.Warps = cfg.MaxWarpsPerSM
-		o.Blocks = o.Warps / o.WarpsPerBlock
-		o.Warps = o.Blocks * o.WarpsPerBlock
-	}
-	return o, nil
 }

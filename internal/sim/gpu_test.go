@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"carsgo/internal/abi"
+	"carsgo/internal/cars"
 	"carsgo/internal/isa"
 	"carsgo/internal/kir"
 	"carsgo/internal/mem"
@@ -29,15 +31,17 @@ func memCfg() mem.SystemConfig {
 
 func tinyConfig() Config {
 	return Config{
-		Name:               "tiny",
-		NumSMs:             2,
-		MaxWarpsPerSM:      16,
-		MaxBlocksPerSM:     4,
-		MaxThreadsPerSM:    512,
+		Name: "tiny",
+		Machine: cars.Machine{
+			NumSMs:          2,
+			MaxWarpsPerSM:   16,
+			MaxBlocksPerSM:  4,
+			MaxThreadsPerSM: 512,
+			RegFileSlots:    512,
+			RegGranularity:  8,
+			SharedMemBytes:  16 * 1024,
+		},
 		SchedulersPerSM:    2,
-		RegFileSlots:       512,
-		RegGranularity:     8,
-		SharedMemBytes:     16 * 1024,
 		L1D:                l1Cfg(),
 		L1DSectorsPerCycle: 4,
 		LSUQueueCap:        8,
@@ -64,29 +68,90 @@ func tinyProgram(t *testing.T) *isa.Program {
 }
 
 func TestMaxWarpsOtherLimits(t *testing.T) {
-	cfg := tinyConfig()
-	g, err := New(cfg, tinyProgram(t))
+	g, err := New(tinyConfig(), tinyProgram(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Thread-limited: 512 threads / 128 = 4 blocks × 4 warps = 16 warps,
-	// capped by MaxWarpsPerSM.
-	if got := g.maxWarpsOther(isa.Launch{Dim: isa.Dim3{Grid: 100, Block: 128}}); got != 16 {
-		t.Errorf("thread-limited warps = %d, want 16", got)
+	// The bound launch set-up hands cars.NewPlan, read through the
+	// simulator's config; the kernel is register-light, so the launch
+	// also reaches it.
+	for _, c := range []struct {
+		name string
+		l    isa.Launch
+		want int
+	}{
+		// 512 threads / 128 = 4 blocks × 4 warps = 16 warps, capped by
+		// MaxWarpsPerSM.
+		{"thread-limited", isa.Launch{Dim: isa.Dim3{Grid: 100, Block: 128}}, 16},
+		// 4 block slots × 1 warp.
+		{"block-limited", isa.Launch{Dim: isa.Dim3{Grid: 100, Block: 32}}, 4},
+		// 16KB / 8KB = 2 blocks × 2 warps.
+		{"smem-limited", isa.Launch{Dim: isa.Dim3{Grid: 100, Block: 64}, SharedBytes: 8 * 1024}, 4},
+		// Grid smaller than capacity.
+		{"grid-limited", isa.Launch{Dim: isa.Dim3{Grid: 1, Block: 64}}, 2},
+	} {
+		shape := cars.Shape{Dim: c.l.Dim, SharedBytes: c.l.SharedBytes}
+		if got := g.Cfg.MaxWarpsOther(shape); got != c.want {
+			t.Errorf("%s: MaxWarpsOther = %d, want %d", c.name, got, c.want)
+		}
+		c.l.Kernel = "main"
+		st, err := g.Run(c.l)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if st.ResidentWarps != c.want {
+			t.Errorf("%s: measured %d resident warps, want %d", c.name, st.ResidentWarps, c.want)
+		}
 	}
-	// Block-slot limited: 4 blocks × 1 warp.
-	if got := g.maxWarpsOther(isa.Launch{Dim: isa.Dim3{Grid: 100, Block: 32}}); got != 4 {
-		t.Errorf("block-limited warps = %d, want 4", got)
+}
+
+func TestOccupancyFor(t *testing.T) {
+	g, err := New(tinyConfig(), tinyProgram(t))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Shared-memory limited: 16KB / 8KB = 2 blocks.
-	if got := g.maxWarpsOther(isa.Launch{
-		Dim: isa.Dim3{Grid: 100, Block: 64}, SharedBytes: 8 * 1024,
-	}); got != 4 {
-		t.Errorf("smem-limited warps = %d, want 2 blocks x 2 warps", got)
+	shape := func(l isa.Launch) cars.Shape {
+		return cars.Shape{Dim: l.Dim, SharedBytes: l.SharedBytes, SpillPerThread: g.Prog.SmemSpillPerThread}
 	}
-	// Grid smaller than capacity.
-	if got := g.maxWarpsOther(isa.Launch{Dim: isa.Dim3{Grid: 1, Block: 64}}); got != 2 {
-		t.Errorf("grid-limited warps = %d, want 2", got)
+	// tiny: 512 threads, 4 block slots, 512 reg slots, 16KB smem.
+	// Block of 128 threads (4 warps) at an 8-slot allocation:
+	// threads -> 4, slots -> 4, regs -> 512/(8*4) = 16.
+	wide := isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 100, Block: 128}}
+	o := g.Cfg.Occupancy(shape(wide), 8, false)
+	if o.Blocks != 4 || o.Warps != 16 {
+		t.Fatalf("occupancy: %+v", o)
+	}
+	if l := o.Limiter(); l != "registers" && l != "threads" && l != "block slots" {
+		t.Fatalf("limiter: %s", l)
+	}
+	// A fat register allocation becomes the limiter.
+	o = g.Cfg.Occupancy(shape(wide), 64, false)
+	if o.BlocksByRegs != 2 || o.Blocks != 2 || o.Limiter() != "registers" {
+		t.Fatalf("reg-limited occupancy: %+v (%s)", o, o.Limiter())
+	}
+	// Shared memory limiter.
+	smem := isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 100, Block: 64}, SharedBytes: 8 * 1024}
+	o = g.Cfg.Occupancy(shape(smem), 8, false)
+	if o.BlocksBySmem != 2 || o.Blocks != 2 || o.Limiter() != "shared memory" {
+		t.Fatalf("smem-limited occupancy: %+v (%s)", o, o.Limiter())
+	}
+	// Small grids cap the resident count, not the steady-state blocks.
+	small := isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 1, Block: 64}}
+	o = g.Cfg.Occupancy(shape(small), 8, false)
+	if o.Blocks != 4 || o.ResidentWarps != 2 {
+		t.Fatalf("grid-capped occupancy: %+v", o)
+	}
+	// At the allocation launch set-up makes, the model predicts the
+	// simulator's measured residency.
+	for _, l := range []isa.Launch{wide, smem, small} {
+		st, err := g.Run(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := g.Cfg.Occupancy(shape(l), g.baseRegsPerWarp, false).ResidentWarps
+		if st.ResidentWarps != want {
+			t.Errorf("%+v: measured %d resident warps, model says %d", l.Dim, st.ResidentWarps, want)
+		}
 	}
 }
 
@@ -103,6 +168,36 @@ func TestLaunchValidation(t *testing.T) {
 	}
 	if _, err := g.Run(isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 1, Block: 4096}}); err == nil {
 		t.Error("oversized block launched")
+	}
+}
+
+func TestLaunchNoFit(t *testing.T) {
+	p := tinyProgram(t)
+	g, err := New(tinyConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16KB per SM: a block asking for one word more can never be
+	// admitted, and launch validation says so instead of deadlocking.
+	tooBig := isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 1, Block: 32}, SharedBytes: 16*1024 + 4}
+	if _, err := g.Run(tooBig); !errors.Is(err, ErrNoFit) {
+		t.Fatalf("oversized shared memory: err = %v, want ErrNoFit", err)
+	}
+	if _, err := g.Run(isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 1, Block: 32}, SharedBytes: 16 * 1024}); err != nil {
+		t.Fatalf("block filling shared memory exactly: %v", err)
+	}
+	// The shared-spill frame counts: 32 threads × 1KB overflows alone.
+	p.SmemSpillPerThread = 1024
+	if _, err := g.Run(isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 1, Block: 32}}); !errors.Is(err, ErrNoFit) {
+		t.Fatalf("oversized spill frame: err = %v, want ErrNoFit", err)
+	}
+	cfg := tinyConfig()
+	cfg.UnlimitedSmem = true
+	if g, err = New(cfg, tinyProgram(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(tooBig); err != nil {
+		t.Fatalf("UnlimitedSmem rejected a launch: %v", err)
 	}
 }
 
@@ -173,51 +268,5 @@ func TestLocalPhysAddrDisjoint(t *testing.T) {
 	b := g.localPhysAddr(5, 7, 31)
 	if b-a != 124 || a%128 != 0 {
 		t.Errorf("lane packing wrong: %d..%d", a, b)
-	}
-}
-
-func TestOccupancyFor(t *testing.T) {
-	g, err := New(tinyConfig(), tinyProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// tiny: 512 threads, 4 block slots, 512 reg slots, 16KB smem.
-	// Block of 128 threads (4 warps) at the default 8-reg allocation:
-	// threads -> 4, slots -> 4, regs -> 512/(8*4) = 16.
-	o, err := g.OccupancyFor(isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 100, Block: 128}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Blocks != 4 || o.Warps != 16 {
-		t.Fatalf("occupancy: %+v", o)
-	}
-	if o.LimitedBy() != "registers" && o.LimitedBy() != "threads" && o.LimitedBy() != "block slots" {
-		t.Fatalf("limiter: %s", o.LimitedBy())
-	}
-	// A fat register allocation becomes the limiter.
-	o, err = g.OccupancyFor(isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 100, Block: 128}}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.BlocksByRegs != 2 || o.Blocks != 2 || o.LimitedBy() != "registers" {
-		t.Fatalf("reg-limited occupancy: %+v (%s)", o, o.LimitedBy())
-	}
-	// Shared memory limiter.
-	o, err = g.OccupancyFor(isa.Launch{
-		Kernel: "main", Dim: isa.Dim3{Grid: 100, Block: 64}, SharedBytes: 8 * 1024,
-	}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.BlocksBySmem != 2 || o.Blocks != 2 || o.LimitedBy() != "shared memory" {
-		t.Fatalf("smem-limited occupancy: %+v (%s)", o, o.LimitedBy())
-	}
-	// Small grids cap the count.
-	o, _ = g.OccupancyFor(isa.Launch{Kernel: "main", Dim: isa.Dim3{Grid: 1, Block: 64}}, 8)
-	if o.Blocks != 1 || o.LimitedBy() != "grid" {
-		t.Fatalf("grid-capped occupancy: %+v (%s)", o, o.LimitedBy())
-	}
-	if _, err := g.OccupancyFor(isa.Launch{Kernel: "nope", Dim: isa.Dim3{Grid: 1, Block: 64}}, 0); err == nil {
-		t.Error("unknown kernel accepted")
 	}
 }

@@ -46,11 +46,7 @@ type SM struct {
 
 func newSM(id int, g *GPU) *SM {
 	cfg := &g.Cfg
-	regSlots := cfg.RegFileSlots
-	if cfg.UnlimitedRegs {
-		// Idealized Virtual Warps: registers never limit occupancy.
-		regSlots = cfg.MaxWarpsPerSM * 512 * 4
-	}
+	regSlots := cfg.RegFileSize()
 	s := &SM{
 		id:        id,
 		gpu:       g,
@@ -100,9 +96,7 @@ func (s *SM) admitBlock(now int64, blockID int) bool {
 	g := s.gpu
 	L := g.launch
 	warpsPerBlock := L.Dim.Warps()
-	// The shared-memory spill ABI (CRAT-like comparator) reserves each
-	// thread's spill frame in shared memory, charging it to occupancy.
-	smemNeed := L.SharedBytes + g.Prog.SmemSpillPerThread*L.Dim.Block
+	smemNeed := g.blockSmem
 	if !s.canAdmit(L.Dim.Block, smemNeed, warpsPerBlock) {
 		return false
 	}
@@ -113,7 +107,7 @@ func (s *SM) admitBlock(now int64, blockID int) bool {
 		levelIdx = s.carsLevel
 		// Round the combined demand so allocation slack lands in the
 		// register stack (the warp can always use extra stack slots).
-		regsPerWarp = g.Cfg.roundRegs(g.kernelBaseRegs + g.plan.Levels[levelIdx].StackSlots)
+		regsPerWarp = g.Cfg.RoundRegs(g.kernelBaseRegs + g.plan.Levels[levelIdx].StackSlots)
 	}
 	if regsPerWarp > len(s.regArena) {
 		regsPerWarp = len(s.regArena) // clamp: a warp can at most own the file

@@ -305,7 +305,7 @@ func windowPlan(m MachineParams, p *isa.Program, an *callgraph.Analysis, l Launc
 			maxFrame = cs
 		}
 	}
-	return cars.NewWindowPlan(an.MaxRegs, maxFrame, p.SmemSpillPerThread/4, m.maxWarpsOther(l), m.RegFileSlots)
+	return cars.NewWindowPlan(an.MaxRegs, maxFrame, p.SmemSpillPerThread/4, m.MaxWarpsOther(shapeOf(p, l)), m.RegFileSlots)
 }
 
 // WindowPlanFor builds the RF-cache window ladder AnalyzePerf models
@@ -368,14 +368,13 @@ func analyzeBackends(kr *KernelReport, p *isa.Program, m MachineParams, shape La
 		kr.Perf.Backends = append(kr.Perf.Backends, smem)
 
 		// RF-cache backend: the window ladder. The simulator charges the
-		// window as base registers (roundRegs(MaxRegs + W)) and admits
-		// whole blocks only — mirror both exactly.
+		// window as base registers (RoundRegs(MaxRegs + W)) and admits
+		// whole blocks only.
 		plan := windowPlan(m, p, an, shape)
 		rfc := BackendPerf{Backend: cars.BackendRFCache.String(), HighFree: plan.HighFree}
+		s := shapeOf(p, shape)
 		for _, lvl := range plan.Levels {
-			o := occupancyAt(m, p, shape, m.roundRegs(an.MaxRegs+lvl.StackSlots), false)
-			o.Level = lvl.Name()
-			o.StackSlots = lvl.StackSlots
+			o := levelAt(m, s, lvl.Name(), lvl.StackSlots, m.RoundRegs(an.MaxRegs+lvl.StackSlots), false)
 			bl := BackendLevel{LevelOccupancy: o, SpillSmemBytes: zero, SmemTxns: zero}
 			if kr.resid != nil {
 				bl.SpillSmemBytes, bl.SmemTxns = kr.resid.at(lvl.StackSlots)

@@ -5,6 +5,7 @@ import (
 
 	"carsgo/internal/abi"
 	"carsgo/internal/callgraph"
+	"carsgo/internal/cars"
 	"carsgo/internal/kir"
 	"carsgo/internal/vet"
 )
@@ -159,7 +160,7 @@ func TestResidualWindowMonotone(t *testing.T) {
 // testMachine is a small single-SM machine whose shared-memory capacity
 // the admission tests dial per case.
 func testMachine(smemBytes int) vet.MachineParams {
-	return vet.MachineParams{
+	return vet.MachineParams{Machine: cars.Machine{
 		NumSMs:          1,
 		MaxWarpsPerSM:   64,
 		MaxBlocksPerSM:  32,
@@ -167,8 +168,7 @@ func testMachine(smemBytes int) vet.MachineParams {
 		RegFileSlots:    65536,
 		RegGranularity:  8,
 		SharedMemBytes:  smemBytes,
-		CARS:            false,
-	}
+	}}
 }
 
 // TestSmemBackendAdmission pins the shared-spill backend's admission
@@ -204,7 +204,8 @@ func TestSmemBackendAdmission(t *testing.T) {
 		},
 		{
 			// One byte short: no block is admissible. The static model
-			// must report zero, the shape san treats as ErrNoFit.
+			// must report zero; the simulator rejects the launch with
+			// sim.ErrNoFit.
 			name: "oneByteShort", smemBytes: frameBytesPerBlock - 1,
 			wantBySmem: 0, wantBlocks: 0, wantResident: 0, wantLimitedBy: "shared memory",
 		},

@@ -10,43 +10,16 @@ import (
 
 // Static occupancy model (DESIGN.md §9): for each CARS ladder level
 // the resident-warp count the simulator's admission logic reaches,
-// derived from the same cars.NewPlan the runtime uses so the model and
-// the sim share one source of truth. vet cannot import internal/sim
-// (abi imports vet for LinkStrict), so the machine limits arrive as a
-// plain parameter struct; internal/san converts a sim.Config.
+// computed by the same cars.Machine admission model and cars.NewPlan
+// ladder the runtime uses. vet cannot import internal/sim (abi imports
+// vet for LinkStrict), so the machine limits arrive as a plain
+// cars.Machine; internal/san converts a sim.Config.
 
-// MachineParams are the occupancy-relevant machine limits, mirroring
-// the sim.Config fields of the same names.
+// MachineParams are the occupancy-relevant machine limits plus whether
+// the program runs under CARS.
 type MachineParams struct {
-	NumSMs          int  `json:"numSMs"`
-	MaxWarpsPerSM   int  `json:"maxWarpsPerSM"`
-	MaxBlocksPerSM  int  `json:"maxBlocksPerSM"`
-	MaxThreadsPerSM int  `json:"maxThreadsPerSM"`
-	RegFileSlots    int  `json:"regFileSlots"`
-	RegGranularity  int  `json:"regGranularity"`
-	SharedMemBytes  int  `json:"sharedMemBytes"`
-	UnlimitedRegs   bool `json:"unlimitedRegs,omitempty"`
-	UnlimitedSmem   bool `json:"unlimitedSmem,omitempty"`
-	UnlimitedBlocks bool `json:"unlimitedBlocks,omitempty"`
-	CARS            bool `json:"cars"`
-}
-
-// roundRegs mirrors sim.Config.roundRegs: allocations round up to the
-// register-file granularity.
-func (m MachineParams) roundRegs(slots int) int {
-	if m.RegGranularity <= 1 {
-		return slots
-	}
-	g := m.RegGranularity
-	return (slots + g - 1) / g * g
-}
-
-// regArena mirrors newSM: the per-SM register capacity in slots.
-func (m MachineParams) regArena() int {
-	if m.UnlimitedRegs {
-		return m.MaxWarpsPerSM * 512 * 4
-	}
-	return m.RegFileSlots
+	cars.Machine
+	CARS bool `json:"cars"`
 }
 
 // LaunchShape is the occupancy-relevant part of one kernel launch.
@@ -57,31 +30,24 @@ type LaunchShape struct {
 	SharedBytes int    `json:"sharedBytes"`
 }
 
-func (l LaunchShape) warpsPerBlock() int {
-	return (l.Block + isa.WarpSize - 1) / isa.WarpSize
+// shapeOf is the admission model's view of a launch of p.
+func shapeOf(p *isa.Program, l LaunchShape) cars.Shape {
+	return cars.Shape{
+		Dim:            isa.Dim3{Grid: l.Grid, Block: l.Block},
+		SharedBytes:    l.SharedBytes,
+		SpillPerThread: p.SmemSpillPerThread,
+	}
 }
 
 // LevelOccupancy is the static occupancy at one ladder level (or, for
 // non-CARS programs, at the baseline worst-case allocation — a single
-// row with Level "base"). Blocks/Warps are the steady-state per-SM
-// residency at full grid pressure; ResidentWarps additionally caps by
-// the launch's grid spread over the SMs (round-robin scheduling) and
-// is the exact peak the simulator reaches. Partial marks the CARS
-// single-block admission path where some warps start register-
-// deactivated.
+// row with Level "base"). Its ResidentWarps is the exact peak the
+// simulator reaches.
 type LevelOccupancy struct {
-	Level           string `json:"level"`
-	StackSlots      int    `json:"stackSlots"`
-	RegsPerWarp     int    `json:"regsPerWarp"`
-	BlocksByThreads int    `json:"blocksByThreads"`
-	BlocksBySlots   int    `json:"blocksBySlots"`
-	BlocksBySmem    int    `json:"blocksBySmem"` // -1: no shared memory used
-	BlocksByRegs    int    `json:"blocksByRegs"`
-	Blocks          int    `json:"blocks"`
-	Warps           int    `json:"warps"`
-	ResidentWarps   int    `json:"residentWarps"`
-	Partial         bool   `json:"partial,omitempty"`
-	LimitedBy       string `json:"limitedBy"`
+	Level      string `json:"level"`
+	StackSlots int    `json:"stackSlots"`
+	cars.Occupancy
+	LimitedBy string `json:"limitedBy"`
 }
 
 // KernelPerf is the perf analysis family's per-kernel result: the
@@ -99,111 +65,12 @@ type KernelPerf struct {
 	Ranges *RangeReport `json:"ranges,omitempty"`
 }
 
-// maxWarpsOther mirrors GPU.maxWarpsOther: the per-SM warp bound from
-// the non-register occupancy limits, the input to cars.NewPlan's
-// HighFree decision. Note it charges only the launch's explicit
-// shared bytes, exactly as the runtime does.
-func (m MachineParams) maxWarpsOther(l LaunchShape) int {
-	wpb := l.warpsPerBlock()
-	blocks := m.MaxBlocksPerSM
-	if m.UnlimitedBlocks {
-		blocks = 1 << 20
-	}
-	if byThr := m.MaxThreadsPerSM / l.Block; byThr < blocks {
-		blocks = byThr
-	}
-	if l.SharedBytes > 0 && !m.UnlimitedSmem {
-		if bySmem := m.SharedMemBytes / l.SharedBytes; bySmem < blocks {
-			blocks = bySmem
-		}
-	}
-	if byWarps := m.MaxWarpsPerSM / wpb; byWarps < blocks {
-		blocks = byWarps
-	}
-	if blocks > l.Grid {
-		blocks = l.Grid
-	}
-	return blocks * wpb
-}
-
-// occupancyAt models SM.admitBlock for one per-warp register demand:
-// every limit the admission path checks, including the register-file
-// clamp and the CARS partial-admission rule (an empty SM admits one
-// block as long as a single warp's registers fit).
-func occupancyAt(m MachineParams, p *isa.Program, l LaunchShape, regsPerWarp int, carsPartial bool) (o LevelOccupancy) {
-	wpb := l.warpsPerBlock()
-	arena := m.regArena()
-	if regsPerWarp > arena {
-		regsPerWarp = arena // clamp: a warp can at most own the file
-	}
-	o.RegsPerWarp = regsPerWarp
-
-	o.BlocksByThreads = m.MaxThreadsPerSM / l.Block
-	o.BlocksBySlots = m.MaxBlocksPerSM
-	if m.UnlimitedBlocks {
-		o.BlocksBySlots = 1 << 20
-	}
-	o.BlocksBySmem = -1
-	smem := l.SharedBytes + p.SmemSpillPerThread*l.Block
-	if smem > 0 && !m.UnlimitedSmem {
-		o.BlocksBySmem = m.SharedMemBytes / smem
-	}
-	if regsPerWarp*wpb > 0 {
-		o.BlocksByRegs = arena / (regsPerWarp * wpb)
-	} else {
-		o.BlocksByRegs = o.BlocksBySlots
-	}
-	byWarpSlots := m.MaxWarpsPerSM / wpb
-
-	o.Blocks = o.BlocksByThreads
-	for _, b := range []int{o.BlocksBySlots, o.BlocksByRegs, byWarpSlots} {
-		if b < o.Blocks {
-			o.Blocks = b
-		}
-	}
-	if o.BlocksBySmem >= 0 && o.BlocksBySmem < o.Blocks {
-		o.Blocks = o.BlocksBySmem
-	}
-	if carsPartial && o.Blocks == 0 && o.BlocksByRegs == 0 &&
-		o.BlocksByThreads > 0 && o.BlocksBySlots > 0 && byWarpSlots > 0 &&
-		(o.BlocksBySmem < 0 || o.BlocksBySmem > 0) && arena >= regsPerWarp {
-		// CARS partial admission: an empty SM takes one block with at
-		// least one register-activated warp; the rest start deactivated
-		// but occupy warp slots and count as resident.
-		o.Blocks = 1
-		o.Partial = true
-	}
-	o.Warps = o.Blocks * wpb
-
-	// Peak per-SM residency for this launch: round-robin scheduling
-	// spreads the grid evenly, so no SM ever holds more than
-	// ceil(Grid/NumSMs) blocks at once.
-	residentBlocks := o.Blocks
-	if m.NumSMs > 0 {
-		if spread := (l.Grid + m.NumSMs - 1) / m.NumSMs; spread < residentBlocks {
-			residentBlocks = spread
-		}
-	}
-	o.ResidentWarps = residentBlocks * wpb
-	o.LimitedBy = o.limiter()
+// levelAt is the occupancy row for one design point at one per-warp
+// register demand; partial applies the CARS partial-admission rule.
+func levelAt(m MachineParams, s cars.Shape, level string, stackSlots, regsPerWarp int, partial bool) LevelOccupancy {
+	o := LevelOccupancy{Level: level, StackSlots: stackSlots, Occupancy: m.Occupancy(s, regsPerWarp, partial)}
+	o.LimitedBy = o.Limiter()
 	return o
-}
-
-func (o *LevelOccupancy) limiter() string {
-	switch o.Blocks {
-	case o.BlocksByRegs:
-		return "registers"
-	case o.BlocksByThreads:
-		return "threads"
-	case o.BlocksBySmem:
-		return "shared memory"
-	case o.BlocksBySlots:
-		return "block slots"
-	}
-	if o.Partial {
-		return "registers"
-	}
-	return "grid"
 }
 
 // PlanFor builds the CARS level ladder AnalyzePerf models for one
@@ -214,7 +81,7 @@ func (m MachineParams) PlanFor(p *isa.Program, l LaunchShape) (*cars.Plan, error
 	if err != nil {
 		return nil, err
 	}
-	return cars.NewPlan(an, m.maxWarpsOther(l), m.RegFileSlots), nil
+	return cars.NewPlan(an, m.MaxWarpsOther(shapeOf(p, l)), m.RegFileSlots), nil
 }
 
 // AnalyzePerf attaches the occupancy model (and, for CARS programs,
@@ -239,24 +106,21 @@ func AnalyzePerf(rep *ProgramReport, p *isa.Program, m MachineParams, shapes []L
 		if err != nil {
 			return err
 		}
-		kernelBase := m.roundRegs(an.KernelBase)
+		s := shapeOf(p, shape)
 		kr.Perf.Occupancy = kr.Perf.Occupancy[:0]
 		if !m.CARS {
-			o := occupancyAt(m, p, shape, m.roundRegs(an.MaxRegs), false)
-			o.Level = "base"
-			o.StackSlots = 0
+			o := levelAt(m, s, "base", 0, m.RoundRegs(an.MaxRegs), false)
 			kr.Perf.Occupancy = append(kr.Perf.Occupancy, o)
 			kr.Perf.Advice = nil
 			analyzeBackends(kr, p, m, shape, an)
 			continue
 		}
-		plan := cars.NewPlan(an, m.maxWarpsOther(shape), m.RegFileSlots)
+		kernelBase := m.RoundRegs(an.KernelBase)
+		plan := cars.NewPlan(an, m.MaxWarpsOther(s), m.RegFileSlots)
 		for _, lvl := range plan.Levels {
-			// Mirror admitBlock: round the combined demand so slack
+			// As admitBlock does: round the combined demand so slack
 			// lands in the register stack.
-			o := occupancyAt(m, p, shape, m.roundRegs(kernelBase+lvl.StackSlots), true)
-			o.Level = lvl.Name()
-			o.StackSlots = lvl.StackSlots
+			o := levelAt(m, s, lvl.Name(), lvl.StackSlots, m.RoundRegs(kernelBase+lvl.StackSlots), true)
 			kr.Perf.Occupancy = append(kr.Perf.Occupancy, o)
 		}
 		kr.Perf.Advice = advise(kr, plan)
