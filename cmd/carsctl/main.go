@@ -9,7 +9,6 @@
 //	carsctl poll <job-id>
 //	carsctl fetch <job-id>
 //	carsctl snapshot
-//	carsctl bench-fanout -n 32 -config cars -workload FIB
 //
 // When the daemon sheds load with 429 (queue full), carsctl honors the
 // Retry-After header: bounded retries (-retries, default 4) with a
@@ -17,16 +16,13 @@
 // clients ride out transient bursts without a thundering-herd retry.
 //
 // snapshot fetches /metricsz, the daemon's typed JSON counter readout.
-// bench-fanout fires N concurrent identical simulate requests through
-// the internal/load closed-loop driver and diffs the daemon's typed
-// snapshot to show how many actually executed — the observable proof
-// of the daemon's single-flight collapse (N requests, 1 run).
+// Load generation (including the N-identical-requests single-flight
+// burst) is carsbench's job.
 package main
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,7 +34,6 @@ import (
 	"time"
 
 	"carsgo/internal/load"
-	"carsgo/internal/serve/metrics"
 )
 
 var (
@@ -47,7 +42,7 @@ var (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: carsctl [-addr URL] [-retries N] <health|metrics|snapshot|simulate|vet|experiment|submit|poll|fetch|bench-fanout> [args]")
+	fmt.Fprintln(os.Stderr, "usage: carsctl [-addr URL] [-retries N] <health|metrics|snapshot|simulate|vet|experiment|submit|poll|fetch> [args]")
 	os.Exit(2)
 }
 
@@ -80,8 +75,6 @@ func main() {
 		err = jobGet(args, "")
 	case "fetch":
 		err = jobGet(args, "/result")
-	case "bench-fanout":
-		err = benchFanout(args)
 	default:
 		usage()
 	}
@@ -315,105 +308,4 @@ func snapshotCmd() error {
 		return err
 	}
 	return prettyJSON(os.Stdout, buf.Bytes())
-}
-
-// fetchSnapshot reads the daemon's typed counter snapshot.
-func fetchSnapshot() (metrics.Snapshot, error) {
-	var buf bytes.Buffer
-	var snap metrics.Snapshot
-	if err := get("/metricsz", &buf); err != nil {
-		return snap, err
-	}
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		return snap, fmt.Errorf("decode /metricsz: %w", err)
-	}
-	return snap, nil
-}
-
-// benchFanout fires n identical simulate requests at once through the
-// internal/load closed-loop driver, then diffs the daemon's typed
-// snapshot: with single-flight and the result cache, a cold-cache
-// burst must report exactly one real simulation.
-func benchFanout(args []string) error {
-	fs := flag.NewFlagSet("bench-fanout", flag.ContinueOnError)
-	n := fs.Int("n", 32, "concurrent identical requests")
-	cfg := fs.String("config", "cars", "configuration name")
-	wl := fs.String("workload", "FIB", "workload name")
-	timeout := fs.Duration("timeout", 0, "per-request deadline")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	doc := map[string]any{"config": *cfg, "workload": *wl}
-	if *timeout > 0 {
-		doc["timeoutMs"] = timeout.Milliseconds()
-	}
-	body, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
-
-	before, err := fetchSnapshot()
-	if err != nil {
-		return err
-	}
-	src := load.FixedSource{Req: load.Request{Key: *wl, Body: body}}
-	stages := []load.Stage{{Concurrency: *n, Requests: *n}}
-	start := time.Now()
-	results := load.RunClosed(context.Background(), stages, src, fanoutTarget())
-	elapsed := time.Since(start)
-	after, err := fetchSnapshot()
-	if err != nil {
-		return err
-	}
-	res := results[0]
-
-	fmt.Printf("fan-out: %d identical requests in %v\n", *n, elapsed.Round(time.Millisecond))
-	for code, c := range res.Codes {
-		fmt.Printf("  HTTP %d: %d\n", code, c)
-	}
-	if res.TransportErrors > 0 {
-		fmt.Printf("  transport failures: %d\n", res.TransportErrors)
-	}
-	fmt.Printf("  served from cache: %d, collapsed onto another request: %d\n", res.Cached, res.Shared)
-	s := res.Hist.Summarize()
-	fmt.Printf("  latency p50 %v p99 %v max %v\n",
-		s.P50.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-	b, _ := before.Value("carsd_sim_runs_total")
-	a, _ := after.Value("carsd_sim_runs_total")
-	fmt.Printf("  simulations actually executed: %.0f (carsd_sim_runs_total %.0f -> %.0f)\n",
-		a-b, b, a)
-	return nil
-}
-
-// fanoutTarget adapts a direct POST (no retry: shed requests are part
-// of the fan-out measurement) to a load.Target.
-func fanoutTarget() load.Target {
-	client := &http.Client{}
-	return func(ctx context.Context, req load.Request) load.Outcome {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			addr+"/v1/simulate", bytes.NewReader(req.Body))
-		if err != nil {
-			return load.Outcome{Err: err}
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(hreq)
-		if err != nil {
-			return load.Outcome{Err: err}
-		}
-		defer resp.Body.Close()
-		out := load.Outcome{Code: resp.StatusCode}
-		if resp.StatusCode == http.StatusOK {
-			var envelope struct {
-				Cached bool `json:"cached"`
-				Shared bool `json:"shared"`
-			}
-			if json.NewDecoder(resp.Body).Decode(&envelope) == nil {
-				out.Cached = envelope.Cached
-				out.Shared = envelope.Shared
-			}
-		} else {
-			io.Copy(io.Discard, resp.Body)
-		}
-		return out
-	}
 }

@@ -25,6 +25,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"carsgo/internal/isa"
 )
@@ -366,12 +368,14 @@ func decodeSymtab(raw []byte, p *isa.Program) error {
 	return nil
 }
 
+// encodeKernels writes the kernel table sorted by name, so one
+// program always encodes to the same bytes.
 func encodeKernels(p *isa.Program) []byte {
 	var b bytes.Buffer
 	binary.Write(&b, binary.LittleEndian, uint32(len(p.Kernels)))
-	for name, idx := range p.Kernels {
+	for _, name := range slices.Sorted(maps.Keys(p.Kernels)) {
 		putString(&b, name)
-		binary.Write(&b, binary.LittleEndian, uint32(idx))
+		binary.Write(&b, binary.LittleEndian, uint32(p.Kernels[name]))
 	}
 	return b.Bytes()
 }

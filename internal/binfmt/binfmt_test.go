@@ -206,6 +206,35 @@ func TestInstrRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestWriteIsDeterministic writes a many-kernel program repeatedly: the
+// kernel table lives in a map, and its encoding must not follow the
+// map's iteration order.
+func TestWriteIsDeterministic(t *testing.T) {
+	m := &kir.Module{Name: "m"}
+	for i := 0; i < 16; i++ {
+		k := kir.NewKernel(fmtName(i))
+		k.MovI(4, int32(i)).Exit()
+		m.AddFunc(k.MustBuild())
+	}
+	p, err := abi.Link(abi.Baseline, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := Write(&first, p); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var again bytes.Buffer
+		if err := Write(&again, p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("write %d encodes the same program to different bytes", i+2)
+		}
+	}
+}
+
 // TestProgramRoundTripProperty round-trips randomized call-chain
 // programs through the binary image.
 func TestProgramRoundTripProperty(t *testing.T) {

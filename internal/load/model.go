@@ -193,10 +193,3 @@ func MiniSpec(seed uint64) *spec.Spec {
 	}
 	return s
 }
-
-// FixedSource offers the same request forever — carsctl bench-fanout's
-// N-identical-requests population.
-type FixedSource struct{ Req Request }
-
-// Next returns the fixed request.
-func (f FixedSource) Next() Request { return f.Req }

@@ -124,12 +124,3 @@ func TestFullModelUsesGenerator(t *testing.T) {
 		t.Fatalf("Full model produced a mini-spec key %q", req.Key)
 	}
 }
-
-func TestFixedSource(t *testing.T) {
-	src := FixedSource{Req: Request{Key: "k", Body: []byte("{}")}}
-	for i := 0; i < 3; i++ {
-		if r := src.Next(); r.Key != "k" {
-			t.Fatalf("FixedSource returned %+v", r)
-		}
-	}
-}

@@ -5,10 +5,10 @@ import (
 	"carsgo/internal/kir"
 )
 
-// Lowering: a spec compiles to the exact kir idiom the built-in chain
-// workloads use (internal/workloads/generic.go), generalised to
-// arbitrary DAG call graphs, per-function loops, and lane-divergent
-// bodies. The invariants that keep lowered code clean under the static
+// Lowering: a spec compiles to one kir idiom — the kernel and device
+// functions below — which is also how the built-in Table I workloads
+// are generated (internal/workloads expands its parameter table into
+// specs). The invariants that keep lowered code clean under the static
 // verifier are structural:
 //
 //   - device functions write every declared callee-saved register
@@ -54,9 +54,10 @@ func (s *Spec) indirectPair() []string {
 	return nil
 }
 
-// gather emits the chain workloads' gather-load idiom: one data word
-// selected by the running value in R4, confined to the first 1/32nd of
-// the footprint (bandwidth pressure without capacity growth).
+// gather emits the gather-load idiom: one data word selected by the
+// running value in R4, confined to the first 1/32nd of the footprint,
+// so gathers supply global *bandwidth* pressure (scattered sectors)
+// without growing the capacity working set beyond roughly one L1.
 func gather(b *kir.Builder) {
 	b.And(2, 4, 6)
 	b.ShrI(2, 2, 5)
@@ -144,11 +145,21 @@ func (s *Spec) lowerFunc(fs *FuncSpec) *kir.Func {
 	return b.MustBuild()
 }
 
-// Kernel register map (matching the chain workloads):
+// lowerKernel builds the kernel. Launch parameters arrive in R4 (out
+// base), R5 (data), R6 (footprint mask) and R7 (iterations); R5/R6 stay
+// live as the read-only globals every device function may read.
+//
+// Kernel register map:
 //
 //	R16 acc   R17 tidGlobal  R18 pattern base  R19 out address
 //	R20 loop counter (builder)  R21 iters  R22 laneID  R23 totalThreads
 //	R24 warp type / fnptr       R25.. filler kernel-resident state
+//
+// Each iteration computes a word index into R8 by the spec's pattern
+// (see the Pat* constants), runs kernel.loads global loads at 128 B
+// steps from it, kernel.alu dependent IMADs, the optional shared and
+// local traffic, the call sequence (every iteration, or gated on
+// iteration % callEvery == 0), and the optional barrier.
 func (s *Spec) lowerKernel() *kir.Func {
 	k := &s.Kernel
 	b := kir.NewKernel(s.KernelName())
@@ -201,7 +212,9 @@ func (s *Spec) lowerKernel() *kir.Func {
 			b.IMad(8, 20, 23, 17).And(8, 8, 6)
 		case PatRegion:
 			// Hashed line within the warp's region: reuse without the
-			// cyclic-LRU pathology of a sequential over-capacity sweep.
+			// cyclic-LRU pathology a sequential sweep of an over-capacity
+			// set produces (hit rate degrades gracefully as regions
+			// overflow the L1 instead of collapsing to zero).
 			b.IMulI(2, 20, 40503).
 				Xor(2, 2, 18).
 				ShrI(3, 2, 9).Xor(2, 2, 3).
@@ -291,8 +304,9 @@ type Device interface {
 
 // Build allocates and initialises device memory and returns the
 // launches the spec performs plus the output region (address, words).
-// It mirrors the chain workloads' Setup, including the deterministic
-// xorshift data fill.
+// The data array comes first, padded past the footprint and filled by
+// Fill; the output region (one word per thread) follows. Every launch
+// passes (out, data, footprintWords-1, iters) — the kernel's R4..R7.
 func (s *Spec) Build(d Device) (launches []isa.Launch, out uint32, outWords int, err error) {
 	words := s.FootprintWords
 	if words == 0 {
@@ -302,7 +316,7 @@ func (s *Spec) Build(d Device) (launches []isa.Launch, out uint32, outWords int,
 	// kernel.loads*32 words beyond a masked index, and the pad keeps
 	// those reads on deterministic (read-only) data.
 	data := d.Alloc(words + 32*(s.Kernel.Loads+1))
-	fill(d, data, words+32*(s.Kernel.Loads+1))
+	Fill(d, data, words+32*(s.Kernel.Loads+1))
 	out = d.Alloc(s.Grid * s.Block)
 	outWords = s.Grid * s.Block
 	n := s.Launches
@@ -320,10 +334,10 @@ func (s *Spec) Build(d Device) (launches []isa.Launch, out uint32, outWords int,
 	return launches, out, outWords, nil
 }
 
-// fill initialises a global array with the same deterministic xorshift
-// pattern the built-in workloads use, so a spec transcription of a
-// registry workload reproduces its dynamics bit for bit.
-func fill(d Device, addr uint32, words int) {
+// Fill initialises a global array with a deterministic xorshift32
+// sequence (fixed seed 0x2545F491), each word mapped into [1, 65536],
+// so every run of a workload sees the same nonzero data.
+func Fill(d Device, addr uint32, words int) {
 	glob := d.Global()
 	x := uint32(0x2545F491)
 	for i := 0; i < words; i++ {

@@ -5,9 +5,21 @@
 // (the CPKI knob), loop nesting, divergence, and memory-system
 // contention (access pattern, footprint, shared-memory staging).
 //
-// A spec lowers to the same kir form the built-in Table I workloads
-// use (see internal/workloads/generic.go), which pins the invariants
-// the rest of the toolchain relies on:
+// A spec lowers to kir (lower.go), and this package is the one place
+// that kernel idiom is generated: the built-in Table I call-chain
+// workloads are specs too (internal/workloads expands its parameter
+// table into them). Lowered code follows the register conventions of
+// internal/abi:
+//
+//   - R0..R3   scratch within a single function body
+//   - R4       argument / return value for device functions
+//   - R5..R7   read-only globals handed down call chains (data pointer,
+//     footprint mask, aux / function pointer) — never written by device
+//     functions
+//   - R8..R15  kernel-body temporaries, dead across call sites
+//   - R16..    callee-saved; device functions write before reading
+//
+// and pins the invariants the rest of the toolchain relies on:
 //
 //   - every callee-saved register is written before any read, so CARS
 //     renaming is transparent;
@@ -37,14 +49,24 @@ import (
 // writes. Parse rejects documents declaring any other version.
 const SchemaVersion = 1
 
-// Patterns a spec kernel can use for its global-memory accesses; they
-// mirror the workload generator's pattern enum and place a spec in one
-// of the paper's Table II bottleneck classes.
+// Patterns a spec kernel can use for its global-memory accesses; the
+// choice places a workload in one of the paper's Table II bottleneck
+// classes. lowerKernel turns each into an index hash over the
+// iteration counter and the thread or warp id.
 const (
-	PatStream   = "stream"   // coalesced streaming, no reuse (capacity)
-	PatRegion   = "region"   // per-warp reused region (contention)
-	PatRandLine = "randline" // random line per warp (bandwidth)
-	PatGather   = "gather"   // per-lane scatter (many lines per access)
+	// PatStream walks the footprint fully coalesced with no reuse:
+	// footprint ≫ cache ⇒ capacity-bound (the ML layers).
+	PatStream = "stream"
+	// PatRegion gives each warp a private region it re-reads: aggregate
+	// regions per SM slightly exceed the L1 ⇒ inter-warp capacity
+	// contention that SWL and a 10MB L1 both relieve.
+	PatRegion = "region"
+	// PatRandLine touches a random line per warp per iteration within a
+	// small footprint: hit rate is fine, port pressure is the limit ⇒
+	// bandwidth-bound (PTA, SSSP, Rapids).
+	PatRandLine = "randline"
+	// PatGather scatters lanes to random words: many lines per access.
+	PatGather = "gather"
 )
 
 var patterns = map[string]bool{

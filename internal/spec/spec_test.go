@@ -154,8 +154,9 @@ func TestValidateUnreachableFunc(t *testing.T) {
 }
 
 func TestValidateAcceptsRegistrySpecs(t *testing.T) {
-	// The checked-in registry transcriptions must stay parseable; the
-	// deeper equivalence checks live in internal/workloads/spec_test.go.
+	// The checked-in registry transcriptions must stay parseable; their
+	// Canon equality with the registry is checked in
+	// internal/workloads/spec_test.go.
 	for _, name := range []string{"DMR", "MST", "SSSP", "CFD", "COLI", "LULESH", "SVR"} {
 		if _, err := spec.Load("testdata/workloads/" + name + ".json"); err != nil {
 			t.Errorf("%s: %v", name, err)

@@ -1,5 +1,7 @@
 package workloads
 
+import "carsgo/internal/spec"
+
 // Perf-registry workloads: occupancy-stress cases for the static
 // cost/occupancy differential (san.PerfDiffWorkloads). They are not
 // part of the Table I corpus — their whole point is to push the CARS
@@ -17,7 +19,7 @@ package workloads
 // trap spills it pays for are cheap L1 traffic next to the 400-cycle
 // stream misses the extra warps hide.
 var deepCall = func() *Workload {
-	w := newChainWorkload(chainParams{
+	w := chainParams{
 		name:  "PERF_DeepCall",
 		suite: "perf",
 
@@ -26,7 +28,7 @@ var deepCall = func() *Workload {
 		iters:    256,
 		launches: 1,
 
-		pattern:        patStream,
+		pattern:        spec.PatStream,
 		footprintWords: 1 << 20,
 
 		kernelLoads: 1,
@@ -36,7 +38,7 @@ var deepCall = func() *Workload {
 		callEvery:   256,
 		calleeSaved: []int{12},
 		funcALU:     3,
-	})
+	}.workload()
 	w.PerfExpect.AvoidHigh = true
 	return registerPerf(w)
 }()
@@ -44,7 +46,7 @@ var deepCall = func() *Workload {
 // PERF_ShallowCall is the counterweight: a two-level chain whose High
 // watermark is small enough that every ladder level reaches the same
 // occupancy, so the trap-free bonus must tip the advisor to High.
-var shallowCall = registerPerf(newChainWorkload(chainParams{
+var shallowCall = registerPerf(chainParams{
 	name:  "PERF_ShallowCall",
 	suite: "perf",
 
@@ -53,7 +55,7 @@ var shallowCall = registerPerf(newChainWorkload(chainParams{
 	iters:    4,
 	launches: 1,
 
-	pattern:        patStream,
+	pattern:        spec.PatStream,
 	footprintWords: 1 << 12,
 
 	kernelLoads: 1,
@@ -62,4 +64,4 @@ var shallowCall = registerPerf(newChainWorkload(chainParams{
 	depth:       2,
 	calleeSaved: []int{3},
 	funcALU:     4,
-}))
+}.workload())

@@ -4,6 +4,7 @@ import (
 	"carsgo/internal/isa"
 	"carsgo/internal/kir"
 	"carsgo/internal/sim"
+	"carsgo/internal/spec"
 )
 
 // registerPTA builds the Points-to Analysis application: the paper's
@@ -24,14 +25,14 @@ func ptaKernelParams() []chainParams {
 		// at barriers — yet High still wins on call depth (§VI-B).
 		{
 			name: "PTA_K1", grid: 16, block: 512, iters: 8,
-			pattern: patRandLine, footprintWords: 1 << 15,
+			pattern: spec.PatRandLine, footprintWords: 1 << 15,
 			kernelLoads: 1, kernelALU: 2, kernelRegs: 40, barrierEvery: 4,
 			depth: 9, calleeSaved: []int{12, 12, 12, 12, 12, 12, 12, 12, 12}, funcALU: 1,
 		},
 		// K2: shallow call chain, small frames.
 		{
 			name: "PTA_K2", grid: 48, block: 128, iters: 10,
-			pattern: patRandLine, footprintWords: 1 << 14,
+			pattern: spec.PatRandLine, footprintWords: 1 << 14,
 			kernelLoads: 1, kernelALU: 4,
 			depth: 1, calleeSaved: []int{3}, funcALU: 6, leafLoads: 1,
 		},
@@ -43,7 +44,7 @@ func ptaKernelParams() []chainParams {
 		// kernel where High loses (§VI-B's K3).
 		{
 			name: "PTA_K3", grid: 16, block: 512, iters: 12,
-			pattern: patRandLine, footprintWords: 1 << 14,
+			pattern: spec.PatRandLine, footprintWords: 1 << 14,
 			kernelLoads: 1, kernelALU: 3, kernelRegs: 60, barrierEvery: 1,
 			depth: 3, calleeSaved: []int{6, 6, 40}, funcALU: 3,
 		},
@@ -51,43 +52,52 @@ func ptaKernelParams() []chainParams {
 		// functions; Low and High degenerate to the same allocation).
 		{
 			name: "PTA_K4", grid: 32, block: 256, iters: 5,
-			pattern: patRandLine, footprintWords: 1 << 14,
+			pattern: spec.PatRandLine, footprintWords: 1 << 14,
 			kernelLoads: 2, kernelALU: 6, depth: 0,
 		},
 		{
 			name: "PTA_K5", grid: 32, block: 256, iters: 4,
-			pattern: patStream, footprintWords: 1 << 16,
+			pattern: spec.PatStream, footprintWords: 1 << 16,
 			kernelLoads: 2, kernelALU: 8, depth: 0,
 		},
 		{
 			name: "PTA_K6", grid: 32, block: 128, iters: 8,
-			pattern: patGather, footprintWords: 1 << 13,
+			pattern: spec.PatGather, footprintWords: 1 << 13,
 			kernelLoads: 1, kernelALU: 4, depth: 0,
 		},
 		// K7: the dominant personality: very call-heavy, bandwidth-bound.
 		{
 			name: "PTA_K7", grid: 64, block: 256, iters: 5,
-			pattern: patRandLine, footprintWords: 1 << 15,
+			pattern: spec.PatRandLine, footprintWords: 1 << 15,
 			kernelLoads: 1, kernelALU: 1,
 			depth: 9, calleeSaved: []int{3, 3, 2, 2, 2, 2, 1, 1, 1}, funcALU: 1, funcLoadEvery: 3,
 		},
 		// K8: moderate depth and mix.
 		{
 			name: "PTA_K8", grid: 48, block: 128, iters: 8,
-			pattern: patRandLine, footprintWords: 1 << 14,
+			pattern: spec.PatRandLine, footprintWords: 1 << 14,
 			kernelLoads: 1, kernelALU: 2,
 			depth: 3, calleeSaved: []int{5, 4, 3}, funcALU: 2, leafLoads: 1,
 		},
 	}
 }
 
+// ptaKernels expands PTA's kernel table into one spec per kernel.
+func ptaKernels() []*spec.Spec {
+	ps := ptaKernelParams()
+	specs := make([]*spec.Spec, len(ps))
+	for i := range ps {
+		specs[i] = ps[i].spec()
+	}
+	return specs
+}
+
 // PTAKernelNames lists the kernel entry points of PTA in launch order
 // (used by the Fig. 14 per-kernel study).
 func PTAKernelNames() []string {
-	ps := ptaKernelParams()
-	names := make([]string, len(ps))
-	for i := range ps {
-		names[i] = ps[i].name + "_kernel"
+	var names []string
+	for _, s := range ptaKernels() {
+		names = append(names, s.KernelName())
 	}
 	return names
 }
@@ -102,39 +112,40 @@ func registerPTA() {
 	}
 	w.Modules = func() []*kir.Module {
 		var ms []*kir.Module
-		for _, p := range ptaKernelParams() {
-			p := p
-			ms = append(ms, chainModules(&p)...)
+		for _, s := range ptaKernels() {
+			ms = append(ms, s.Modules()...)
 		}
 		return ms
 	}
+	// One output region shared by every kernel, then each kernel's data
+	// array; Spec.Build would interleave the two per kernel.
 	w.Setup = func(g *sim.GPU) ([]isa.Launch, error) {
-		ps := ptaKernelParams()
+		specs := ptaKernels()
 		totalOut := 0
-		for _, p := range ps {
-			totalOut += p.grid * p.block
+		for _, s := range specs {
+			totalOut += s.Grid * s.Block
 		}
 		out := g.Alloc(totalOut)
 		w.setOutput(out, totalOut)
 
-		datas := make([]uint32, len(ps))
-		for i, p := range ps {
-			pad := 32 * (p.kernelLoads + 1)
-			datas[i] = g.Alloc(p.footprintWords + pad)
-			fillData(g, datas[i], p.footprintWords+pad)
+		datas := make([]uint32, len(specs))
+		for i, s := range specs {
+			words := s.FootprintWords + 32*(s.Kernel.Loads+1)
+			datas[i] = g.Alloc(words)
+			spec.Fill(g, datas[i], words)
 		}
 		var launches []isa.Launch
 		const iterations = 2
 		for it := 0; it < iterations; it++ {
 			off := out
-			for i, p := range ps {
+			for i, s := range specs {
 				launches = append(launches, isa.Launch{
-					Kernel:      p.name + "_kernel",
-					Dim:         isa.Dim3{Grid: p.grid, Block: p.block},
-					SharedBytes: p.smemWords * 4,
-					Params:      []uint32{off, datas[i], uint32(p.footprintWords - 1), uint32(p.iters)},
+					Kernel:      s.KernelName(),
+					Dim:         isa.Dim3{Grid: s.Grid, Block: s.Block},
+					SharedBytes: s.Kernel.SmemWords * 4,
+					Params:      []uint32{off, datas[i], uint32(s.FootprintWords - 1), uint32(s.Iters)},
 				})
-				off += uint32(p.grid * p.block * 4)
+				off += uint32(s.Grid * s.Block * 4)
 			}
 		}
 		return launches, nil

@@ -11,7 +11,7 @@ import (
 // and the fuzzing harness run user- or generator-supplied scenarios
 // through exactly the machinery the built-in registry uses.
 func FromSpec(s *spec.Spec) *Workload {
-	w := &Workload{Name: s.Name, Suite: "spec"}
+	w := &Workload{Name: s.Name, Suite: "spec", spec: s}
 	w.Modules = s.Modules
 	w.Setup = func(g *sim.GPU) ([]isa.Launch, error) {
 		launches, out, words, err := s.Build(g)

@@ -14,11 +14,11 @@ import (
 	"carsgo/internal/workloads"
 )
 
-// specDir holds the registry workloads transcribed as declarative
-// workload specs. Each must lower to instruction-for-instruction the
-// same modules as its chain-generated counterpart, so every vet
-// verdict is identical by construction — the ISSUE's "specs are a
-// first-class surface for the same oracles" guarantee.
+// specDir holds registry workloads transcribed as checked-in workload
+// specs, the corpus the spec-driven tools (carsvet, carsopt, carsfuzz)
+// run against. Each file must describe the same spec its registry
+// workload is built from, so the file and the registry lower the same
+// kernel and every vet verdict and simulation agrees.
 const specDir = "../spec/testdata/workloads"
 
 func loadSpecs(t *testing.T) []*spec.Spec {
@@ -39,6 +39,28 @@ func loadSpecs(t *testing.T) []*spec.Spec {
 		specs = append(specs, s)
 	}
 	return specs
+}
+
+// TestCorpusSpecsMatchRegistry pins each checked-in spec to the spec
+// its registry workload is built from: equal canonical encodings mean
+// the file and the registry lower the same kernel and build the same
+// launches, grid, iterations and footprint.
+func TestCorpusSpecsMatchRegistry(t *testing.T) {
+	for _, s := range loadSpecs(t) {
+		w, err := workloads.ByName(s.Name)
+		if err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+			continue
+		}
+		rs := workloads.SpecOf(w)
+		if rs == nil {
+			t.Errorf("%s: registry workload is not built from a spec", s.Name)
+			continue
+		}
+		if got, want := spec.Canon(s), spec.Canon(rs); got != want {
+			t.Errorf("%s: file differs from the registry's spec:\nfile:     %s\nregistry: %s", s.Name, got, want)
+		}
+	}
 }
 
 // TestRegistrySpecsLowerIdentically asserts each checked-in spec emits
@@ -97,10 +119,10 @@ func TestRegistrySpecsIdenticalVerdicts(t *testing.T) {
 	}
 }
 
-// TestRegistrySpecsRunIdentically runs one spec end-to-end through the
-// simulator next to its registry twin and compares launches and output
-// words — the dynamic half of the equivalence claim. One workload
-// suffices: the lowering identity is already instruction-exact.
+// TestRegistrySpecsRunIdentically runs one checked-in spec end-to-end
+// through the simulator next to its registry twin and compares launches
+// and output words — the dynamic half of the equivalence claim. One
+// workload suffices: the lowering identity is already instruction-exact.
 func TestRegistrySpecsRunIdentically(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")

@@ -8,15 +8,14 @@
 // space, tagged with the paper's reported numbers for comparison
 // (Table I) and its dominant speedup factor (Table II).
 //
-// Register conventions inside generated code (matching internal/abi):
-//
-//   - R0..R3   scratch within a single function body
-//   - R4       argument / return value for device functions
-//   - R5..R7   read-only globals handed down call chains (data pointer,
-//     footprint mask, aux) — never written by device functions
-//   - R8..R15  kernel-body temporaries, dead across call sites
-//   - R16..    callee-saved; device functions write before reading
-//     (required for CARS renaming transparency, see internal/cars)
+// The call-chain applications, PTA's kernels and the perf cases are
+// workload specs (internal/spec, the one description of the kernel
+// idiom): a compact parameter table expands into specs, which lower
+// the kernels and, for the single-kernel workloads, build the device
+// memory exactly as a user-supplied spec does. PTA lays out its eight
+// kernels' memory itself. Only FIB (recursive) and the negative
+// workloads are hand-written kir; they follow the register conventions
+// documented in internal/spec.
 package workloads
 
 import (
@@ -26,6 +25,7 @@ import (
 	"carsgo/internal/isa"
 	"carsgo/internal/kir"
 	"carsgo/internal/sim"
+	"carsgo/internal/spec"
 )
 
 // Workload is one benchmark application.
@@ -37,6 +37,10 @@ type Workload struct {
 	// compilation: one main module plus a common device-function
 	// library module, as the paper compiles its workloads, §V-A).
 	Modules func() []*kir.Module
+
+	// spec is the declarative source of a workload built by FromSpec;
+	// nil for the hand-written ones.
+	spec *spec.Spec
 
 	// Setup allocates and initialises device memory on the GPU and
 	// returns the launches the application performs.
@@ -172,17 +176,4 @@ func Names() []string {
 		out[i] = w.Name
 	}
 	return out
-}
-
-// fillData initialises a global array with a deterministic pseudo-
-// random pattern so runs are reproducible.
-func fillData(g *sim.GPU, addr uint32, words int) {
-	glob := g.Global()
-	x := uint32(0x2545F491)
-	for i := 0; i < words; i++ {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		glob[addr/4+uint32(i)] = x&0xFFFF + 1
-	}
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for the carsd daemon: build both binaries,
-# start the daemon, drive it with carsctl (health, one simulation, a
-# single-flight fan-out, metrics), assert the metric names dashboards
-# depend on, and check graceful SIGTERM drain. Exits non-zero on any
-# failure. Used by `make serve-smoke` and the CI serve job.
+# End-to-end smoke test for the carsd daemon: build the daemon and its
+# clients, start the daemon, drive it with carsctl (health, one
+# simulation, metrics) and carsbench (a single-flight fan-out), assert
+# the metric names dashboards depend on, and check graceful SIGTERM
+# drain. Exits non-zero on any failure. Used by `make serve-smoke` and
+# the CI serve job.
 set -euo pipefail
 
 ADDR="127.0.0.1:${CARSD_PORT:-8344}"
@@ -21,6 +22,7 @@ trap cleanup EXIT
 echo "== build"
 go build -o "$DIR/carsd" ./cmd/carsd
 go build -o "$DIR/carsctl" ./cmd/carsctl
+go build -o "$DIR/carsbench" ./cmd/carsbench
 
 echo "== start carsd on $BASE"
 "$DIR/carsd" -addr "$ADDR" -workers 4 -cache-file "$DIR/serve.cache" \
@@ -46,9 +48,13 @@ echo "== identical request is a cache hit"
 grep -q '"cached": true' "$DIR/sim2.json"
 
 echo "== single-flight fan-out (32 identical cold-cache requests)"
-FAN="$("$DIR/carsctl" -addr "$BASE" bench-fanout -n 32 -config cars -workload FIB)"
+# One hot key, no cold traffic: 32 closed-loop clients each send the
+# same never-simulated spec once, and the /metricsz delta must show a
+# single simulator run.
+FAN="$("$DIR/carsbench" -addr "$BASE" -mode closed -ramp 32x30s -requests 32 \
+  -keys 1 -cold 0 -full -o "$DIR/fanout.json")"
 echo "$FAN"
-echo "$FAN" | grep -q 'simulations actually executed: 1 '
+echo "$FAN" | grep -q '^server: 1 sim runs'
 
 echo "== async job lifecycle"
 JOB_ID="$("$DIR/carsctl" -addr "$BASE" submit -kind simulate -config cars -workload MST \
