@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint check opt san fuzz test test-short race-short bench bench-diff loadbench experiments examples serve-smoke serve-test clean
+.PHONY: all build vet lint check opt san fuzz test test-short race-short bench bench-diff prof loadbench experiments examples serve-smoke serve-test clean
 
 all: build vet lint test
 
@@ -114,6 +114,15 @@ BENCH_BASELINE ?= BENCH_2026-08-08.json
 bench-diff:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem -timeout=40m . | $(GO) run ./cmd/benchjson -o bench-head.json
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) bench-head.json
+
+# Profile the cycle loop: one BenchmarkSimMST iteration (sim.New, MST
+# setup and its launches) under the CPU and heap profilers. Writes
+# prof/cpu.out, prof/mem.out and the test binary they symbolise
+# against; inspect with `go tool pprof prof/sim.test prof/cpu.out`.
+prof:
+	mkdir -p prof
+	$(GO) test -run='^$$' -bench='^BenchmarkSimMST$$' -benchtime=1x -benchmem \
+		-o prof/sim.test -cpuprofile prof/cpu.out -memprofile prof/mem.out ./internal/sim
 
 # Serving-layer load smoke: build carsd + carsbench, start the daemon,
 # drive a short fixed-seed closed-loop zipf run over HTTP, sanity-check

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -163,12 +164,22 @@ func TestBandwidthSerialisation(t *testing.T) {
 	}
 }
 
+// recordSink records the line of every fill delivered to it.
+type recordSink []uint64
+
+func (r *recordSink) Fill(now int64, lineAddr uint64, sectors uint8) { *r = append(*r, lineAddr) }
+
+// loadFunc adapts a function to LoadTarget.
+type loadFunc func(int64)
+
+func (f loadFunc) LoadDone(cycle int64) { f(cycle) }
+
 func TestEventOrdering(t *testing.T) {
 	s := newTestSystem()
-	var order []int
-	s.Schedule(10, func(int64) { order = append(order, 1) })
-	s.Schedule(5, func(int64) { order = append(order, 0) })
-	s.Schedule(10, func(int64) { order = append(order, 2) })
+	var order recordSink
+	s.Schedule(10, &order, 1, 0)
+	s.Schedule(5, &order, 0, 0)
+	s.Schedule(10, &order, 2, 0)
 	s.RunEvents(4)
 	if len(order) != 0 {
 		t.Fatal("events fired early")
@@ -185,6 +196,75 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
+// Property: under random scheduling interleaved with partial drains,
+// events fire in (cycle, scheduling order) order, each exactly once.
+func TestEventQueueOrderProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := newTestSystem()
+	type ev struct {
+		cycle int64
+		id    uint64
+	}
+	var fired recordSink
+	var pending []ev
+	now := int64(0)
+	for id := uint64(0); id < 5000; id++ {
+		c := now + int64(rng.Intn(50))
+		s.Schedule(c, &fired, id, 0)
+		pending = append(pending, ev{c, id})
+		if rng.Intn(4) == 0 {
+			now += int64(rng.Intn(20))
+			before := len(fired)
+			s.RunEvents(now)
+			var due, kept []ev
+			for _, e := range pending {
+				if e.cycle <= now {
+					due = append(due, e)
+				} else {
+					kept = append(kept, e)
+				}
+			}
+			pending = kept
+			sort.SliceStable(due, func(i, j int) bool { return due[i].cycle < due[j].cycle })
+			if len(fired)-before != len(due) {
+				t.Fatalf("at %d fired %d events, want %d", now, len(fired)-before, len(due))
+			}
+			for i, e := range due {
+				if fired[before+i] != e.id {
+					t.Fatalf("at %d event %d fired %d, want %d", now, i, fired[before+i], e.id)
+				}
+			}
+		}
+	}
+}
+
+func TestGlobalMaterialisedOnDemand(t *testing.T) {
+	s := newTestSystem()
+	if len(s.Global()) != 0 {
+		t.Fatalf("fresh system materialised %d words", len(s.Global()))
+	}
+	a := s.Alloc(100)
+	if n := len(s.Global()); n < int(a/4)+100 {
+		t.Fatalf("Global() has %d words, allocation ends at %d", n, a/4+100)
+	}
+	// A never-written word reads 0, inside and past the prefix.
+	far := uint32(s.GlobalWords()-1) * 4
+	if s.ReadGlobal(a+40) != 0 || s.ReadGlobal(far) != 0 {
+		t.Fatal("never-written word did not read 0")
+	}
+	// A store past the prefix grows it; the value reads back.
+	s.WriteGlobal(far, 7)
+	if s.ReadGlobal(far) != 7 || len(s.Global()) != s.GlobalWords() {
+		t.Fatalf("store past the prefix: read %d, prefix %d words", s.ReadGlobal(far), len(s.Global()))
+	}
+	// Earlier contents survive a later allocation moving the prefix.
+	s.WriteGlobal(a, 42)
+	s.Alloc(10)
+	if s.Global()[a/4] != 42 {
+		t.Fatal("allocation lost earlier contents")
+	}
+}
+
 func newTestL1(sys *System, allHit bool) *L1 {
 	return NewL1(L1Config{
 		Cache:        CacheConfig{Bytes: 4 * 1024, Assoc: 4, LineBytes: 128, SectorBytes: 32},
@@ -198,7 +278,7 @@ func TestL1LoadHitAndMiss(t *testing.T) {
 	sys := newTestSystem()
 	l1 := newTestL1(sys, false)
 	var doneAt int64 = -1
-	ok := l1.Load(0, 0, 0b0001, ClassGlobal, func(c int64) { doneAt = c })
+	ok := l1.Load(0, 0, 0b0001, ClassGlobal, loadFunc(func(c int64) { doneAt = c }))
 	if !ok {
 		t.Fatal("load rejected")
 	}
@@ -211,7 +291,7 @@ func TestL1LoadHitAndMiss(t *testing.T) {
 	}
 	// Now a hit: completes immediately at hit latency.
 	var hitAt int64 = -1
-	l1.Load(doneAt, 0, 0b0001, ClassGlobal, func(c int64) { hitAt = c })
+	l1.Load(doneAt, 0, 0b0001, ClassGlobal, loadFunc(func(c int64) { hitAt = c }))
 	if hitAt != doneAt+20 {
 		t.Fatalf("hit at %d, want %d", hitAt, doneAt+20)
 	}
@@ -222,7 +302,7 @@ func TestL1MSHRMergeAndLimit(t *testing.T) {
 	l1 := newTestL1(sys, false)
 	completions := 0
 	for i := 0; i < 3; i++ {
-		if !l1.Load(0, 0, 0b0001, ClassGlobal, func(int64) { completions++ }) {
+		if !l1.Load(0, 0, 0b0001, ClassGlobal, loadFunc(func(int64) { completions++ })) {
 			t.Fatal("merge rejected")
 		}
 	}
@@ -231,11 +311,11 @@ func TestL1MSHRMergeAndLimit(t *testing.T) {
 	}
 	// Distinct lines consume entries until the limit.
 	for i := 1; i < 4; i++ {
-		if !l1.Load(0, uint64(i)*128, 0b0001, ClassGlobal, func(int64) {}) {
+		if !l1.Load(0, uint64(i)*128, 0b0001, ClassGlobal, loadFunc(func(int64) {})) {
 			t.Fatalf("line %d rejected below limit", i)
 		}
 	}
-	if l1.Load(0, 9*128, 0b0001, ClassGlobal, func(int64) {}) {
+	if l1.Load(0, 9*128, 0b0001, ClassGlobal, loadFunc(func(int64) {})) {
 		t.Fatal("load accepted with MSHRs full")
 	}
 	if l1.MSHRStalls != 1 {
@@ -254,7 +334,7 @@ func TestAllHitSpillsBypass(t *testing.T) {
 	sys := newTestSystem()
 	l1 := newTestL1(sys, true)
 	var at int64
-	l1.Load(100, 512, 0b1111, ClassLocalSpill, func(c int64) { at = c })
+	l1.Load(100, 512, 0b1111, ClassLocalSpill, loadFunc(func(c int64) { at = c }))
 	if at != 120 {
 		t.Fatalf("ALL-HIT spill at %d, want hit latency", at)
 	}
@@ -263,7 +343,7 @@ func TestAllHitSpillsBypass(t *testing.T) {
 	}
 	// Globals still behave normally.
 	missed := false
-	l1.Load(100, 1024, 0b0001, ClassGlobal, func(int64) { missed = true })
+	l1.Load(100, 1024, 0b0001, ClassGlobal, loadFunc(func(int64) { missed = true }))
 	sys.RunEvents(10000)
 	if !missed {
 		t.Fatal("global load never completed")
@@ -282,7 +362,7 @@ func TestLocalStoreWriteAllocate(t *testing.T) {
 	}
 	// A subsequent fill/load hits without L2 traffic.
 	var at int64 = -1
-	l1.Load(10, 0, 0b1111, ClassLocalSpill, func(c int64) { at = c })
+	l1.Load(10, 0, 0b1111, ClassLocalSpill, loadFunc(func(c int64) { at = c }))
 	if at != 30 {
 		t.Fatalf("spill fill after store: %d", at)
 	}

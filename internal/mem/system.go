@@ -1,27 +1,75 @@
 package mem
 
-import "container/heap"
-
-// Event is a scheduled memory-system callback.
-type event struct {
-	cycle int64
-	seq   uint64
-	fn    func(cycle int64)
+// FillSink receives the line fills the System delivers: an L1's MSHR
+// fills and an instruction cache's line fills.
+type FillSink interface {
+	Fill(now int64, lineAddr uint64, sectors uint8)
 }
 
+// event is one scheduled fill, ordered by (cycle, seq): same-cycle
+// events fire in the order they were scheduled.
+type event struct {
+	cycle   int64
+	seq     uint64
+	sink    FillSink
+	line    uint64
+	sectors uint8
+}
+
+func (e *event) before(o *event) bool {
+	if e.cycle != o.cycle {
+		return e.cycle < o.cycle
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events by value. push and pop
+// move a hole instead of swapping, so each level copies one event.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
+func (h *eventHeap) push(e event) {
+	q := append(*h, event{})
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)    { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)      { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any        { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peekCycle() int64 { return h[0].cycle }
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the sink reference
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
 
 // SystemConfig parameterises the shared L2/DRAM model.
 type SystemConfig struct {
@@ -36,9 +84,9 @@ type SystemConfig struct {
 	DRAMSectorsPerCycle float64
 }
 
-// SystemStats aggregates L2/DRAM traffic.
+// SystemStats aggregates DRAM traffic; L2 statistics live on the L2
+// tag array (L2().Stats).
 type SystemStats struct {
-	L2Stats     CacheStats
 	DRAMSectors uint64
 }
 
@@ -56,17 +104,22 @@ type System struct {
 	l2NextFree   float64
 	dramNextFree float64
 
-	global []uint32
-	next   uint32 // global allocation bump pointer (bytes)
+	// global is the materialised prefix of global memory: it covers
+	// every allocation and every word written, and grows on demand up
+	// to globalWords. Words past it read 0.
+	global      []uint32
+	globalWords int
+	next        uint32 // global allocation bump pointer (bytes)
 }
 
 // NewSystem builds the shared memory system with the given global
-// capacity in 32-bit words.
+// capacity in 32-bit words. No global memory is materialised until
+// Alloc hands it out or a store writes it.
 func NewSystem(cfg SystemConfig, globalWords int) *System {
 	return &System{
-		cfg:    cfg,
-		l2:     NewCache(cfg.L2),
-		global: make([]uint32, globalWords),
+		cfg:         cfg,
+		l2:          NewCache(cfg.L2),
+		globalWords: globalWords,
 	}
 }
 
@@ -80,32 +133,71 @@ func (s *System) Alloc(words int) uint32 {
 	s.next = (s.next + align - 1) &^ (align - 1)
 	addr := s.next
 	s.next += uint32(words * 4)
-	if int(s.next) > len(s.global)*4 {
+	if int(s.next) > s.globalWords*4 {
 		panic("mem: global memory exhausted")
 	}
+	s.materialise(int(s.next / 4))
 	return addr
 }
 
-// Global returns the functional global-memory backing store.
+// materialise grows the global prefix to at least words words, at
+// least doubling its capacity (up to globalWords) when it reallocates.
+func (s *System) materialise(words int) {
+	if words <= len(s.global) {
+		return
+	}
+	if words > s.globalWords {
+		panic("mem: global access beyond capacity")
+	}
+	if words > cap(s.global) {
+		n := min(max(words, 2*cap(s.global)), s.globalWords)
+		grown := make([]uint32, len(s.global), n)
+		copy(grown, s.global)
+		s.global = grown
+	}
+	s.global = s.global[:words]
+}
+
+// GlobalWords returns the global-memory capacity in words.
+func (s *System) GlobalWords() int { return s.globalWords }
+
+// Global returns the materialised global memory, which covers every
+// allocation made so far. A later Alloc (or a store past the prefix)
+// may move it, so callers re-read it after allocating.
 func (s *System) Global() []uint32 { return s.global }
 
-// ReadGlobal returns the word at the byte address.
-func (s *System) ReadGlobal(addr uint32) uint32 { return s.global[addr/4] }
+// ReadGlobal returns the word at the byte address; a word never
+// written reads 0.
+func (s *System) ReadGlobal(addr uint32) uint32 {
+	w := int(addr / 4)
+	if w >= s.globalWords {
+		panic("mem: global access beyond capacity")
+	}
+	if w < len(s.global) {
+		return s.global[w]
+	}
+	return 0
+}
 
 // WriteGlobal sets the word at the byte address.
-func (s *System) WriteGlobal(addr uint32, v uint32) { s.global[addr/4] = v }
+func (s *System) WriteGlobal(addr uint32, v uint32) {
+	w := int(addr / 4)
+	s.materialise(w + 1)
+	s.global[w] = v
+}
 
-// Schedule registers fn to run at the given cycle.
-func (s *System) Schedule(cycle int64, fn func(int64)) {
+// Schedule queues a fill of the line's sectors into sink at the given
+// cycle.
+func (s *System) Schedule(cycle int64, sink FillSink, lineAddr uint64, sectors uint8) {
 	s.eventSeq++
-	heap.Push(&s.events, event{cycle: cycle, seq: s.eventSeq, fn: fn})
+	s.events.push(event{cycle: cycle, seq: s.eventSeq, sink: sink, line: lineAddr, sectors: sectors})
 }
 
 // RunEvents fires all events due at or before now.
 func (s *System) RunEvents(now int64) {
-	for len(s.events) > 0 && s.events.peekCycle() <= now {
-		e := heap.Pop(&s.events).(event)
-		e.fn(now)
+	for len(s.events) > 0 && s.events[0].cycle <= now {
+		e := s.events.pop()
+		e.sink.Fill(now, e.line, e.sectors)
 	}
 }
 
@@ -114,7 +206,7 @@ func (s *System) NextEventCycle() int64 {
 	if len(s.events) == 0 {
 		return -1
 	}
-	return s.events.peekCycle()
+	return s.events[0].cycle
 }
 
 // reserve books sectors on a bandwidth resource and returns the cycle at
@@ -135,8 +227,7 @@ func reserve(nextFree *float64, now int64, sectors int, sectorsPerCycle float64)
 func (s *System) FetchLine(now int64, lineAddr uint64, sectorMask uint8, class AccessClass) int64 {
 	n := popcount8(sectorMask)
 	start := reserve(&s.l2NextFree, now, n, s.cfg.L2SectorsPerCycle)
-	hit, miss := s.l2.Access(lineAddr, sectorMask, class)
-	s.Stats.L2Stats = s.l2.Stats
+	_, miss := s.l2.Access(lineAddr, sectorMask, class)
 	done := start + s.cfg.L2Latency
 	if miss != 0 {
 		nm := popcount8(miss)
@@ -150,7 +241,6 @@ func (s *System) FetchLine(now int64, lineAddr uint64, sectorMask uint8, class A
 			s.Stats.DRAMSectors += uint64(evDirty)
 		}
 	}
-	_ = hit
 	return done
 }
 
@@ -171,7 +261,6 @@ func (s *System) WriteThrough(now int64, lineAddr uint64, sectorMask uint8, clas
 	} else {
 		s.l2.MarkDirty(lineAddr, sectorMask)
 	}
-	s.Stats.L2Stats = s.l2.Stats
 }
 
 // Writeback books an L1 dirty-eviction's sectors into L2.

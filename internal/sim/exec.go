@@ -6,6 +6,7 @@ import (
 
 	"carsgo/internal/isa"
 	"carsgo/internal/mem"
+	"carsgo/internal/simt"
 	"carsgo/internal/stats"
 )
 
@@ -152,11 +153,11 @@ func (s *SM) execute(now int64, w *Warp, in *isa.Instruction) {
 		w.SIMT.Advance()
 
 	case isa.OpLdG, isa.OpStG:
-		s.execGlobal(now, w, in, guard)
+		s.execGlobal(w, in, guard)
 		w.SIMT.Advance()
 
 	case isa.OpLdL, isa.OpStL:
-		s.execLocal(now, w, in, guard)
+		s.execLocal(w, in, guard)
 		if mon != nil {
 			mon.LocalAccess(w.GWID, top.Func, pc, in.Op == isa.OpStL, in.Spill, guard)
 		}
@@ -288,89 +289,135 @@ func (s *SM) execute(now int64, w *Warp, in *isa.Instruction) {
 	}
 }
 
+// lanes is one register's value in each of a warp's lanes.
+type lanes = [isa.WarpSize]uint32
+
+// zeroLanes is the value a missing A or C operand reads.
+var zeroLanes lanes
+
+// execALU evaluates an ALU or SFU instruction for the whole warp: one
+// dispatch on the opcode, then the guarded lanes take the result. A
+// missing A or C operand reads 0 and a missing B reads the immediate.
 func (s *SM) execALU(w *Warp, in *isa.Instruction, guard uint32) {
-	dst := w.reg(in.Dst)
-	var a, b, c *[isa.WarpSize]uint32
+	imm := uint32(in.Imm)
+	a, c := &zeroLanes, &zeroLanes
 	if in.SrcA != isa.NoReg {
 		a = w.reg(in.SrcA)
-	}
-	if in.SrcB != isa.NoReg {
-		b = w.reg(in.SrcB)
 	}
 	if in.SrcC != isa.NoReg {
 		c = w.reg(in.SrcC)
 	}
-	imm := uint32(in.Imm)
-	for l := 0; l < isa.WarpSize; l++ {
-		if guard&(1<<l) == 0 {
-			continue
+	var b *lanes
+	var immB lanes
+	if in.SrcB != isa.NoReg {
+		b = w.reg(in.SrcB)
+	} else {
+		for l := range immB {
+			immB[l] = imm
 		}
-		var av, bv, cv uint32
-		if a != nil {
-			av = a[l]
-		}
-		if b != nil {
-			bv = b[l]
-		} else {
-			bv = imm
-		}
-		if c != nil {
-			cv = c[l]
-		}
-		v, ok := evalALU(in.Op, av, bv, cv, imm)
-		if !ok {
+		b = &immB
+	}
+	dst := w.reg(in.Dst)
+	// Each lane reads only its own operands before writing its result,
+	// so a full guard can evaluate straight into dst even when dst is
+	// also a source.
+	if guard == simt.FullMask {
+		if !aluLanes(in.Op, dst, a, b, c, imm) {
 			s.execFault(w, "op %s reached the ALU without an evaluation rule", in.Op)
 		}
-		dst[l] = v
+		return
+	}
+	var r lanes
+	if !aluLanes(in.Op, &r, a, b, c, imm) {
+		s.execFault(w, "op %s reached the ALU without an evaluation rule", in.Op)
+	}
+	for l := range r {
+		if guard&(1<<l) != 0 {
+			dst[l] = r[l]
+		}
 	}
 }
 
-func evalALU(op isa.Op, a, b, c, imm uint32) (uint32, bool) {
+// aluLanes sets r[l] = op(a[l], b[l], c[l]) for every lane, reporting
+// false for an op without an evaluation rule.
+func aluLanes(op isa.Op, r, a, b, c *lanes, imm uint32) bool {
 	switch op {
 	case isa.OpIAdd:
-		return a + b, true
+		for l := range r {
+			r[l] = a[l] + b[l]
+		}
 	case isa.OpISub:
-		return a - b, true
+		for l := range r {
+			r[l] = a[l] - b[l]
+		}
 	case isa.OpIMul:
-		return a * b, true
+		for l := range r {
+			r[l] = a[l] * b[l]
+		}
 	case isa.OpIMad:
-		return a*b + c, true
+		for l := range r {
+			r[l] = a[l]*b[l] + c[l]
+		}
 	case isa.OpIMin:
-		if int32(a) < int32(b) {
-			return a, true
+		for l := range r {
+			r[l] = uint32(min(int32(a[l]), int32(b[l])))
 		}
-		return b, true
 	case isa.OpIMax:
-		if int32(a) > int32(b) {
-			return a, true
+		for l := range r {
+			r[l] = uint32(max(int32(a[l]), int32(b[l])))
 		}
-		return b, true
 	case isa.OpAnd:
-		return a & b, true
+		for l := range r {
+			r[l] = a[l] & b[l]
+		}
 	case isa.OpOr:
-		return a | b, true
+		for l := range r {
+			r[l] = a[l] | b[l]
+		}
 	case isa.OpXor:
-		return a ^ b, true
+		for l := range r {
+			r[l] = a[l] ^ b[l]
+		}
 	case isa.OpShl:
-		return a << (b & 31), true
+		for l := range r {
+			r[l] = a[l] << (b[l] & 31)
+		}
 	case isa.OpShr:
-		return a >> (b & 31), true
+		for l := range r {
+			r[l] = a[l] >> (b[l] & 31)
+		}
 	case isa.OpMov:
-		return a, true
+		for l := range r {
+			r[l] = a[l]
+		}
 	case isa.OpMovI:
-		return imm, true
+		for l := range r {
+			r[l] = imm
+		}
 	case isa.OpFAdd:
-		return f2u(u2f(a) + u2f(b)), true
+		for l := range r {
+			r[l] = f2u(u2f(a[l]) + u2f(b[l]))
+		}
 	case isa.OpFMul:
-		return f2u(u2f(a) * u2f(b)), true
+		for l := range r {
+			r[l] = f2u(u2f(a[l]) * u2f(b[l]))
+		}
 	case isa.OpFFma:
-		return f2u(u2f(a)*u2f(b) + u2f(c)), true
+		for l := range r {
+			r[l] = f2u(u2f(a[l])*u2f(b[l]) + u2f(c[l]))
+		}
 	case isa.OpFRcp:
-		return f2u(1 / u2f(a)), true
+		for l := range r {
+			r[l] = f2u(1 / u2f(a[l]))
+		}
 	case isa.OpFSqr:
-		return f2u(float32(math.Sqrt(float64(u2f(a))))), true
+		for l := range r {
+			r[l] = f2u(float32(math.Sqrt(float64(u2f(a[l])))))
+		}
+	default:
+		return false
 	}
-	return 0, false
+	return true
 }
 
 func u2f(x uint32) float32 { return math.Float32frombits(x) }
@@ -477,7 +524,7 @@ func (s *SM) execExit(now int64, w *Warp, mon Monitor) {
 
 // --- memory execution ---
 
-func (s *SM) execGlobal(now int64, w *Warp, in *isa.Instruction, guard uint32) {
+func (s *SM) execGlobal(w *Warp, in *isa.Instruction, guard uint32) {
 	sys := s.gpu.Sys
 	addrs := w.reg(in.SrcA)
 	isLoad := in.Op == isa.OpLdG
@@ -489,24 +536,28 @@ func (s *SM) execGlobal(now int64, w *Warp, in *isa.Instruction, guard uint32) {
 	}
 	lineBytes := uint64(s.gpu.Cfg.L1D.Cache.LineBytes)
 	secBytes := uint64(s.gpu.Cfg.L1D.Cache.SectorBytes)
+	capWords := sys.GlobalWords()
 
-	var accs []access
+	e := s.lsu.newEntry(w, mem.ClassGlobal, isLoad, false, in.Dst)
 	for l := 0; l < isa.WarpSize; l++ {
 		if guard&(1<<l) == 0 {
 			continue
 		}
-		addr := uint64(addrs[l] + uint32(in.Imm))
-		if isLoad {
-			dst[l] = sys.ReadGlobal(uint32(addr))
-		} else {
-			sys.WriteGlobal(uint32(addr), val[l])
+		addr := addrs[l] + uint32(in.Imm)
+		if int(addr/4) >= capWords {
+			s.execFault(w, "global-memory access at byte address %#x beyond the %d-word global memory", addr, capWords)
 		}
-		accs = coalesce(accs, addr, lineBytes, secBytes)
+		if isLoad {
+			dst[l] = sys.ReadGlobal(addr)
+		} else {
+			sys.WriteGlobal(addr, val[l])
+		}
+		e.accesses = coalesce(e.accesses, uint64(addr), lineBytes, secBytes)
 	}
-	s.dispatchMem(now, w, in, accs, mem.ClassGlobal, isLoad, false)
+	s.dispatchMem(e)
 }
 
-func (s *SM) execLocal(now int64, w *Warp, in *isa.Instruction, guard uint32) {
+func (s *SM) execLocal(w *Warp, in *isa.Instruction, guard uint32) {
 	addrs := w.reg(in.SrcA)
 	isLoad := in.Op == isa.OpLdL
 	var dst, val *[isa.WarpSize]uint32
@@ -518,26 +569,29 @@ func (s *SM) execLocal(now int64, w *Warp, in *isa.Instruction, guard uint32) {
 	lineBytes := uint64(s.gpu.Cfg.L1D.Cache.LineBytes)
 	secBytes := uint64(s.gpu.Cfg.L1D.Cache.SectorBytes)
 
-	var accs []access
+	class := mem.ClassLocalOther
+	if in.Spill {
+		class = mem.ClassLocalSpill
+	}
+	e := s.lsu.newEntry(w, class, isLoad, true, in.Dst)
 	for l := 0; l < isa.WarpSize; l++ {
 		if guard&(1<<l) == 0 {
 			continue
 		}
 		byteAddr := addrs[l] + uint32(in.Imm)
 		word := int(byteAddr / 4)
+		if word >= localWordsPerWarp {
+			s.execFault(w, "local-memory access at word %d beyond the warp's %d-word window", word, localWordsPerWarp)
+		}
 		if isLoad {
 			dst[l] = *w.localWord(word, l)
 		} else {
 			*w.localWord(word, l) = val[l]
 		}
 		phys := s.gpu.localPhysAddr(w.GWID, word, l)
-		accs = coalesce(accs, phys, lineBytes, secBytes)
+		e.accesses = coalesce(e.accesses, phys, lineBytes, secBytes)
 	}
-	class := mem.ClassLocalOther
-	if in.Spill {
-		class = mem.ClassLocalSpill
-	}
-	s.dispatchMem(now, w, in, accs, class, isLoad, true)
+	s.dispatchMem(e)
 }
 
 // smemBanks is the shared-memory bank count: successive 4-byte words
@@ -649,21 +703,15 @@ func smemTransactions(guard uint32, bytes *[isa.WarpSize]uint32) int {
 	return max
 }
 
-// dispatchMem enqueues the coalesced accesses into the LSU.
-func (s *SM) dispatchMem(now int64, w *Warp, in *isa.Instruction, accs []access, class mem.AccessClass, isLoad, isLocal bool) {
-	if len(accs) == 0 {
+// dispatchMem enqueues an instruction's coalesced accesses into the LSU,
+// or recycles the entry when no lane accessed memory.
+func (s *SM) dispatchMem(e *lsuEntry) {
+	if len(e.accesses) == 0 {
+		s.lsu.release(e)
 		return
 	}
-	e := &lsuEntry{
-		warp:     w,
-		class:    class,
-		isLoad:   isLoad,
-		isLocal:  isLocal,
-		dst:      in.Dst,
-		accesses: accs,
-	}
-	if isLoad {
-		w.ReadyAt[in.Dst] = farFuture
+	if e.isLoad {
+		e.warp.ReadyAt[e.dst] = farFuture
 	}
 	s.lsu.enqueue(e)
 }

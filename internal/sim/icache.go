@@ -35,9 +35,12 @@ func (ic *icache) Fetch(now int64, addr uint64) (ready bool, wake int64) {
 	full := uint8(1)<<ic.tags.Config().Sectors() - 1
 	done := ic.sys.FetchLine(now, lineAddr, full, mem.ClassInst)
 	ic.pending[lineAddr] = done
-	ic.sys.Schedule(done, func(cycle int64) {
-		ic.tags.Fill(lineAddr, full)
-		delete(ic.pending, lineAddr)
-	})
+	ic.sys.Schedule(done, ic, lineAddr, full)
 	return false, done
+}
+
+// Fill installs a fetched line (the icache's mem.FillSink).
+func (ic *icache) Fill(now int64, lineAddr uint64, sectors uint8) {
+	ic.tags.Fill(lineAddr, sectors)
+	delete(ic.pending, lineAddr)
 }

@@ -5,17 +5,22 @@ import (
 
 	"carsgo/internal/abi"
 	"carsgo/internal/config"
-	"carsgo/internal/isa"
 	"carsgo/internal/sim"
 	"carsgo/internal/workloads"
 )
 
+// BenchmarkSimMST builds a GPU and simulates MST under the baseline
+// ABI per iteration; `make prof` profiles it. ns/warp-instr divides the
+// whole iteration's time, construction and setup included, by the
+// warp-instructions simulated.
 func BenchmarkSimMST(b *testing.B) {
 	w, _ := workloads.ByName("MST")
 	prog, err := abi.Link(abi.Baseline, w.Modules()...)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	var total uint64
 	for i := 0; i < b.N; i++ {
 		gpu, _ := sim.New(config.V100(), prog)
 		launches, _ := w.Setup(gpu)
@@ -29,8 +34,9 @@ func BenchmarkSimMST(b *testing.B) {
 			cycles += st.Cycles
 			instr += st.TotalInstructions()
 		}
+		total += instr
 		b.ReportMetric(float64(cycles), "cycles")
 		b.ReportMetric(float64(instr), "warp-instrs")
 	}
-	_ = isa.WarpSize
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/warp-instr")
 }

@@ -59,7 +59,7 @@ func newSM(id int, g *GPU) *SM {
 		freeThr:   cfg.MaxThreadsPerSM,
 		schedLast: make([]int, cfg.SchedulersPerSM),
 	}
-	s.lsu = lsu{sm: s, cap: cfg.LSUQueueCap}
+	s.lsu = newLSU(s, cfg.LSUQueueCap)
 	return s
 }
 
@@ -162,7 +162,6 @@ func (s *SM) admitBlock(now int64, blockID int) bool {
 			Block:    b,
 			WInBlock: wi,
 			GWID:     blockID*warpsPerBlock + wi,
-			Local:    map[int]*localPage{},
 		}
 		if wi < len(bases) {
 			w.RegBase = bases[wi]
@@ -238,6 +237,7 @@ func (s *SM) initWarp(w *Warp) {
 	}
 	w.IBufFunc, w.IBufPC = -1, -1
 	w.AtBarrier, w.Finished, w.SwappedOut = false, false, false
+	w.lsuRefused = false
 	w.TrapOutstanding = 0
 	w.DynCallDepth = 0
 	if w.HasRegs {
@@ -371,12 +371,23 @@ func (s *SM) tick(now int64) {
 
 // scheduleOne lets scheduler sc issue at most one instruction (GTO:
 // greedy on the last warp, then oldest-first).
+//
+// While the LSU is full, a warp whose last refusal was for LSU space
+// (lsuRefused) is skipped without calling tryIssue. The skip is exact:
+// such a warp's next instruction is still the refused memory op, so
+// with its Wake reached, tryIssue would refuse it again at one of its
+// checks, none of which has a side effect before the LSU check. A warp
+// whose Wake lies ahead still goes through the wake gate (noteWake).
+// The LSU fills only by issuing, which ends the call, so one hasSpace
+// read serves the whole scan.
 func (s *SM) scheduleOne(now int64, sc int) {
 	nsched := s.gpu.Cfg.SchedulersPerSM
+	lsuFull := !s.lsu.hasSpace()
 	last := s.schedLast[sc]
 	if last >= 0 && last < len(s.warps) {
 		if w := s.warps[last]; w != nil && last%nsched == sc {
-			if s.tryIssue(now, w) {
+			skip := lsuFull && w.lsuRefused && w.Wake <= now
+			if !skip && s.tryIssue(now, w) {
 				s.issuedThisTick = true
 				return
 			}
@@ -397,6 +408,9 @@ func (s *SM) scheduleOne(now int64, sc int) {
 			if w.Wake < s.nextWake {
 				s.nextWake = w.Wake
 			}
+			continue
+		}
+		if lsuFull && w.lsuRefused {
 			continue
 		}
 		if s.tryIssue(now, w) {
@@ -440,6 +454,7 @@ func (s *SM) tryIssue(now int64, w *Warp) bool {
 	// Structural hazard first: with the LSU saturated (the common state
 	// of memory-bound phases) this is one boolean per warp.
 	if (in.Op.IsGlobal() || in.Op.IsLocal()) && !s.lsu.hasSpace() {
+		w.lsuRefused = true
 		return false
 	}
 	// Scoreboard: the hazard clears at a known cycle, so park the warp
@@ -460,6 +475,7 @@ func (s *SM) tryIssue(now int64, w *Warp) bool {
 		}
 		w.IBufFunc, w.IBufPC = top.Func, top.PC
 	}
+	w.lsuRefused = false
 	s.execute(now, w, in)
 	return true
 }

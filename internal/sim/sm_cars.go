@@ -68,7 +68,7 @@ func (s *SM) carsRet(now int64, w *Warp) {
 func (s *SM) injectSpill(now int64, w *Warp, op cars.SpillOp) {
 	st := s.stats()
 	spillBaseWord := abi.TrapSpillBase / 4
-	var accesses []access
+	e := s.newTrapEntry(w, op.Fill)
 	for i := 0; i < op.Count; i++ {
 		abs := op.StartSlot + i
 		word := spillBaseWord + cars.SpillAddrSlot(abs)
@@ -83,7 +83,7 @@ func (s *SM) injectSpill(now int64, w *Warp, op cars.SpillOp) {
 				*w.localWord(word, lane) = slotVals[lane]
 			}
 		}
-		accesses = append(accesses, s.localLineAccess(w, word, ^uint32(0)))
+		e.accesses = append(e.accesses, s.localLineAccess(w, word, ^uint32(0)))
 		// The trap handler's injected LDL/STL instructions are part of
 		// the dynamic instruction stream (Fig. 13's spill/fill bars).
 		st.Instructions[stats.CatSpillFill]++
@@ -91,24 +91,26 @@ func (s *SM) injectSpill(now int64, w *Warp, op cars.SpillOp) {
 			mon.TrapSlot(w.GWID, op.Fill, abs, slotVals)
 		}
 	}
-	s.enqueueTrap(w, op.Fill, accesses)
+	s.enqueueTrap(e)
 }
 
-// enqueueTrap pushes trap traffic through the LSU.
-func (s *SM) enqueueTrap(w *Warp, isFill bool, accesses []access) {
+// newTrapEntry takes an LSU entry for trap traffic (spill-class local
+// accesses, loads when isFill) on w's behalf; the caller appends the
+// accesses and passes it to enqueueTrap.
+func (s *SM) newTrapEntry(w *Warp, isFill bool) *lsuEntry {
+	e := s.lsu.newEntry(w, mem.ClassLocalSpill, isFill, true, isa.NoReg)
+	e.isTrap = true
+	return e
+}
+
+// enqueueTrap pushes trap traffic through the LSU; the warp blocks
+// until it drains.
+func (s *SM) enqueueTrap(e *lsuEntry) {
+	w := e.warp
 	w.TrapOutstanding++
 	w.trapMaxDone = 0
 	w.Wake = farFuture
-	s.lsu.enqueue(&lsuEntry{
-		warp:    w,
-		class:   mem.ClassLocalSpill,
-		isLoad:  isFill,
-		isTrap:  true,
-		isLocal: true,
-		dst:     isa.NoReg,
-		accesses: append([]access(nil),
-			accesses...),
-	})
+	s.lsu.enqueue(e)
 }
 
 // localLineAccess computes the coalesced line access for a warp-uniform
@@ -183,29 +185,29 @@ func (s *SM) checkBarrierContextSwitch(now int64, arrived *Warp) {
 const ctxBaseWord = abi.TrapSpillBase/4 + cars.SpillWindowSlots
 
 func (s *SM) spillWarpState(now int64, w *Warp) {
-	var accesses []access
+	e := s.newTrapEntry(w, false)
 	for i := 0; i < w.RegCount; i++ {
 		vals := &s.regArena[w.RegBase+i]
 		word := ctxBaseWord + i
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			*w.localWord(word, lane) = vals[lane]
 		}
-		accesses = append(accesses, s.localLineAccess(w, word, ^uint32(0)))
+		e.accesses = append(e.accesses, s.localLineAccess(w, word, ^uint32(0)))
 	}
-	s.enqueueTrap(w, false, accesses)
+	s.enqueueTrap(e)
 }
 
 func (s *SM) fillWarpState(now int64, w *Warp) {
-	var accesses []access
+	e := s.newTrapEntry(w, true)
 	for i := 0; i < w.RegCount; i++ {
 		vals := &s.regArena[w.RegBase+i]
 		word := ctxBaseWord + i
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			vals[lane] = *w.localWord(word, lane)
 		}
-		accesses = append(accesses, s.localLineAccess(w, word, ^uint32(0)))
+		e.accesses = append(e.accesses, s.localLineAccess(w, word, ^uint32(0)))
 	}
-	s.enqueueTrap(w, true, accesses)
+	s.enqueueTrap(e)
 }
 
 func (s *SM) removeStalled(w *Warp) {

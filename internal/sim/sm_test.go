@@ -98,6 +98,14 @@ func TestCoalesceMergesSectors(t *testing.T) {
 	}
 }
 
+// evalALU evaluates op on one lane's operands through aluLanes.
+func evalALU(op isa.Op, a, b, c, imm uint32) (uint32, bool) {
+	var r, av, bv, cv lanes
+	av[0], bv[0], cv[0] = a, b, c
+	ok := aluLanes(op, &r, &av, &bv, &cv, imm)
+	return r[0], ok
+}
+
 func TestEvalALU(t *testing.T) {
 	cases := []struct {
 		op      isa.Op

@@ -87,8 +87,17 @@ type Warp struct {
 	IBufFunc int
 	IBufPC   int
 
-	// Local is the functional per-thread local memory, lazily paged.
-	Local map[int]*localPage
+	// Local is the functional per-thread local memory: pages indexed by
+	// page number, allocated on first touch. Software LDL/STL stay
+	// within the localWordsPerWarp window (execLocal faults past it).
+	Local []*localPage
+
+	// lsuRefused records that tryIssue refused the warp because its next
+	// instruction, a global or local memory op, found the LSU full. The
+	// next instruction changes only when the warp issues or is
+	// initialised, which clear it; until then, while the LSU stays full,
+	// the scheduler skips the warp (see scheduleOne).
+	lsuRefused bool
 
 	// DynCallDepth tracks the current dynamic call depth for stats.
 	DynCallDepth int
@@ -140,8 +149,11 @@ func (w *Warp) predMask(in *isa.Instruction) uint32 {
 // localWord reads/writes functional local memory for one lane.
 func (w *Warp) localWord(wordIdx int, lane int) *uint32 {
 	pageIdx := wordIdx / localPageWords
-	pg, ok := w.Local[pageIdx]
-	if !ok {
+	if pageIdx >= len(w.Local) {
+		w.Local = append(w.Local, make([]*localPage, pageIdx+1-len(w.Local))...)
+	}
+	pg := w.Local[pageIdx]
+	if pg == nil {
 		pg = &localPage{}
 		w.Local[pageIdx] = pg
 	}
