@@ -2,12 +2,20 @@
 
 GO ?= go
 
-.PHONY: all build vet lint check opt san fuzz test test-short race-short bench bench-diff prof loadbench experiments examples serve-smoke serve-test clean
+.PHONY: all build fmt vet lint check opt san fuzz test test-short race-short bench bench-diff prof loadbench experiments examples serve-smoke serve-test clean
 
 all: build vet lint test
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: gofmt must have nothing to say about any tracked Go
+# file. Lists the offenders and fails; fix them with gofmt -w.
+fmt:
+	@files=$$(git ls-files '*.go' | xargs -r gofmt -l); \
+	if [ -n "$$files" ]; then \
+		echo "gofmt -l lists unformatted files (fix with gofmt -w):"; echo "$$files"; exit 1; \
+	fi
 
 # Static analysis: Go's own vet, then carsvet (internal/vet) over the
 # paper's 22 workloads in every ABI mode and the assembly examples.
@@ -31,10 +39,10 @@ lint:
 	$(GO) run ./cmd/carslint -selftest
 	$(GO) run ./cmd/carslint
 
-# Pre-push gate: compile everything, both vet layers, the analyzer
-# suite, the short test matrix, and the optimizer soundness gate. CI
-# runs exactly this first.
-check: build vet lint test-short opt
+# Pre-push gate: formatting, compile everything, both vet layers, the
+# analyzer suite, the short test matrix, and the optimizer soundness
+# gate. CI runs exactly this first.
+check: fmt build vet lint test-short opt
 
 # Certificate-carrying optimizer soundness gate (cmd/carsopt,
 # internal/opt): every registry workload and every checked-in spec is

@@ -58,26 +58,25 @@ func InlineAllBudget(maxRegs int, modules ...*kir.Module) (*kir.Module, error) {
 		}
 		out.AddFunc(flat)
 	}
-	// Emit still-referenced (non-inlined) device functions, flattening
-	// their bodies too; flattening may reference further functions, so
-	// iterate to a fixed point.
+	// Emit still-referenced (non-inlined) device functions in
+	// declaration order, flattening their bodies too; flattening may
+	// reference further functions, so repeat until no new function is
+	// kept. The order fixes the LTO program's layout, so it must not
+	// depend on map iteration.
 	emitted := map[string]bool{}
-	for {
-		progress := false
-		for name := range kept {
-			if emitted[name] {
+	for progress := true; progress; {
+		progress = false
+		for _, f := range funcs {
+			if !kept[f.Name] || emitted[f.Name] {
 				continue
 			}
-			emitted[name] = true
+			emitted[f.Name] = true
 			progress = true
-			flat, err := flatten(index, kept, index[name], map[string]bool{name: true}, maxRegs)
+			flat, err := flatten(index, kept, f, map[string]bool{f.Name: true}, maxRegs)
 			if err != nil {
 				return nil, err
 			}
 			out.AddFunc(flat)
-		}
-		if !progress {
-			break
 		}
 	}
 	return out, nil

@@ -97,8 +97,8 @@ type ServerDelta struct {
 	// of deduplicatable work the single-flight layer actually absorbed.
 	CollapseRate float64 `json:"collapseRate"`
 
-	CacheHits  float64 `json:"cacheHits"`
-	CacheMiss  float64 `json:"cacheMisses"`
+	CacheHits         float64 `json:"cacheHits"`
+	CacheMiss         float64 `json:"cacheMisses"`
 	RequestsCached    float64 `json:"requestsCached"`
 	RequestsCollapsed float64 `json:"requestsCollapsed"`
 	// CacheHitRatio is request-level: requestsCached / OK requests'

@@ -271,3 +271,22 @@ func TestRegistryWorkloadsOptimize(t *testing.T) {
 	}
 	t.Logf("registry certificates: %d", total)
 }
+
+// BenchmarkOptimizeAll optimizes every Table I workload's modules; one
+// iteration covers the whole registry. Each Optimize re-runs
+// vet.Modules and vet.ModuleFacts once per rewrite round. Profile it
+// with go test -run '^$' -bench OptimizeAll -cpuprofile cpu.out ./internal/opt
+func BenchmarkOptimizeAll(b *testing.B) {
+	var sets [][]*kir.Module
+	for _, w := range workloads.All() {
+		sets = append(sets, w.Modules())
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, mods := range sets {
+			if _, _, err := opt.OptimizeAll(mods...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

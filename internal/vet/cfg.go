@@ -115,6 +115,35 @@ func buildCFG(code []isa.Instruction) *cfg {
 	return c
 }
 
+// regWindow is how many leading registers the abstract interpreters
+// (sync.go, range.go) keep state for in one function: one past the
+// highest register an instruction names, raised to cover R0..R15
+// (calls clobber them; arguments are R4..R7 and the result R4), every
+// PUSH/POP's renamed slots and the declared callee-saved set. No
+// transfer function writes a register at or past the window, and only
+// operands named NoReg read one, so all of them keep one value in
+// every state, which the state's rest field holds (DESIGN.md §8). A
+// SETP naming NoReg as its first operand compares R255, which the
+// range pass narrows on the branch edges, so it counts as naming R255.
+func regWindow(code []isa.Instruction, calleeSaved int) int {
+	n := isa.FirstCalleeSaved + min(max(calleeSaved, 0), isa.MaxArchRegs)
+	for i := range code {
+		in := &code[i]
+		for _, r := range [...]uint8{in.Dst, in.SrcA, in.SrcB, in.SrcC} {
+			if r != isa.NoReg {
+				n = max(n, int(r)+1)
+			}
+		}
+		switch {
+		case in.Op == isa.OpPush || in.Op == isa.OpPop:
+			n = max(n, isa.FirstCalleeSaved+int(in.Imm))
+		case in.Op == isa.OpSetP && in.SrcA == isa.NoReg:
+			n = isa.MaxArchRegs
+		}
+	}
+	return min(n, isa.MaxArchRegs)
+}
+
 // regset is a 256-register bitset for the dataflow analyses.
 type regset [isa.MaxArchRegs / 64]uint64
 

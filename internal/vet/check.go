@@ -54,6 +54,7 @@ type funcVet struct {
 	preABI      *kir.Func
 
 	cfg     *cfg
+	window  int // registers the abstract interpreters track (regWindow)
 	diags   []Diagnostic
 	summary funcSummary
 }
@@ -71,6 +72,7 @@ func (v *funcVet) run() {
 		return
 	}
 	v.cfg = buildCFG(v.code)
+	v.window = regWindow(v.code, v.calleeSaved)
 	v.checkStructure()
 	v.checkUninitReads()
 	if !v.isKernel {

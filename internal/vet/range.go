@@ -219,30 +219,47 @@ func (a pfact) join(b pfact) pfact {
 // lattice; any other value indexes rangeAnalysis.frefNames.
 const frefNone = -1
 
-// rstate is the abstract machine state at one program point.
+// rstate is the abstract machine state at one program point: one
+// interval per register of the function's window (regWindow), the
+// interval every register past the window holds, and the predicate
+// facts. States of one function share a window width.
 type rstate struct {
-	regs  [isa.MaxArchRegs]ival
+	regs  []ival
+	rest  ival
 	preds [8]pfact
-	// frefs tracks which MovFuncIdx name each register definitely
-	// holds (pre-ABI modules only; nil otherwise).
+	// frefs tracks which MovFuncIdx name each register of the window
+	// definitely holds. It is empty when nothing is tracked: in linked
+	// programs, in pre-ABI modules without funcrefs, and in the zero
+	// state of a block the fixpoint never reached.
 	frefs []int16
 }
 
-func (s *rstate) clone() rstate {
-	out := *s
-	if s.frefs != nil {
-		out.frefs = append([]int16(nil), s.frefs...)
+// reg reads register r, which may lie past the window (NoReg operands).
+func (s *rstate) reg(r uint8) ival {
+	if int(r) < len(s.regs) {
+		return s.regs[r]
 	}
-	return out
+	return s.rest
+}
+
+// set makes s a copy of o. s's frefs capacity must hold the window.
+func (s *rstate) set(o *rstate) {
+	copy(s.regs, o.regs)
+	s.rest, s.preds = o.rest, o.preds
+	s.frefs = append(s.frefs[:0], o.frefs...)
 }
 
 func (s *rstate) join(o *rstate) (changed bool) {
-	for r := range s.regs {
-		j := s.regs[r].join(o.regs[r])
-		if j != s.regs[r] {
+	oregs := o.regs[:len(s.regs)]
+	for r, v := range s.regs {
+		if j := v.join(oregs[r]); j != v {
 			s.regs[r] = j
 			changed = true
 		}
+	}
+	if j := s.rest.join(o.rest); j != s.rest {
+		s.rest = j
+		changed = true
 	}
 	for p := range s.preds {
 		j := s.preds[p].join(o.preds[p])
@@ -263,14 +280,21 @@ func (s *rstate) join(o *rstate) (changed bool) {
 // widen snaps every interval that grew since prev to the lattice
 // bounds, guaranteeing fixpoint termination.
 func (s *rstate) widen(prev *rstate) {
+	pregs := prev.regs[:len(s.regs)]
 	for r := range s.regs {
-		if s.regs[r].lo < prev.regs[r].lo {
-			s.regs[r].lo = i32Min
-		}
-		if s.regs[r].hi > prev.regs[r].hi {
-			s.regs[r].hi = i32Max
-		}
+		s.regs[r] = widenIval(s.regs[r], pregs[r])
 	}
+	s.rest = widenIval(s.rest, prev.rest)
+}
+
+func widenIval(v, prev ival) ival {
+	if v.lo < prev.lo {
+		v.lo = i32Min
+	}
+	if v.hi > prev.hi {
+		v.hi = i32Max
+	}
+	return v
 }
 
 // branchFact records one statically-dead branch edge.
@@ -302,7 +326,8 @@ type funcRanges struct {
 	blockMult []int64
 }
 
-// rangeAnalysis runs the interval fixpoint for one function.
+// rangeAnalysis runs the interval fixpoint for one function. Every
+// state it holds is carved from one arena when run starts.
 type rangeAnalysis struct {
 	v         *funcVet
 	li        *loopInfo
@@ -311,6 +336,12 @@ type rangeAnalysis struct {
 	hasEntry  []bool
 	frefNames []string
 	frefIdx   map[string]int16
+
+	// Scratch: the state a block is replayed in, the per-edge states
+	// edgeStates hands out, and a join's previous state for widening.
+	cur, prev rstate
+	edge      [2]rstate
+	outs      [2]*rstate
 }
 
 // pcon is a block-local defining comparison for one predicate: while
@@ -335,27 +366,58 @@ func (v *funcVet) analyzeRanges(li *loopInfo) {
 	}
 }
 
-func (ra *rangeAnalysis) entryState() rstate {
-	var st rstate
+// carve allocates the analysis's states in one arena each for the
+// intervals and the funcrefs: nb per-block in-states, one entry state
+// per loop header, and the scratch states. All start as the zero state.
+func (ra *rangeAnalysis) carve(nb int) {
+	n := ra.v.window
+	count := nb + len(ra.li.headers) + 4
+	regs := make([]ival, count*n)
+	var refs []int16
+	if ra.v.preABI != nil && len(ra.v.preABI.FuncRefs) > 0 {
+		refs = make([]int16, count*n)
+	}
+	next := func() rstate {
+		st := rstate{regs: regs[:n:n]}
+		regs = regs[n:]
+		if refs != nil {
+			st.frefs = refs[:0:n]
+			refs = refs[n:]
+		}
+		return st
+	}
+	ra.in = make([]rstate, nb)
+	for bi := range ra.in {
+		ra.in[bi] = next()
+	}
+	ra.entry = make([]rstate, nb)
+	for h := range ra.li.headers {
+		ra.entry[h] = next()
+	}
+	ra.cur, ra.prev = next(), next()
+	ra.edge[0], ra.edge[1] = next(), next()
+}
+
+// entryState writes the state at function entry into st.
+func (ra *rangeAnalysis) entryState(st *rstate) {
 	v := ra.v
 	for r := range st.regs {
 		st.regs[r] = topIval()
 	}
+	st.rest = topIval()
 	if v.isKernel {
 		// Callee-saved registers start zeroed at kernel entry (the same
 		// contract the sync pass's affine lattice relies on); scratch
 		// and parameter registers are arbitrary.
-		for r := isa.FirstCalleeSaved; r < isa.MaxArchRegs; r++ {
+		for r := isa.FirstCalleeSaved; r < len(st.regs); r++ {
 			st.regs[r] = constIval(0)
 		}
+		st.rest = constIval(0)
 	}
-	if v.preABI != nil && len(v.preABI.FuncRefs) > 0 {
-		st.frefs = make([]int16, isa.MaxArchRegs)
-		for r := range st.frefs {
-			st.frefs[r] = frefNone
-		}
+	st.frefs = st.frefs[:cap(st.frefs)]
+	for r := range st.frefs {
+		st.frefs[r] = frefNone
 	}
-	return st
 }
 
 func (ra *rangeAnalysis) frefID(name string) int16 {
@@ -374,9 +436,9 @@ func (ra *rangeAnalysis) frefID(name string) int16 {
 // clobberRange tops the interval (and funcref) state of registers
 // [lo, lo+n).
 func clobberRange(st *rstate, lo, n int) {
-	for r := lo; r < lo+n && r < isa.MaxArchRegs; r++ {
+	for r := lo; r < lo+n && r < len(st.regs); r++ {
 		st.regs[r] = topIval()
-		if st.frefs != nil {
+		if len(st.frefs) > 0 {
 			st.frefs[r] = frefNone
 		}
 	}
@@ -387,7 +449,7 @@ func (ra *rangeAnalysis) setReg(st *rstate, r uint8, v ival, fref int16) {
 		return
 	}
 	st.regs[r] = v
-	if st.frefs != nil {
+	if len(st.frefs) > 0 {
 		st.frefs[r] = fref
 	}
 }
@@ -549,7 +611,7 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 		}
 		return
 	case isa.OpSetP:
-		a := st.regs[in.SrcA]
+		a := st.reg(in.SrcA)
 		b := operandB(st, in)
 		f := evalSetP(in.Cmp, a, b)
 		p := in.PDst & 7
@@ -589,14 +651,14 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 	switch in.Op {
 	case isa.OpMovI:
 		out = constIval(int64(in.Imm))
-		if v.preABI != nil && st.frefs != nil {
+		if v.preABI != nil && len(st.frefs) > 0 {
 			if name, ok := v.preABI.FuncRefs[i]; ok {
 				fref = ra.frefID(name)
 			}
 		}
 	case isa.OpMov:
 		out = a
-		if st.frefs != nil && in.SrcA != isa.NoReg {
+		if len(st.frefs) > 0 && in.SrcA != isa.NoReg {
 			fref = st.frefs[in.SrcA]
 		}
 	case isa.OpIAdd:
@@ -635,17 +697,17 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 		switch {
 		case sel.known && sel.val == want:
 			out = a
-			if st.frefs != nil && in.SrcA != isa.NoReg {
+			if len(st.frefs) > 0 && in.SrcA != isa.NoReg {
 				fref = st.frefs[in.SrcA]
 			}
 		case sel.known && sel.val != want:
 			out = b
-			if st.frefs != nil && in.SrcB != isa.NoReg {
+			if len(st.frefs) > 0 && in.SrcB != isa.NoReg {
 				fref = st.frefs[in.SrcB]
 			}
 		default:
 			out = a.join(b)
-			if st.frefs != nil && in.SrcA != isa.NoReg && in.SrcB != isa.NoReg &&
+			if len(st.frefs) > 0 && in.SrcA != isa.NoReg && in.SrcB != isa.NoReg &&
 				st.frefs[in.SrcA] == st.frefs[in.SrcB] {
 				fref = st.frefs[in.SrcA]
 			}
@@ -654,7 +716,7 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 
 	if guarded {
 		out = out.join(st.regs[in.Dst])
-		if st.frefs != nil && fref != st.frefs[in.Dst] {
+		if len(st.frefs) > 0 && fref != st.frefs[in.Dst] {
 			fref = frefNone
 		}
 	}
@@ -662,27 +724,28 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 	invalidate(in.Dst)
 }
 
-// edgeStates walks one block from its in-state and returns the per-
+// edgeStates walks block bi from its in-state and returns the per-
 // successor out-states, nil marking an edge the analysis proved
 // infeasible. The successor order matches cfg construction: for a
 // predicated BRA, succs[0] is the fall-through and succs[1] the taken
-// edge.
-func (ra *rangeAnalysis) edgeStates(bi int, in rstate) []*rstate {
+// edge. The states are scratch, valid until the next call.
+func (ra *rangeAnalysis) edgeStates(bi int) []*rstate {
 	v := ra.v
 	b := &v.cfg.blocks[bi]
-	st := in.clone()
+	st := &ra.cur
+	st.set(&ra.in[bi])
 	var cons [8]pcon
 	for i := b.start; i < b.end-1; i++ {
-		ra.transfer(i, &st, &cons)
+		ra.transfer(i, st, &cons)
 	}
 	last := &v.code[b.end-1]
+	out := ra.outs[:len(b.succs)]
 	if last.Op != isa.OpBra || last.Pred == isa.NoPred || len(b.succs) != 2 {
 		// Single (or no) distinguishable edge: apply the final transfer
 		// and fan the state out unchanged.
-		ra.transfer(b.end-1, &st, &cons)
-		out := make([]*rstate, len(b.succs))
+		ra.transfer(b.end-1, st, &cons)
 		for i := range out {
-			out[i] = &st
+			out[i] = st
 		}
 		return out
 	}
@@ -693,11 +756,11 @@ func (ra *rangeAnalysis) edgeStates(bi int, in rstate) []*rstate {
 	// Branch taken ⟺ predicate == !PNeg.
 	want := !last.PNeg
 
-	mk := func(cond bool) *rstate {
+	mk := func(es *rstate, cond bool) *rstate {
 		if f.known && f.val != cond {
 			return nil // edge statically dead
 		}
-		es := st.clone()
+		es.set(st)
 		es.preds[p] = pfact{known: true, val: cond}
 		if con.valid {
 			r := refine(es.regs[con.reg], con.cmp, con.rhs, cond)
@@ -706,34 +769,33 @@ func (ra *rangeAnalysis) edgeStates(bi int, in rstate) []*rstate {
 			}
 			es.regs[con.reg] = r
 		}
-		return &es
+		return es
 	}
 	// succs[0] = fall-through (branch not taken: predicate == PNeg),
 	// succs[1] = taken.
-	return []*rstate{mk(!want), mk(want)}
+	out[0], out[1] = mk(&ra.edge[0], !want), mk(&ra.edge[1], want)
+	return out
 }
 
 // run executes the fixpoint and stores the converged in-states.
 func (ra *rangeAnalysis) run() {
 	v := ra.v
 	nb := len(v.cfg.blocks)
-	ra.in = make([]rstate, nb)
-	ra.entry = make([]rstate, nb)
+	ra.carve(nb)
 	ra.hasEntry = make([]bool, nb)
 	hasIn := make([]bool, nb)
 	joins := make([]int, nb)
 
-	ra.in[0] = ra.entryState()
+	ra.entryState(&ra.in[0])
 	hasIn[0] = true
 
 	inWork := make([]bool, nb)
 	work := []int{0}
 	inWork[0] = true
-	for len(work) > 0 {
-		bi := work[0]
-		work = work[1:]
+	for head := 0; head < len(work); head++ {
+		bi := work[head]
 		inWork[bi] = false
-		outs := ra.edgeStates(bi, ra.in[bi])
+		outs := ra.edgeStates(bi)
 		b := &v.cfg.blocks[bi]
 		for si, es := range outs {
 			if es == nil {
@@ -745,7 +807,7 @@ func (ra *rangeAnalysis) run() {
 			// derivation needs uncontaminated by back-edge states.
 			if lp := ra.li.headers[s]; lp != nil && !lp.body[bi] {
 				if !ra.hasEntry[s] {
-					ra.entry[s] = es.clone()
+					ra.entry[s].set(es)
 					ra.hasEntry[s] = true
 				} else {
 					ra.entry[s].join(es)
@@ -753,15 +815,20 @@ func (ra *rangeAnalysis) run() {
 			}
 			changed := false
 			if !hasIn[s] {
-				ra.in[s] = es.clone()
+				ra.in[s].set(es)
 				hasIn[s] = true
 				changed = true
 			} else {
-				prev := ra.in[s].clone()
+				// Widening compares against the state before this join;
+				// only a join past the threshold needs it.
+				widen := joins[s] >= rangeWidenAfter
+				if widen {
+					ra.prev.set(&ra.in[s])
+				}
 				if ra.in[s].join(es) {
 					joins[s]++
-					if joins[s] > rangeWidenAfter {
-						ra.in[s].widen(&prev)
+					if widen {
+						ra.in[s].widen(&ra.prev)
 					}
 					changed = true
 				}
@@ -775,12 +842,13 @@ func (ra *rangeAnalysis) run() {
 }
 
 // stateAt replays the converged block state up to (not including)
-// instruction i of block bi.
-func (ra *rangeAnalysis) stateAt(bi, i int) rstate {
-	st := ra.in[bi].clone()
+// instruction i of block bi, in the scratch state.
+func (ra *rangeAnalysis) stateAt(bi, i int) *rstate {
+	st := &ra.cur
+	st.set(&ra.in[bi])
 	var cons [8]pcon
 	for j := ra.v.cfg.blocks[bi].start; j < i; j++ {
-		ra.transfer(j, &st, &cons)
+		ra.transfer(j, st, &cons)
 	}
 	return st
 }
@@ -805,7 +873,8 @@ func (ra *rangeAnalysis) facts() *funcRanges {
 			continue
 		}
 		b := &v.cfg.blocks[bi]
-		st := ra.in[bi].clone()
+		st := &ra.cur
+		st.set(&ra.in[bi])
 		var cons [8]pcon
 		for i := b.start; i < b.end; i++ {
 			in := &v.code[i]
@@ -827,7 +896,7 @@ func (ra *rangeAnalysis) facts() *funcRanges {
 					}
 				}
 			case isa.OpLdL, isa.OpStL, isa.OpLdS, isa.OpStS:
-				addr := addIval(st.regs[in.SrcA], constIval(int64(in.Imm)))
+				addr := addIval(st.reg(in.SrcA), constIval(int64(in.Imm)))
 				if addr.hi < 0 {
 					kind := "local"
 					if in.Op == isa.OpLdS || in.Op == isa.OpStS {
@@ -838,7 +907,7 @@ func (ra *rangeAnalysis) facts() *funcRanges {
 						in.Op, kind, addr.lo, addr.hi)
 				}
 			case isa.OpCallI:
-				if t, ok := ra.selectorTarget(&st, in); ok {
+				if t, ok := ra.selectorTarget(st, in); ok {
 					fr.indirect = append(fr.indirect, indirectFact{
 						index: i, ordinal: indirectOrd, target: t,
 					})
@@ -847,7 +916,7 @@ func (ra *rangeAnalysis) facts() *funcRanges {
 				}
 				indirectOrd++
 			}
-			ra.transfer(i, &st, &cons)
+			ra.transfer(i, st, &cons)
 		}
 	}
 
@@ -863,7 +932,7 @@ func (ra *rangeAnalysis) selectorTarget(st *rstate, in *isa.Instruction) (string
 	if in.SrcA == isa.NoReg {
 		return "", false
 	}
-	if st.frefs != nil {
+	if len(st.frefs) > 0 {
 		if id := st.frefs[in.SrcA]; id != frefNone {
 			return ra.frefNames[id], true
 		}

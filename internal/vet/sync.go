@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 
 	"carsgo/internal/isa"
 	"carsgo/internal/kir"
@@ -220,23 +221,45 @@ func joinPred(a, b pval, div bool) pval {
 	return pval{uniform: a.uniform && b.uniform && !div, def: -1}
 }
 
-// uState is the abstract machine state: one aval per architectural
-// register and one pval per predicate. It is comparable, which the
-// fixpoint uses directly.
+// uState is the abstract machine state: one aval per register of the
+// function's window (regWindow), the value every register past the
+// window holds, and one pval per predicate. States of one function
+// share a window width; the zero state (all top) is the fixpoint's
+// "not yet computed".
 type uState struct {
-	regs  [isa.MaxArchRegs]aval
+	regs  []aval
+	rest  aval
 	preds [8]pval
 }
 
-func joinState(a, b *uState, div bool) uState {
-	var out uState
-	for r := range out.regs {
-		out.regs[r] = joinVal(a.regs[r], b.regs[r], div)
+// reg reads register r, which may lie past the window (NoReg operands).
+func (s *uState) reg(r uint8) aval {
+	if int(r) < len(s.regs) {
+		return s.regs[r]
 	}
-	for p := range out.preds {
-		out.preds[p] = joinPred(a.preds[p], b.preds[p], div)
+	return s.rest
+}
+
+// set makes s a copy of o.
+func (s *uState) set(o *uState) {
+	copy(s.regs, o.regs)
+	s.rest, s.preds = o.rest, o.preds
+}
+
+func (s *uState) equal(o *uState) bool {
+	return s.rest == o.rest && s.preds == o.preds && slices.Equal(s.regs, o.regs)
+}
+
+// joinState joins o into dst.
+func joinState(dst, o *uState, div bool) {
+	oregs := o.regs[:len(dst.regs)]
+	for r, v := range dst.regs {
+		dst.regs[r] = joinVal(v, oregs[r], div)
 	}
-	return out
+	dst.rest = joinVal(dst.rest, o.rest, div)
+	for p := range dst.preds {
+		dst.preds[p] = joinPred(dst.preds[p], o.preds[p], div)
+	}
 }
 
 // ---------------------------------------------------------------
@@ -272,6 +295,7 @@ type syncFunc struct {
 	name     string
 	isKernel bool
 	code     []isa.Instruction
+	window   int // registers each state holds (regWindow)
 	c        *cfg
 
 	// targets resolves call instructions to candidate function indices;
@@ -298,6 +322,15 @@ type syncProgram struct {
 	linked bool
 	funcs  []*syncFunc
 	diags  []Diagnostic
+
+	// Dataflow scratch, sized in run to the widest function and reused
+	// by every flow and walk: per-block in/out states and the state a
+	// walk replays, carved from one arena, plus the worklist.
+	arena        []aval
+	in, out      []uState
+	cur          uState
+	seen, inWork []bool
+	work         []int
 }
 
 func (sp *syncProgram) diag(f *syncFunc, sev Severity, idx int, check Check, format string, args ...any) {
@@ -308,14 +341,16 @@ func (sp *syncProgram) diag(f *syncFunc, sev Severity, idx int, check Check, for
 }
 
 // newSyncLinked models a linked program. Call targets come from the
-// embedded function indices and per-site candidate sets.
-func newSyncLinked(p *isa.Program, mode progMode) *syncProgram {
+// embedded function indices and per-site candidate sets; windows holds
+// each function's register window.
+func newSyncLinked(p *isa.Program, mode progMode, windows []int) *syncProgram {
 	sp := &syncProgram{mode: mode, spill: p.SmemSpillPerThread, linked: true}
-	for _, f := range p.Funcs {
+	for fi, f := range p.Funcs {
 		sf := &syncFunc{
 			name:     f.Name,
 			isKernel: f.IsKernel,
 			code:     f.Code,
+			window:   windows[fi],
 			targets:  map[int][]int{},
 			unknown:  map[int]bool{},
 		}
@@ -339,8 +374,9 @@ func newSyncLinked(p *isa.Program, mode progMode) *syncProgram {
 }
 
 // newSyncModules models pre-ABI modules; call targets resolve by name
-// across the whole module set.
-func newSyncModules(mods []*kir.Module) *syncProgram {
+// across the whole module set. windows holds each function's register
+// window, in module then function order.
+func newSyncModules(mods []*kir.Module, windows []int) *syncProgram {
 	sp := &syncProgram{mode: modeBaseline}
 	byName := map[string]int{}
 	for _, m := range mods {
@@ -350,6 +386,7 @@ func newSyncModules(mods []*kir.Module) *syncProgram {
 				name:     f.Name,
 				isKernel: f.IsKernel,
 				code:     f.Code,
+				window:   windows[len(sp.funcs)],
 				targets:  map[int][]int{},
 				unknown:  map[int]bool{},
 			})
@@ -402,13 +439,20 @@ func newSyncModules(mods []*kir.Module) *syncProgram {
 // run converges the interprocedural summaries, then makes a final
 // diagnostic pass per function.
 func (sp *syncProgram) run() {
+	arena, blocks := 0, 0
 	for _, f := range sp.funcs {
 		if len(f.code) == 0 {
 			continue // structure error reported elsewhere
 		}
 		f.c = buildCFG(f.code)
 		f.sum = syncSummary{analyzed: true, retUniform: true}
+		nb := len(f.c.blocks)
+		arena = max(arena, (2*nb+1)*f.window)
+		blocks = max(blocks, nb)
 	}
+	sp.arena = make([]aval, arena)
+	sp.in, sp.out = make([]uState, blocks), make([]uState, blocks)
+	sp.seen, sp.inWork = make([]bool, blocks), make([]bool, blocks)
 	// Optimistic start, monotone decay: retUniform only falls,
 	// hasBarrier/sharedUser only rise. Passes are bounded by the
 	// deepest call chain; the cap is a safety net for fuzz inputs.
@@ -435,12 +479,12 @@ func (sp *syncProgram) run() {
 	}
 }
 
-// entryState models the architectural state at function entry.
-func (sp *syncProgram) entryState(f *syncFunc) uState {
-	var st uState
+// entryState writes the architectural state at function entry into st.
+func (sp *syncProgram) entryState(f *syncFunc, st *uState) {
 	for r := range st.regs {
 		st.regs[r] = topVal()
 	}
+	st.rest = topVal()
 	if f.isKernel {
 		// R0..R3 are ABI state; R4..R15 carry launch parameters, which
 		// are block-uniform by construction; callee-saved registers
@@ -451,9 +495,10 @@ func (sp *syncProgram) entryState(f *syncFunc) uState {
 		for r := 4; r < isa.FirstCalleeSaved; r++ {
 			st.regs[r] = symVal(symEntry - int32(r))
 		}
-		for r := isa.FirstCalleeSaved; r < isa.MaxArchRegs; r++ {
+		for r := isa.FirstCalleeSaved; r < len(st.regs); r++ {
 			st.regs[r] = constVal(0)
 		}
+		st.rest = constVal(0)
 		switch {
 		case sp.linked && sp.mode == modeSmem:
 			// loadParams: R0 = SharedBytes + (tid+1)*spill, the
@@ -485,7 +530,6 @@ func (sp *syncProgram) entryState(f *syncFunc) uState {
 			st.preds[p] = pval{uniform: true, def: -1}
 		}
 	}
-	return st
 }
 
 // operand helpers ------------------------------------------------
@@ -513,7 +557,7 @@ func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
 		guardU = st.preds[in.Pred&7].uniform
 	}
 	setReg := func(r uint8, v aval) {
-		if r == isa.NoReg || int(r) >= isa.MaxArchRegs {
+		if r == isa.NoReg {
 			return
 		}
 		if guarded {
@@ -555,22 +599,22 @@ func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
 		}
 		setReg(in.Dst, v)
 	case isa.OpIAdd:
-		setReg(in.Dst, addVal(st.regs[in.SrcA], sp.srcB(st, in)))
+		setReg(in.Dst, addVal(st.reg(in.SrcA), sp.srcB(st, in)))
 	case isa.OpISub:
-		setReg(in.Dst, subVal(st.regs[in.SrcA], sp.srcB(st, in)))
+		setReg(in.Dst, subVal(st.reg(in.SrcA), sp.srcB(st, in)))
 	case isa.OpIMul:
-		setReg(in.Dst, mulVal(st.regs[in.SrcA], sp.srcB(st, in)))
+		setReg(in.Dst, mulVal(st.reg(in.SrcA), sp.srcB(st, in)))
 	case isa.OpIMad:
-		setReg(in.Dst, addVal(mulVal(st.regs[in.SrcA], sp.srcB(st, in)), regOr(st, in.SrcC, constVal(0))))
+		setReg(in.Dst, addVal(mulVal(st.reg(in.SrcA), sp.srcB(st, in)), regOr(st, in.SrcC, constVal(0))))
 	case isa.OpAnd:
-		setReg(in.Dst, andVal(st.regs[in.SrcA], sp.srcB(st, in)))
+		setReg(in.Dst, andVal(st.reg(in.SrcA), sp.srcB(st, in)))
 	case isa.OpShl:
-		setReg(in.Dst, shlVal(st.regs[in.SrcA], sp.srcB(st, in)))
+		setReg(in.Dst, shlVal(st.reg(in.SrcA), sp.srcB(st, in)))
 	case isa.OpShr, isa.OpOr, isa.OpXor, isa.OpIMin, isa.OpIMax,
 		isa.OpFAdd, isa.OpFMul, isa.OpFFma, isa.OpFRcp, isa.OpFSqr:
-		setReg(in.Dst, degrade(st.regs[in.SrcA], sp.srcB(st, in), regOr(st, in.SrcC, uniformVal())))
+		setReg(in.Dst, degrade(st.reg(in.SrcA), sp.srcB(st, in), regOr(st, in.SrcC, uniformVal())))
 	case isa.OpSel:
-		a, b := st.regs[in.SrcA], st.regs[in.SrcB]
+		a, b := st.reg(in.SrcA), st.reg(in.SrcB)
 		switch {
 		case a == b:
 			setReg(in.Dst, a)
@@ -582,7 +626,7 @@ func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
 	case isa.OpLdG, isa.OpLdL, isa.OpLdS:
 		setReg(in.Dst, topVal())
 	case isa.OpSetP:
-		u := st.regs[in.SrcA].uniform() && sp.srcB(st, in).uniform()
+		u := st.reg(in.SrcA).uniform() && sp.srcB(st, in).uniform()
 		nv := pval{uniform: u, def: int32(i)}
 		pd := in.PDst & 7
 		if guarded {
@@ -597,7 +641,7 @@ func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
 		sp.applyCall(f, st, i)
 	case isa.OpPush, isa.OpPop:
 		n := int(in.Imm)
-		for k := 0; k < n && isa.FirstCalleeSaved+k < isa.MaxArchRegs; k++ {
+		for k := 0; k < n && isa.FirstCalleeSaved+k < len(st.regs); k++ {
 			st.regs[isa.FirstCalleeSaved+k] = topVal()
 		}
 	default:
@@ -637,60 +681,79 @@ func (sp *syncProgram) applyCall(f *syncFunc, st *uState, i int) {
 	}
 }
 
+// states carves f's per-block in- and out-states and the walk state
+// from the scratch arena, every one f.window wide and zero.
+func (sp *syncProgram) states(f *syncFunc) (in, out []uState) {
+	nb, n := len(f.c.blocks), f.window
+	arena := sp.arena[:(2*nb+1)*n]
+	clear(arena)
+	carve := func() uState {
+		st := uState{regs: arena[:n:n]}
+		arena = arena[n:]
+		return st
+	}
+	in, out = sp.in[:nb], sp.out[:nb]
+	for bi := range in {
+		in[bi], out[bi] = carve(), carve()
+	}
+	sp.cur = carve()
+	return in, out
+}
+
 // flow runs the uniformity dataflow to fixpoint given the current
 // divergent-branch classification, returning each block's in-state.
+// The states live in the scratch arena: they are valid until the next
+// flow.
 func (sp *syncProgram) flow(f *syncFunc, divJoin []bool) []uState {
 	c := f.c
 	nb := len(c.blocks)
-	in := make([]uState, nb)
-	out := make([]uState, nb)
-	seen := make([]bool, nb)
+	in, out := sp.states(f)
+	seen, inWork := sp.seen[:nb], sp.inWork[:nb]
+	clear(seen)
+	clear(inWork)
 	if nb == 0 {
 		return in
 	}
-	in[0] = sp.entryState(f)
+	sp.entryState(f, &in[0])
 	seen[0] = true
 
-	inWork := make([]bool, nb)
-	var work []int
+	work := sp.work[:0]
 	for bi := 0; bi < nb; bi++ {
 		if c.reach[bi] {
 			work = append(work, bi)
 			inWork[bi] = true
 		}
 	}
-	for guard := 0; len(work) > 0 && guard < 4*nb*nb+4096; guard++ {
-		bi := work[0]
-		work = work[1:]
+	st := &sp.cur
+	for head := 0; head < len(work) && head < 4*nb*nb+4096; head++ {
+		bi := work[head]
 		inWork[bi] = false
 		b := &c.blocks[bi]
 
 		if bi != 0 {
 			first := true
-			var st uState
 			for _, p := range b.preds {
 				if !seen[p] {
 					continue
 				}
 				if first {
-					st = out[p]
+					in[bi].set(&out[p])
 					first = false
 				} else {
-					st = joinState(&st, &out[p], divJoin[bi])
+					joinState(&in[bi], &out[p], divJoin[bi])
 				}
 			}
 			if first {
 				continue // no evaluated predecessor yet
 			}
-			in[bi] = st
 			seen[bi] = true
 		}
-		st := in[bi]
+		st.set(&in[bi])
 		for i := b.start; i < b.end; i++ {
-			sp.transfer(f, &st, i)
+			sp.transfer(f, st, i)
 		}
-		if !seen[bi] || st != out[bi] {
-			out[bi] = st
+		if !seen[bi] || !st.equal(&out[bi]) {
+			out[bi].set(st)
 			seen[bi] = true
 			for _, s := range b.succs {
 				if !inWork[s] {
@@ -700,21 +763,23 @@ func (sp *syncProgram) flow(f *syncFunc, divJoin []bool) []uState {
 			}
 		}
 	}
+	sp.work = work[:0]
 	return in
 }
 
 // walk replays the converged states through each reachable block,
 // calling visit with the state just before each instruction executes.
 func (sp *syncProgram) walk(f *syncFunc, in []uState, visit func(i int, st *uState)) {
+	st := &sp.cur
 	for bi := range f.c.blocks {
 		if !f.c.reach[bi] {
 			continue
 		}
 		b := &f.c.blocks[bi]
-		st := in[bi]
+		st.set(&in[bi])
 		for i := b.start; i < b.end; i++ {
-			visit(i, &st)
-			sp.transfer(f, &st, i)
+			visit(i, st)
+			sp.transfer(f, st, i)
 		}
 	}
 }

@@ -376,6 +376,7 @@ func Report(p *isa.Program) *ProgramReport {
 	rep.Mode = mode.String()
 	var diags []Diagnostic
 	sums := make([]*funcSummary, len(p.Funcs))
+	windows := make([]int, len(p.Funcs))
 	for fi, f := range p.Funcs {
 		v := &funcVet{
 			name:        f.Name,
@@ -390,6 +391,7 @@ func Report(p *isa.Program) *ProgramReport {
 		v.run()
 		diags = append(diags, v.diags...)
 		sums[fi] = &v.summary
+		windows[fi] = v.window
 		fr := FuncReport{
 			Func:          f.Name,
 			Kernel:        f.IsKernel,
@@ -430,7 +432,7 @@ func Report(p *isa.Program) *ProgramReport {
 
 	// Synchronization analyses: uniformity/divergence, barrier legality,
 	// SSY/SYNC well-formedness, shared-memory races (sync.go, race.go).
-	sp := newSyncLinked(p, mode)
+	sp := newSyncLinked(p, mode, windows)
 	sp.run()
 	verdicts := sp.analyzeRaces()
 	diags = append(diags, sp.diags...)
@@ -491,6 +493,7 @@ func Report(p *isa.Program) *ProgramReport {
 // otherwise turn into lowering failures or runtime panics.
 func Modules(mods ...*kir.Module) []Diagnostic {
 	var diags []Diagnostic
+	var windows []int
 	for _, m := range mods {
 		for _, f := range m.Funcs {
 			v := &funcVet{
@@ -502,9 +505,10 @@ func Modules(mods ...*kir.Module) []Diagnostic {
 			}
 			v.run()
 			diags = append(diags, v.diags...)
+			windows = append(windows, v.window)
 		}
 	}
-	sp := newSyncModules(mods)
+	sp := newSyncModules(mods, windows)
 	sp.run()
 	sp.analyzeRaces()
 	diags = append(diags, sp.diags...)

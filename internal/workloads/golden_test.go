@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +15,6 @@ import (
 	"carsgo/internal/binfmt"
 	"carsgo/internal/config"
 	"carsgo/internal/isa"
-	"carsgo/internal/kir"
 	"carsgo/internal/sim"
 	"carsgo/internal/workloads"
 )
@@ -82,9 +80,6 @@ func registryLine(t *testing.T, w *workloads.Workload) string {
 	flat, err := abi.InlineAllBudget(128, mods...)
 	var prog *isa.Program
 	if err == nil {
-		// InlineAllBudget appends the device functions it keeps in map
-		// order; sorting by name makes the digest reproducible.
-		slices.SortFunc(flat.Funcs, func(a, b *kir.Func) int { return strings.Compare(a.Name, b.Name) })
 		prog, err = abi.Link(abi.Baseline, flat)
 	}
 	fmt.Fprintf(&b, " lto=%s setup=%s\n", programDigest(t, prog, err), setupDigest(t, w))
