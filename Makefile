@@ -40,9 +40,14 @@ lint:
 	$(GO) run ./cmd/carslint
 
 # Pre-push gate: formatting, compile everything, both vet layers, the
-# analyzer suite, the short test matrix, and the optimizer soundness
-# gate. CI runs exactly this first.
+# analyzer suite, the short test matrix, the optimizer soundness gate,
+# and last the benchmark module's tests. perfbench is its own module,
+# so ./... skips it; its smoke test checks every sweep result and
+# every toolchain vet report against perfbench/oracle.json, so a
+# refactor that moves one simulated cycle or one byte of vet JSON
+# fails here, not only in the benchmark. CI runs exactly this first.
 check: fmt build vet lint test-short opt
+	$(GO) -C perfbench test ./...
 
 # Certificate-carrying optimizer soundness gate (cmd/carsopt,
 # internal/opt): every registry workload and every checked-in spec is

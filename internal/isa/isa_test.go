@@ -215,6 +215,37 @@ func TestProgramValidate(t *testing.T) {
 	}
 }
 
+// TestValidateCalleesMatchCalls: each Callees entry must name the
+// target of its CALL. Callees feeds the call-graph analysis (and so
+// the CARS watermark budgets) while execution follows the instruction,
+// so metadata pointing a call at `big` to the smaller `small` would
+// budget a register stack the call overruns.
+func TestValidateCalleesMatchCalls(t *testing.T) {
+	nop := Instruction{Dst: NoReg, SrcA: NoReg, SrcB: NoReg, SrcC: NoReg}
+	call, exit, ret := nop, nop, nop
+	call.Op, call.Callee = OpCall, 1
+	exit.Op, ret.Op = OpExit, OpRet
+	p := &Program{
+		Funcs: []*Function{
+			{Name: "k", IsKernel: true, RegsUsed: 8, Callees: []int{1}, Code: []Instruction{call, exit}},
+			{Name: "big", RegsUsed: 24, CalleeSaved: 8, Code: []Instruction{ret}},
+			{Name: "small", RegsUsed: 17, CalleeSaved: 1, Code: []Instruction{ret}},
+		},
+		Kernels: map[string]int{"k": 0},
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("valid program rejected: %v", err)
+	}
+	p.Funcs[0].Callees = []int{2}
+	err := p.Validate()
+	if err == nil {
+		t.Fatal("Callees naming small for a CALL to big accepted")
+	}
+	if !strings.Contains(err.Error(), "callee entry 0") {
+		t.Errorf("error %q does not name the mismatched entry", err)
+	}
+}
+
 // TestValidateSyncOps covers the synchronization-op rules: SSY must
 // reconverge at a real instruction index (unlike BRA, one-past-the-end
 // is rejected) and BAR.SYNC must not carry a guard predicate.

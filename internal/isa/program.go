@@ -110,7 +110,10 @@ func (p *Program) FuncByName(name string) *Function {
 // operands below the function's declared usage, and the per-site call
 // metadata (Callees, IndirectTargets) consistent with the code and in
 // range — indirect targets outside the program would otherwise only
-// surface as a fault when the simulator resolves the call.
+// surface as a fault when the simulator resolves the call. Entry k of
+// Callees must name the k-th CALL's target: the call-graph analysis
+// reads Callees while the simulator and vet read the instruction, so
+// a disagreement would size register stacks for a different program.
 func (p *Program) Validate() error {
 	for fi, f := range p.Funcs {
 		calls, indirects := 0, 0
@@ -120,6 +123,10 @@ func (p *Program) Validate() error {
 			case OpCall:
 				if in.Callee < 0 || in.Callee >= len(p.Funcs) {
 					return fmt.Errorf("isa: %s[%d]: call target %d out of range", f.Name, ii, in.Callee)
+				}
+				if calls < len(f.Callees) && f.Callees[calls] != in.Callee {
+					return fmt.Errorf("isa: %s[%d]: callee entry %d names function %d but the call targets %d",
+						f.Name, ii, calls, f.Callees[calls], in.Callee)
 				}
 				calls++
 			case OpCallI:
@@ -158,11 +165,6 @@ func (p *Program) Validate() error {
 		}
 		if len(f.Callees) != calls {
 			return fmt.Errorf("isa: %s: %d direct call sites but %d callee entries", f.Name, calls, len(f.Callees))
-		}
-		for si, ti := range f.Callees {
-			if ti < 0 || ti >= len(p.Funcs) {
-				return fmt.Errorf("isa: %s: callee entry %d targets function %d, out of range", f.Name, si, ti)
-			}
 		}
 		if len(f.IndirectTargets) != indirects {
 			return fmt.Errorf("isa: %s: %d indirect call sites but %d candidate sets", f.Name, indirects, len(f.IndirectTargets))

@@ -160,63 +160,35 @@ func spillDepths(an *callgraph.Analysis) map[int]int {
 	return depths
 }
 
-// kernelResidual runs the interprocedural path algebra of kernelCosts
+// kernelResidual runs the interprocedural path algebra of kernelCost
 // over the residual shared-memory traffic: user transactions always,
 // spill bytes and spill transactions only for functions the coverage
 // predicate does not absorb. Recursion tops out at unbounded.
-func kernelResidual(p *isa.Program, sums []*funcSummary, root int, covered func(fi int) bool) (spillBytes, txns costVal) {
+func kernelResidual(sums []*funcSummary, root int, covered func(fi int) bool) (spillBytes, txns costVal) {
 	type resid struct{ spillBytes, txns costVal }
-	memo := map[int]*resid{}
-	onStack := map[int]bool{}
-	var total func(fi int) resid
-	total = func(fi int) resid {
-		if t, ok := memo[fi]; ok {
-			return *t
-		}
-		if onStack[fi] {
-			top := costVal{unbounded: true}
-			return resid{top, top}
-		}
-		onStack[fi] = true
-		defer delete(onStack, fi)
-		f := p.Funcs[fi]
-		s := sums[fi].cost
+	top := costVal{unbounded: true}
+	own := func(fi int) resid {
+		s := &sums[fi].cost
 		var t resid
 		t.txns.add(s.userTxns)
 		if !covered(fi) {
 			t.spillBytes.add(s.spillSmemByte)
 			t.txns.add(s.spillTxns)
 		}
-		for _, site := range s.sites {
-			var cands []int
-			if site.indirect < 0 {
-				cands = []int{f.Code[site.index].Callee}
-			} else if site.indirect < len(f.IndirectTargets) {
-				cands = f.IndirectTargets[site.indirect]
-			}
-			var callee resid
-			for ci, ti := range cands {
-				ct := total(ti)
-				if ci == 0 {
-					callee = ct
-					callee.spillBytes.terms = append([]int64(nil), callee.spillBytes.terms...)
-					callee.txns.terms = append([]int64(nil), callee.txns.terms...)
-				} else {
-					callee.spillBytes.maxWith(ct.spillBytes)
-					callee.txns.maxWith(ct.txns)
-				}
-			}
-			if len(cands) == 0 {
-				continue
-			}
-			t.spillBytes.add(callee.spillBytes.shiftScaled(site.loopDepth, site.mult))
-			t.txns.add(callee.txns.shiftScaled(site.loopDepth, site.mult))
-		}
-		cp := t
-		memo[fi] = &cp
 		return t
 	}
-	r := total(root)
+	join := func(a, b resid) resid {
+		a.spillBytes, a.txns = a.spillBytes.detached(), a.txns.detached()
+		a.spillBytes.maxWith(b.spillBytes)
+		a.txns.maxWith(b.txns)
+		return a
+	}
+	site := func(t resid, s *callSite, callee resid) resid {
+		t.spillBytes.add(callee.spillBytes.shiftScaled(s.loopDepth, s.mult))
+		t.txns.add(callee.txns.shiftScaled(s.loopDepth, s.mult))
+		return t
+	}
+	r := bottomUp(sums, root, resid{top, top}, own, join, site)
 	return r.spillBytes, r.txns
 }
 
@@ -225,7 +197,6 @@ func kernelResidual(p *isa.Program, sums []*funcSummary, root int, covered func(
 // Report has returned. Plain data only — no closures — so two reports
 // built from identical programs compare reflect.DeepEqual.
 type residEval struct {
-	p      *isa.Program
 	sums   []*funcSummary
 	root   int
 	depths map[int]int
@@ -242,7 +213,7 @@ func (r *residEval) at(windowWords int) (spillBytes, txns CostBound) {
 		d, ok := r.depths[fi]
 		return ok && d >= 0 && d <= 4*windowWords
 	}
-	sb, tx := kernelResidual(r.p, r.sums, r.root, covered)
+	sb, tx := kernelResidual(r.sums, r.root, covered)
 	return sb.bound(), tx.bound()
 }
 
@@ -250,18 +221,14 @@ func (r *residEval) at(windowWords int) (spillBytes, txns CostBound) {
 // KernelReport (the unexported resid field) and fills the kernel-level
 // SharedTxns bound. Report calls it once the sync pass has populated
 // the txn accumulators.
-func attachResiduals(rep *ProgramReport, p *isa.Program, sums []*funcSummary) {
+func attachResiduals(rep *ProgramReport, sums []*funcSummary, graphs map[string]*callgraph.Analysis) {
 	for i := range rep.Kernels {
 		kr := &rep.Kernels[i]
-		root, ok := p.Kernels[kr.Kernel]
-		if !ok {
+		an := graphs[kr.Kernel]
+		if an == nil {
 			continue
 		}
-		an, err := callgraph.Analyze(p, kr.Kernel)
-		if err != nil {
-			continue
-		}
-		kr.resid = &residEval{p: p, sums: sums, root: root, depths: spillDepths(an)}
+		kr.resid = &residEval{sums: sums, root: an.Root, depths: spillDepths(an)}
 		if kr.Perf != nil {
 			_, kr.Perf.Cost.SharedTxns = kr.resid.at(-1)
 		}

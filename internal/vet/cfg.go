@@ -176,6 +176,12 @@ func (s *regset) union(o *regset) {
 	}
 }
 
+func (s *regset) subtract(o *regset) {
+	for i := range s {
+		s[i] &^= o[i]
+	}
+}
+
 func (s *regset) count() int {
 	n := 0
 	for _, w := range s {

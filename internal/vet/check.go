@@ -9,27 +9,17 @@ import (
 	"carsgo/internal/kir"
 )
 
-// callSite is one call instruction with the register-stack depth the
-// function has pushed when control reaches it (CARS mode).
-type callSite struct {
-	index    int
-	depth    int
-	indirect int // ordinal among the function's OpCallI sites; -1 = direct
-}
-
-// funcSummary feeds the program-wide stack-demand check and the
+// funcSummary feeds the interprocedural passes and the
 // machine-readable FuncReport.
 type funcSummary struct {
-	ok       bool // stack analysis completed without errors
-	maxDepth int  // largest net push depth at any point
-	sites    []callSite
+	ok       bool       // stack analysis completed without errors
+	maxDepth int        // largest net push depth at any point
+	sites    []callSite // every CALL/CALLI, in instruction order (calls.go)
 
-	spillBytes int          // static spill-store traffic bound; -1 = unbounded
-	maxLive    int          // peak live-register pressure
-	ranges     []LiveRange  // per-register live spans
-	siteLive   map[int]int  // call index -> callee-saved values live across
-	callSites  []SiteReport // report form of sites + siteLive
-	cost       funcCost     // loop-aware traffic bounds (cost.go)
+	spillBytes int         // static spill-store traffic bound; -1 = unbounded
+	maxLive    int         // peak live-register pressure
+	ranges     []LiveRange // per-register live spans
+	cost       funcCost    // loop-aware traffic bounds (cost.go)
 
 	// rng carries the value-range/trip-count facts (range.go) and
 	// blockStarts the block-id -> first-instruction mapping the range
@@ -51,6 +41,7 @@ type funcVet struct {
 	smemFrame   int
 	mode        progMode
 	linked      bool
+	indirect    [][]int // linked CALLI candidate sets (isa.Function.IndirectTargets)
 	preABI      *kir.Func
 
 	cfg     *cfg
@@ -73,6 +64,7 @@ func (v *funcVet) run() {
 	}
 	v.cfg = buildCFG(v.code)
 	v.window = regWindow(v.code, v.calleeSaved)
+	v.indexCalls()
 	v.checkStructure()
 	v.checkUninitReads()
 	if !v.isKernel {
@@ -287,9 +279,7 @@ func (v *funcVet) checkSpills() {
 		off int32
 	}
 	stores := map[slot]bool{}
-	storedRegs := map[uint8]bool{}
-	filledRegs := map[uint8]bool{}
-	clobbered := map[uint8]bool{}
+	var storedRegs, filledRegs, clobbered regset
 	frame := int32(v.frameBytes)
 	frameName := fmt.Sprintf("%dB local frame", v.frameBytes)
 	if v.mode == modeSmem {
@@ -307,16 +297,16 @@ func (v *funcVet) checkSpills() {
 		in := &v.code[i]
 		if !in.Spill {
 			if in.WritesReg() && in.Dst >= isa.FirstCalleeSaved {
-				clobbered[in.Dst] = true
+				clobbered.add(in.Dst)
 			}
 			continue
 		}
 		if in.Op.IsStore() {
 			stores[slot{in.SrcC, in.Imm}] = true
-			storedRegs[in.SrcC] = true
+			storedRegs.add(in.SrcC)
 			checkBounds(i, in.Imm)
 		} else if in.Op.IsLoad() {
-			filledRegs[in.Dst] = true
+			filledRegs.add(in.Dst)
 			checkBounds(i, in.Imm)
 			if !stores[slot{in.Dst, in.Imm}] {
 				v.diag(SevError, i, CheckSpillPair,
@@ -324,21 +314,24 @@ func (v *funcVet) checkSpills() {
 			}
 		}
 	}
-	for r := 0; r < isa.MaxArchRegs; r++ {
-		switch {
-		case storedRegs[uint8(r)] && !filledRegs[uint8(r)] && !clobbered[uint8(r)]:
+	unmodified := storedRegs
+	unmodified.subtract(&clobbered)
+	unmodified.forEach(func(r uint8) {
+		if !filledRegs.has(r) {
 			v.diag(SevWarning, -1, CheckDeadSpill,
 				"R%d is spilled but never filled back nor clobbered: dead spill store", r)
-		case storedRegs[uint8(r)] && filledRegs[uint8(r)] && !clobbered[uint8(r)]:
-			// The body restores a value it never modified: the whole
-			// save/restore pair is dead memory traffic.
-			v.diag(SevWarning, -1, CheckDeadSave,
-				"R%d is saved and restored but never modified: the spill/fill pair is dead traffic", r)
+			return
 		}
-	}
+		// The body restores a value it never modified: the whole
+		// save/restore pair is dead memory traffic.
+		v.diag(SevWarning, -1, CheckDeadSave,
+			"R%d is saved and restored but never modified: the spill/fill pair is dead traffic", r)
+	})
 
 	// Must-filled: on every path to RET, each spilled register the
 	// body clobbers must have been filled after its last clobber.
+	mustFill := storedRegs
+	mustFill.intersect(&clobbered)
 	transfer := func(i int, s *regset) {
 		in := &v.code[i]
 		switch {
@@ -357,12 +350,12 @@ func (v *funcVet) checkSpills() {
 		st := in[bi]
 		for i := b.start; i < b.end; i++ {
 			if v.code[i].Op == isa.OpRet {
-				for r := range clobbered {
-					if storedRegs[r] && !st.has(r) {
-						v.diag(SevError, i, CheckCalleeSaved,
-							"R%d is spilled and clobbered but not restored on this return path", r)
-					}
-				}
+				lost := mustFill
+				lost.subtract(&st)
+				lost.forEach(func(r uint8) {
+					v.diag(SevError, i, CheckCalleeSaved,
+						"R%d is spilled and clobbered but not restored on this return path", r)
+				})
 			}
 			transfer(i, &st)
 		}
@@ -377,14 +370,6 @@ func (v *funcVet) checkSpills() {
 // exceeding it would make every caller's reservation too small.
 func (v *funcVet) checkStack() {
 	v.summary.ok = true
-	indirectOrd := make([]int, len(v.code))
-	ord := 0
-	for i := range v.code {
-		if v.code[i].Op == isa.OpCallI {
-			indirectOrd[i] = ord
-			ord++
-		}
-	}
 	for i := range v.code {
 		in := &v.code[i]
 		switch in.Op {
@@ -445,11 +430,7 @@ func (v *funcVet) checkStack() {
 					v.summary.ok = false
 				}
 			case isa.OpCall, isa.OpCallI:
-				site := callSite{index: i, depth: d, indirect: -1}
-				if in.Op == isa.OpCallI {
-					site.indirect = indirectOrd[i]
-				}
-				v.summary.sites = append(v.summary.sites, site)
+				v.summary.site(i).depth = d
 			}
 		}
 		for _, s := range b.succs {
@@ -481,25 +462,22 @@ func (v *funcVet) checkStack() {
 // fixups point at real instructions.
 func (v *funcVet) checkModuleCallSites() {
 	f := v.preABI
-	calls, indirects := 0, 0
-	for i := range v.code {
-		in := &v.code[i]
-		switch in.Op {
-		case isa.OpCall:
-			if in.Callee < 0 || in.Callee >= len(f.CallNames) {
-				v.diag(SevError, i, CheckCallSite,
-					"CALL references symbol slot %d of %d", in.Callee, len(f.CallNames))
+	indirects := 0
+	for _, s := range v.summary.sites {
+		if s.ordinal < 0 {
+			if c := v.code[s.index].Callee; c < 0 || c >= len(f.CallNames) {
+				v.diag(SevError, s.index, CheckCallSite,
+					"CALL references symbol slot %d of %d", c, len(f.CallNames))
 			}
-			calls++
-		case isa.OpCallI:
-			if indirects >= len(f.IndirectTargets) {
-				v.diag(SevError, i, CheckCallSite,
-					"indirect call site %d has no candidate target set", indirects)
-			} else if len(f.IndirectTargets[indirects]) == 0 {
-				v.diag(SevError, i, CheckCallSite,
-					"indirect call site %d has an empty candidate set", indirects)
-			}
-			indirects++
+			continue
+		}
+		indirects++
+		if s.ordinal >= len(f.IndirectTargets) {
+			v.diag(SevError, s.index, CheckCallSite,
+				"indirect call site %d has no candidate target set", s.ordinal)
+		} else if len(f.IndirectTargets[s.ordinal]) == 0 {
+			v.diag(SevError, s.index, CheckCallSite,
+				"indirect call site %d has an empty candidate set", s.ordinal)
 		}
 	}
 	if indirects < len(f.IndirectTargets) {
@@ -515,6 +493,26 @@ func (v *funcVet) checkModuleCallSites() {
 	}
 }
 
+// kernelGraphs runs callgraph.Analyze once per kernel; the stack-
+// demand check and the residual-traffic closures share the result.
+// Validate ties every kernel name to a kernel function, so Analyze
+// cannot fail on a validated program; an error would still surface as
+// a diagnostic rather than vanish.
+func kernelGraphs(p *isa.Program) (map[string]*callgraph.Analysis, []Diagnostic) {
+	graphs := make(map[string]*callgraph.Analysis, len(p.Kernels))
+	var diags []Diagnostic
+	for name := range p.Kernels {
+		an, err := callgraph.Analyze(p, name)
+		if err != nil {
+			diags = append(diags, Diagnostic{Sev: SevError, Func: name, Index: -1,
+				Check: CheckStackDepth, Msg: err.Error()})
+			continue
+		}
+		graphs[name] = an
+	}
+	return graphs, diags
+}
+
 // checkStackDemand compares, per kernel, the call-graph-wide
 // worst-case register-stack demand (from the real push depths at each
 // call site) against the high-watermark slot budget the allocator
@@ -526,21 +524,16 @@ func (v *funcVet) checkModuleCallSites() {
 // allocation the spill trap is statically unreachable, and when the
 // liveness-sharpened demand undercuts the architectural one the
 // windows are wider than the values actually carried across calls.
-func checkStackDemand(p *isa.Program, sums []*funcSummary) ([]Diagnostic, []KernelReport) {
+func checkStackDemand(sums []*funcSummary, graphs map[string]*callgraph.Analysis) ([]Diagnostic, []KernelReport) {
 	var diags []Diagnostic
 	var reports []KernelReport
-	names := make([]string, 0, len(p.Kernels))
-	for name := range p.Kernels {
+	names := make([]string, 0, len(graphs))
+	for name := range graphs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		an, err := callgraph.Analyze(p, name)
-		if err != nil {
-			diags = append(diags, Diagnostic{Sev: SevError, Func: name, Index: -1,
-				Check: CheckStackDepth, Msg: err.Error()})
-			continue
-		}
+		an := graphs[name]
 		budget := an.StackSlots(an.HighWatermark())
 		if an.Cyclic {
 			diags = append(diags, Diagnostic{Sev: SevInfo, Func: name, Index: -1, Check: CheckRecursion,
@@ -559,8 +552,8 @@ func checkStackDemand(p *isa.Program, sums []*funcSummary) ([]Diagnostic, []Kern
 		if !usable {
 			continue
 		}
-		demand := stackDemand(p, sums, an.Root)
-		tight := stackDemandTight(p, sums, an.Root)
+		demand := stackDemand(sums, an.Root)
+		tight := stackDemandTight(sums, an.Root)
 		low := an.StackSlots(an.LowWatermark())
 		if demand > budget {
 			diags = append(diags, Diagnostic{Sev: SevError, Func: name, Index: -1, Check: CheckStackDepth,
@@ -587,49 +580,20 @@ func checkStackDemand(p *isa.Program, sums []*funcSummary) ([]Diagnostic, []Kern
 // self-test must catch. Production binaries always return false.
 func Weakened() bool { return weakenStackDemand }
 
+// maxInt joins two stack demands.
+func maxInt(a, b int) int { return max(a, b) }
+
 // stackDemand computes the worst-case register-stack slots consumed
 // below a function's frame base: its own deepest push state, or a
 // call site's depth plus the saved-RFP slot plus the callee's demand.
-// Only called on acyclic graphs.
-func stackDemand(p *isa.Program, sums []*funcSummary, root int) int {
+// Only called on acyclic graphs; a call closing a cycle would add 0,
+// so a fuzzer (or a future analysis bug) degrades to a finite answer,
+// not a stack overflow.
+func stackDemand(sums []*funcSummary, root int) int {
 	rfpSlot := 1
 	if weakenStackDemand {
 		rfpSlot = 0
 	}
-	memo := map[int]int{}
-	onStack := map[int]bool{}
-	var demand func(fi int) int
-	demand = func(fi int) int {
-		if d, ok := memo[fi]; ok {
-			return d
-		}
-		if onStack[fi] {
-			// Cycle guard: callers only invoke this on graphs the
-			// callgraph analysis reported acyclic, but a fuzzer (or a
-			// future analysis bug) must degrade to a finite answer,
-			// not a stack overflow.
-			return 0
-		}
-		onStack[fi] = true
-		defer delete(onStack, fi)
-		f := p.Funcs[fi]
-		s := sums[fi]
-		d := s.maxDepth
-		for _, site := range s.sites {
-			var cands []int
-			if site.indirect < 0 {
-				cands = []int{f.Code[site.index].Callee}
-			} else if site.indirect < len(f.IndirectTargets) {
-				cands = f.IndirectTargets[site.indirect]
-			}
-			for _, ti := range cands {
-				if v := site.depth + rfpSlot + demand(ti); v > d {
-					d = v
-				}
-			}
-		}
-		memo[fi] = d
-		return d
-	}
-	return demand(root)
+	return bottomUp(sums, root, 0, func(fi int) int { return sums[fi].maxDepth }, maxInt,
+		func(d int, s *callSite, callee int) int { return max(d, s.depth+rfpSlot+callee) })
 }

@@ -209,17 +209,6 @@ type CostReport struct {
 	Irreducible bool      `json:"irreducible,omitempty"`
 }
 
-// costSite is one call instruction with its loop context: the residual
-// symbolic loop degree (enclosing loops with no derived trip bound)
-// and the concrete multiplier from the loops whose bounds the range
-// analysis did derive.
-type costSite struct {
-	index     int
-	loopDepth int   // residual symbolic degree; -1: unbounded multiplicity
-	mult      int64 // product of derived enclosing trip bounds (≥ 1)
-	indirect  int   // ordinal among OpCallI sites; -1 = direct
-}
-
 // smemSite is one shared-memory access with its loop context, recorded
 // so the backend pass (backend.go) can charge it at the bank-conflict
 // multiplier the sync pass derives for the site.
@@ -241,7 +230,6 @@ type funcCost struct {
 	sharedBytes costVal
 	loops       int
 	irreducible bool
-	sites       []costSite
 	smems       []smemSite
 
 	// Filled by fillTxnCosts (backend.go) after the sync pass.
@@ -264,24 +252,16 @@ func (fc *funcCost) report() *CostReport {
 }
 
 // analyzeCost walks the function once with the loop nesting and
-// accumulates the symbolic execution counts. Loops whose trip count
-// the range analysis bounded concretely contribute a plain multiplier
-// instead of a symbolic ×loop degree, so a fully-counted nest yields
-// an exact finite bound.
+// accumulates the symbolic execution counts, recording each reachable
+// call site's loop context in the call-site table. Loops whose trip
+// count the range analysis bounded concretely contribute a plain
+// multiplier instead of a symbolic ×loop degree, so a fully-counted
+// nest yields an exact finite bound.
 func (v *funcVet) analyzeCost(li *loopInfo) {
 	fc := &v.summary.cost
 	fc.loops = li.loops
 	fc.irreducible = li.irreducible
 	rng := v.summary.rng
-
-	ord := 0
-	indirectOrd := make(map[int]int)
-	for i := range v.code {
-		if v.code[i].Op == isa.OpCallI {
-			indirectOrd[i] = ord
-			ord++
-		}
-	}
 
 	for bi := range v.cfg.blocks {
 		if !v.cfg.reach[bi] {
@@ -314,11 +294,8 @@ func (v *funcVet) analyzeCost(li *loopInfo) {
 				charge(&fc.sharedBytes, 4)
 				fc.smems = append(fc.smems, smemSite{index: i, loopDepth: d, mult: mult, spill: in.Spill})
 			case isa.OpCall, isa.OpCallI:
-				site := costSite{index: i, loopDepth: d, mult: mult, indirect: -1}
-				if in.Op == isa.OpCallI {
-					site.indirect = indirectOrd[i]
-				}
-				fc.sites = append(fc.sites, site)
+				site := v.summary.site(i)
+				site.loopDepth, site.mult = d, mult
 				continue
 			default:
 				continue
@@ -334,86 +311,49 @@ func (v *funcVet) analyzeCost(li *loopInfo) {
 	}
 }
 
-// kernelCosts runs the interprocedural pass: per kernel, the sum over
-// every acyclic call path of the per-function bounds, each call site
-// shifting its callee's polynomial up by the site's loop depth.
+// detached returns c with its own copy of the terms, safe to mutate
+// without touching the value it was copied from.
+func (c costVal) detached() costVal {
+	c.terms = append([]int64(nil), c.terms...)
+	return c
+}
+
+// kernelCost runs the interprocedural pass for one kernel: the sum
+// over every acyclic call path of the per-function bounds, each call
+// site shifting its callee's polynomial up by the site's loop depth.
 // Indirect sites take the elementwise maximum over their candidate
-// set; recursion tops out at unbounded.
-func kernelCosts(p *isa.Program, sums []*funcSummary) map[string]*CostReport {
-	memo := map[int]*funcCost{}
-	onStack := map[int]bool{}
-	var total func(fi int) funcCost
-	total = func(fi int) funcCost {
-		if t, ok := memo[fi]; ok {
-			return *t
+// set; a call closing a recursive cycle is unbounded in every metric.
+func kernelCost(sums []*funcSummary, root int) *CostReport {
+	// total is the spill-store, spill-fill, local-byte and shared-byte
+	// bounds of a function and its callees, and whether any of it runs
+	// in an irreducible cycle.
+	type total struct {
+		traffic     [4]costVal
+		irreducible bool
+	}
+	top := costVal{unbounded: true}
+	own := func(fi int) total {
+		s := &sums[fi].cost
+		return total{[4]costVal{s.spillStores.detached(), s.spillFills.detached(),
+			s.localBytes.detached(), s.sharedBytes.detached()}, s.irreducible}
+	}
+	join := func(a, b total) total {
+		for k := range a.traffic {
+			a.traffic[k] = a.traffic[k].detached()
+			a.traffic[k].maxWith(b.traffic[k])
 		}
-		if onStack[fi] {
-			// Recursive component: every metric that can fire at all
-			// fires an unbounded number of times.
-			top := costVal{unbounded: true}
-			return funcCost{spillStores: top, spillFills: top, localBytes: top, sharedBytes: top}
+		a.irreducible = a.irreducible || b.irreducible
+		return a
+	}
+	site := func(t total, s *callSite, callee total) total {
+		for k := range t.traffic {
+			t.traffic[k].add(callee.traffic[k].shiftScaled(s.loopDepth, s.mult))
 		}
-		onStack[fi] = true
-		defer delete(onStack, fi)
-		f := p.Funcs[fi]
-		s := sums[fi].cost
-		t := funcCost{
-			spillStores: s.spillStores, spillFills: s.spillFills,
-			localBytes: s.localBytes, sharedBytes: s.sharedBytes,
-			loops: s.loops, irreducible: s.irreducible,
-		}
-		// costVal carries a slice: detach the accumulators from the
-		// per-function summary before mutating.
-		t.spillStores.terms = append([]int64(nil), t.spillStores.terms...)
-		t.spillFills.terms = append([]int64(nil), t.spillFills.terms...)
-		t.localBytes.terms = append([]int64(nil), t.localBytes.terms...)
-		t.sharedBytes.terms = append([]int64(nil), t.sharedBytes.terms...)
-		for _, site := range s.sites {
-			var cands []int
-			if site.indirect < 0 {
-				cands = []int{f.Code[site.index].Callee}
-			} else if site.indirect < len(f.IndirectTargets) {
-				cands = f.IndirectTargets[site.indirect]
-			}
-			var callee funcCost
-			for ci, ti := range cands {
-				ct := total(ti)
-				if ci == 0 {
-					callee = ct
-					callee.spillStores.terms = append([]int64(nil), callee.spillStores.terms...)
-					callee.spillFills.terms = append([]int64(nil), callee.spillFills.terms...)
-					callee.localBytes.terms = append([]int64(nil), callee.localBytes.terms...)
-					callee.sharedBytes.terms = append([]int64(nil), callee.sharedBytes.terms...)
-				} else {
-					callee.spillStores.maxWith(ct.spillStores)
-					callee.spillFills.maxWith(ct.spillFills)
-					callee.localBytes.maxWith(ct.localBytes)
-					callee.sharedBytes.maxWith(ct.sharedBytes)
-				}
-				if ct.irreducible {
-					callee.irreducible = true
-				}
-			}
-			if len(cands) == 0 {
-				continue
-			}
-			t.spillStores.add(callee.spillStores.shiftScaled(site.loopDepth, site.mult))
-			t.spillFills.add(callee.spillFills.shiftScaled(site.loopDepth, site.mult))
-			t.localBytes.add(callee.localBytes.shiftScaled(site.loopDepth, site.mult))
-			t.sharedBytes.add(callee.sharedBytes.shiftScaled(site.loopDepth, site.mult))
-			if callee.irreducible {
-				t.irreducible = true
-			}
-		}
-		cp := t
-		memo[fi] = &cp
+		t.irreducible = t.irreducible || callee.irreducible
 		return t
 	}
-
-	out := map[string]*CostReport{}
-	for name, fi := range p.Kernels {
-		t := total(fi)
-		out[name] = t.report()
-	}
-	return out
+	t := bottomUp(sums, root, total{traffic: [4]costVal{top, top, top, top}}, own, join, site)
+	fc := funcCost{spillStores: t.traffic[0], spillFills: t.traffic[1], localBytes: t.traffic[2],
+		sharedBytes: t.traffic[3], loops: sums[root].cost.loops, irreducible: t.irreducible}
+	return fc.report()
 }

@@ -1,6 +1,9 @@
 package vet_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,5 +124,59 @@ func TestIrreducibleCostUnbounded(t *testing.T) {
 		if klb := kr.Perf.Cost.LocalBytes; !klb.Unbounded {
 			t.Errorf("[%s] kernel: local bytes %q, want unbounded", mode, klb.Sym)
 		}
+	}
+}
+
+// TestCyclicIrreducibleDeterministic: k1 and k2 reach one recursive
+// cycle (fa <-> fb) whose member fa holds an irreducible loop. Each
+// kernel's cost bound comes from its own walk of the call graph, so
+// both kernels are flagged irreducible on every run. A memo shared
+// across kernels, visited in map order, let the second kernel reuse an
+// entry computed while the cycle was still open: k2's flag, and with
+// it the report's JSON, changed from run to run.
+func TestCyclicIrreducibleDeterministic(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "cyclicirreducible.carsasm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := asm.ParseString(string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := 0
+	for _, mode := range abi.Modes {
+		p, err := abi.Link(mode, m)
+		if errors.Is(err, abi.ErrRecursive) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("link [%s]: %v", mode, err)
+		}
+		linked++
+		var first []byte
+		for run := 0; run < 64; run++ {
+			rep := vet.Report(p)
+			for _, k := range []string{"k1", "k2"} {
+				kr := rep.Kernel(k)
+				if kr == nil || kr.Perf == nil {
+					t.Fatalf("[%s] run %d: no perf report for %s", mode, run, k)
+				}
+				if !kr.Perf.Cost.Irreducible {
+					t.Fatalf("[%s] run %d: %s reaches fa's irreducible loop but is not flagged", mode, run, k)
+				}
+			}
+			got, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Fatalf("[%s] run %d: report JSON differs from run 0", mode, run)
+			}
+		}
+	}
+	if linked < 2 {
+		t.Fatalf("fixture linked in %d ABI modes, want baseline and CARS", linked)
 	}
 }

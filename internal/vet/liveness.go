@@ -85,8 +85,9 @@ func (v *funcVet) liveTransfer(i int, s *regset) {
 
 // analyzeLiveness runs the backward liveness fixpoint and derives the
 // function's live-range summary, peak pressure, and per-call-site
-// live-across sets. It fills summary.maxLive, summary.ranges, and
-// summary.callSites, and emits the over-wide-PUSH diagnostic.
+// live-across counts. It fills summary.maxLive, summary.ranges, and
+// each reachable call site's live count, and emits the over-wide-PUSH
+// diagnostic.
 func (v *funcVet) analyzeLiveness() {
 	var exit regset
 	if !v.isKernel {
@@ -94,16 +95,10 @@ func (v *funcVet) analyzeLiveness() {
 	}
 	outs := v.cfg.backwardMay(exit, v.liveTransfer)
 
-	depthAt := map[int]int{}
-	for _, s := range v.summary.sites {
-		depthAt[s.index] = s.depth
-	}
-
 	var first, last [isa.MaxArchRegs]int
 	for r := range first {
 		first[r] = -1
 	}
-	siteLive := map[int]int{}
 	for bi := range v.cfg.blocks {
 		if !v.cfg.reach[bi] {
 			continue
@@ -117,9 +112,10 @@ func (v *funcVet) analyzeLiveness() {
 				// Under CARS only the renamed window R16..R16+depth-1
 				// occupies stack slots; statics above it survive calls
 				// for free.
+				site := v.summary.site(i)
 				hi := isa.MaxArchRegs
 				if v.mode == modeCARS {
-					hi = isa.FirstCalleeSaved + depthAt[i]
+					hi = isa.FirstCalleeSaved + site.depth
 				}
 				n := 0
 				for r := isa.FirstCalleeSaved; r < hi; r++ {
@@ -127,7 +123,7 @@ func (v *funcVet) analyzeLiveness() {
 						n++
 					}
 				}
-				siteLive[i] = n
+				site.live = n
 			}
 			v.liveTransfer(i, &st)
 			if n := st.count(); n > v.summary.maxLive {
@@ -149,16 +145,6 @@ func (v *funcVet) analyzeLiveness() {
 			v.summary.ranges = append(v.summary.ranges, LiveRange{Reg: r, Start: first[r], End: last[r]})
 		}
 	}
-	v.summary.siteLive = siteLive
-	for i := range v.code {
-		if !v.code[i].Op.IsCall() {
-			continue
-		}
-		v.summary.callSites = append(v.summary.callSites, SiteReport{
-			Index: i, Depth: depthAt[i], LiveAcross: siteLive[i],
-		})
-	}
-
 	v.checkOverWidePush()
 }
 
@@ -270,41 +256,7 @@ func (v *funcVet) spillBound() {
 // could reach by narrowing windows to the values actually consumed
 // after each call. Advisory — the hardware pushes the full declared
 // window, so the architectural bound stays stackDemand.
-func stackDemandTight(p *isa.Program, sums []*funcSummary, root int) int {
-	memo := map[int]int{}
-	onStack := map[int]bool{}
-	var demand func(fi int) int
-	demand = func(fi int) int {
-		if d, ok := memo[fi]; ok {
-			return d
-		}
-		if onStack[fi] {
-			return 0 // cycle guard, as in stackDemand
-		}
-		onStack[fi] = true
-		defer delete(onStack, fi)
-		f := p.Funcs[fi]
-		s := sums[fi]
-		d := s.maxDepth
-		for _, site := range s.sites {
-			depth := site.depth
-			if live, ok := s.siteLive[site.index]; ok && live < depth {
-				depth = live
-			}
-			var cands []int
-			if site.indirect < 0 {
-				cands = []int{f.Code[site.index].Callee}
-			} else if site.indirect < len(f.IndirectTargets) {
-				cands = f.IndirectTargets[site.indirect]
-			}
-			for _, ti := range cands {
-				if v := depth + 1 + demand(ti); v > d {
-					d = v
-				}
-			}
-		}
-		memo[fi] = d
-		return d
-	}
-	return demand(root)
+func stackDemandTight(sums []*funcSummary, root int) int {
+	return bottomUp(sums, root, 0, func(fi int) int { return sums[fi].maxDepth }, maxInt,
+		func(d int, s *callSite, callee int) int { return max(d, min(s.depth, s.live)+1+callee) })
 }

@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"slices"
 	"sort"
 
 	"carsgo/internal/isa"
@@ -24,8 +25,10 @@ type kernelSync struct {
 
 // analyzeRaces runs after the sync fixpoint: per-kernel race pair
 // detection, shared-spill ABI hygiene checks, and the reachability-
-// based barrier/race verdicts. Returned map is keyed by kernel name.
-func (sp *syncProgram) analyzeRaces() map[string]*kernelSync {
+// based barrier/race verdicts over each kernel's reachFrom set (sums
+// are the same functions' summaries). Returned map is keyed by kernel
+// name.
+func (sp *syncProgram) analyzeRaces(sums []*funcSummary) map[string]*kernelSync {
 	for _, f := range sp.funcs {
 		if f.sum.analyzed {
 			sp.raceFunc(f)
@@ -52,12 +55,8 @@ func (sp *syncProgram) analyzeRaces() map[string]*kernelSync {
 		if !kf.isKernel || !kf.sum.analyzed {
 			continue
 		}
-		ks := &kernelSync{barrierSafe: true, raceFree: true, sharedAccesses: len(kf.sites), racePairs: kf.pairs}
-		seen := map[int]bool{ki: true}
-		work := []int{ki}
-		for len(work) > 0 {
-			fi := work[len(work)-1]
-			work = work[:len(work)-1]
+		ks := &kernelSync{barrierSafe: true, raceFree: true, sharedAccesses: len(kf.shared), racePairs: kf.pairs}
+		for _, fi := range reachFrom(sums, ki) {
 			f := sp.funcs[fi]
 			if !f.sum.analyzed {
 				ks.barrierSafe, ks.raceFree = false, false
@@ -69,7 +68,7 @@ func (sp *syncProgram) analyzeRaces() map[string]*kernelSync {
 			if raceBad[f.name] {
 				ks.raceFree = false
 			}
-			if len(f.unknown) > 0 {
+			if slices.ContainsFunc(f.summary.sites, func(s callSite) bool { return s.unresolved }) {
 				// An unresolvable callee could barrier or touch shared
 				// memory; neither verdict can be claimed.
 				ks.barrierSafe, ks.raceFree = false, false
@@ -82,14 +81,6 @@ func (sp *syncProgram) analyzeRaces() map[string]*kernelSync {
 				sp.diag(kf, SevWarning, -1, CheckSharedRace,
 					"reaches %s, which accesses user shared memory: cross-function races not analyzed", f.name)
 			}
-			for _, targets := range f.targets {
-				for _, ti := range targets {
-					if ti >= 0 && ti < len(sp.funcs) && !seen[ti] {
-						seen[ti] = true
-						work = append(work, ti)
-					}
-				}
-			}
 		}
 		out[kf.name] = ks
 	}
@@ -99,9 +90,9 @@ func (sp *syncProgram) analyzeRaces() map[string]*kernelSync {
 // raceFunc finds may-race pairs among the function's own shared sites.
 func (sp *syncProgram) raceFunc(f *syncFunc) {
 	f.pairs = nil
-	for ai := range f.sites {
-		for bi := ai; bi < len(f.sites); bi++ {
-			a, b := &f.sites[ai], &f.sites[bi]
+	for ai := range f.shared {
+		for bi := ai; bi < len(f.shared); bi++ {
+			a, b := &f.shared[ai], &f.shared[bi]
 			if !a.store && !b.store {
 				continue
 			}
@@ -144,7 +135,7 @@ func opName(store bool) string {
 // instruction at from to the instruction at to without executing a
 // BAR.SYNC on the way.
 func reachNoBar(f *syncFunc, from, to int) bool {
-	c := f.c
+	c := f.cfg
 	bi := c.blockOf[from]
 	b := &c.blocks[bi]
 	for k := from + 1; k < b.end; k++ {
@@ -250,7 +241,7 @@ func (sp *syncProgram) checkSpillSP(f *syncFunc) {
 				"writes R0, the shared-spill stack pointer; only the ABI's IADD R0, R0, #imm adjustment is legal")
 		}
 	}
-	for _, s := range f.sites {
+	for _, s := range f.shared {
 		if s.addr.kind == avAffine && s.addr.sym == symSpill {
 			sp.diag(f, SevWarning, s.index, CheckSharedRace,
 				"user shared access at [%d] derives its address from the spill stack pointer: may race with spill traffic", s.index)

@@ -860,16 +860,8 @@ func (ra *rangeAnalysis) facts() *funcRanges {
 	li := ra.li
 	fr := &funcRanges{trips: map[int]int64{}, loops: li.loops}
 
-	indirectOrd := 0
 	for bi := range v.cfg.blocks {
 		if !v.cfg.reach[bi] {
-			// Keep CALLI ordinals aligned with instruction order even
-			// through unreachable blocks.
-			for i := v.cfg.blocks[bi].start; i < v.cfg.blocks[bi].end; i++ {
-				if v.code[i].Op == isa.OpCallI {
-					indirectOrd++
-				}
-			}
 			continue
 		}
 		b := &v.cfg.blocks[bi]
@@ -909,12 +901,11 @@ func (ra *rangeAnalysis) facts() *funcRanges {
 			case isa.OpCallI:
 				if t, ok := ra.selectorTarget(st, in); ok {
 					fr.indirect = append(fr.indirect, indirectFact{
-						index: i, ordinal: indirectOrd, target: t,
+						index: i, ordinal: v.summary.site(i).ordinal, target: t,
 					})
 					v.diag(SevInfo, i, CheckIndirect,
 						"indirect call selector provably resolves to %s: the site is devirtualizable", t)
 				}
-				indirectOrd++
 			}
 			ra.transfer(i, st, &cons)
 		}
@@ -1135,37 +1126,13 @@ type RangeReport struct {
 // kernel's reachable call graph and attaches them to the kernel perf
 // reports.
 func attachRanges(rep *ProgramReport, p *isa.Program, sums []*funcSummary) {
-	// Reachability over direct callees and indirect candidate sets.
-	reachFrom := func(root int) []int {
-		seen := map[int]bool{root: true}
-		order := []int{root}
-		for i := 0; i < len(order); i++ {
-			fi := order[i]
-			add := func(ti int) {
-				if ti >= 0 && ti < len(p.Funcs) && !seen[ti] {
-					seen[ti] = true
-					order = append(order, ti)
-				}
-			}
-			for _, ti := range p.Funcs[fi].Callees {
-				add(ti)
-			}
-			for _, cands := range p.Funcs[fi].IndirectTargets {
-				for _, ti := range cands {
-					add(ti)
-				}
-			}
-		}
-		sort.Ints(order)
-		return order
-	}
 	for ki := range rep.Kernels {
 		root, ok := p.Kernels[rep.Kernels[ki].Kernel]
 		if !ok {
 			continue
 		}
 		rr := &RangeReport{}
-		for _, fi := range reachFrom(root) {
+		for _, fi := range reachFrom(sums, root) {
 			rng := sums[fi].rng
 			if rng == nil {
 				continue

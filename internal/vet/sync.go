@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"carsgo/internal/isa"
-	"carsgo/internal/kir"
 )
 
 // Sync analysis: a forward uniformity/divergence dataflow in the
@@ -291,25 +290,18 @@ type txSite struct {
 	addr  aval
 }
 
+// syncFunc is one function under the sync pass: the funcVet that
+// already ran supplies its CFG, register window (each state holds
+// that many registers) and call-site table.
 type syncFunc struct {
-	name     string
-	isKernel bool
-	code     []isa.Instruction
-	window   int // registers each state holds (regWindow)
-	c        *cfg
-
-	// targets resolves call instructions to candidate function indices;
-	// unknown marks sites the resolver could not resolve (pre-ABI
-	// cross-module references outside the vetted set).
-	targets map[int][]int
-	unknown map[int]bool
+	*funcVet
 
 	sum syncSummary
 
 	// Final-pass results.
 	divBranch []bool // per instruction: predicated BRA, varying predicate
 	tainted   []bool // per block: executes under divergent control
-	sites     []shSite
+	shared    []shSite
 	txs       []txSite
 	pairs     []RacePair
 	barriers  int
@@ -340,98 +332,14 @@ func (sp *syncProgram) diag(f *syncFunc, sev Severity, idx int, check Check, for
 	})
 }
 
-// newSyncLinked models a linked program. Call targets come from the
-// embedded function indices and per-site candidate sets; windows holds
-// each function's register window.
-func newSyncLinked(p *isa.Program, mode progMode, windows []int) *syncProgram {
-	sp := &syncProgram{mode: mode, spill: p.SmemSpillPerThread, linked: true}
-	for fi, f := range p.Funcs {
-		sf := &syncFunc{
-			name:     f.Name,
-			isKernel: f.IsKernel,
-			code:     f.Code,
-			window:   windows[fi],
-			targets:  map[int][]int{},
-			unknown:  map[int]bool{},
-		}
-		indirect := 0
-		for i := range f.Code {
-			switch f.Code[i].Op {
-			case isa.OpCall:
-				sf.targets[i] = []int{f.Code[i].Callee}
-			case isa.OpCallI:
-				if indirect < len(f.IndirectTargets) && len(f.IndirectTargets[indirect]) > 0 {
-					sf.targets[i] = f.IndirectTargets[indirect]
-				} else {
-					sf.unknown[i] = true
-				}
-				indirect++
-			}
-		}
-		sp.funcs = append(sp.funcs, sf)
-	}
-	return sp
-}
-
-// newSyncModules models pre-ABI modules; call targets resolve by name
-// across the whole module set. windows holds each function's register
-// window, in module then function order.
-func newSyncModules(mods []*kir.Module, windows []int) *syncProgram {
-	sp := &syncProgram{mode: modeBaseline}
-	byName := map[string]int{}
-	for _, m := range mods {
-		for _, f := range m.Funcs {
-			byName[f.Name] = len(sp.funcs)
-			sp.funcs = append(sp.funcs, &syncFunc{
-				name:     f.Name,
-				isKernel: f.IsKernel,
-				code:     f.Code,
-				window:   windows[len(sp.funcs)],
-				targets:  map[int][]int{},
-				unknown:  map[int]bool{},
-			})
-		}
-	}
-	fi := 0
-	for _, m := range mods {
-		for _, f := range m.Funcs {
-			sf := sp.funcs[fi]
-			fi++
-			indirect := 0
-			for i := range f.Code {
-				switch f.Code[i].Op {
-				case isa.OpCall:
-					name := ""
-					if f.Code[i].Callee >= 0 && f.Code[i].Callee < len(f.CallNames) {
-						name = f.CallNames[f.Code[i].Callee]
-					}
-					if ti, ok := byName[name]; ok {
-						sf.targets[i] = []int{ti}
-					} else {
-						sf.unknown[i] = true
-					}
-				case isa.OpCallI:
-					resolved := []int{}
-					ok := indirect < len(f.IndirectTargets) && len(f.IndirectTargets[indirect]) > 0
-					if ok {
-						for _, name := range f.IndirectTargets[indirect] {
-							ti, found := byName[name]
-							if !found {
-								ok = false
-								break
-							}
-							resolved = append(resolved, ti)
-						}
-					}
-					if ok {
-						sf.targets[i] = resolved
-					} else {
-						sf.unknown[i] = true
-					}
-					indirect++
-				}
-			}
-		}
+// newSyncProgram models the functions vet has run (Report: a linked
+// program's; Modules: a pre-ABI module set's, with call sites
+// resolved across the set). spill is the shared-spill frame per
+// thread of a linked shared-spill program.
+func newSyncProgram(vets []*funcVet, mode progMode, spill int, linked bool) *syncProgram {
+	sp := &syncProgram{mode: mode, spill: spill, linked: linked}
+	for _, v := range vets {
+		sp.funcs = append(sp.funcs, &syncFunc{funcVet: v})
 	}
 	return sp
 }
@@ -441,12 +349,11 @@ func newSyncModules(mods []*kir.Module, windows []int) *syncProgram {
 func (sp *syncProgram) run() {
 	arena, blocks := 0, 0
 	for _, f := range sp.funcs {
-		if len(f.code) == 0 {
-			continue // structure error reported elsewhere
+		if f.cfg == nil {
+			continue // no code: structure error reported elsewhere
 		}
-		f.c = buildCFG(f.code)
 		f.sum = syncSummary{analyzed: true, retUniform: true}
-		nb := len(f.c.blocks)
+		nb := len(f.cfg.blocks)
 		arena = max(arena, (2*nb+1)*f.window)
 		blocks = max(blocks, nb)
 	}
@@ -658,9 +565,10 @@ func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
 // spill stack pointer are preserved, R4 carries the return value, and
 // every predicate is caller-clobbered.
 func (sp *syncProgram) applyCall(f *syncFunc, st *uState, i int) {
-	retU := !f.unknown[i]
-	for _, ti := range f.targets[i] {
-		if ti < 0 || ti >= len(sp.funcs) || !sp.funcs[ti].sum.analyzed || !sp.funcs[ti].sum.retUniform {
+	site := f.summary.site(i)
+	retU := !site.unresolved
+	for _, ti := range site.callees {
+		if !sp.funcs[ti].sum.analyzed || !sp.funcs[ti].sum.retUniform {
 			retU = false
 		}
 	}
@@ -684,7 +592,7 @@ func (sp *syncProgram) applyCall(f *syncFunc, st *uState, i int) {
 // states carves f's per-block in- and out-states and the walk state
 // from the scratch arena, every one f.window wide and zero.
 func (sp *syncProgram) states(f *syncFunc) (in, out []uState) {
-	nb, n := len(f.c.blocks), f.window
+	nb, n := len(f.cfg.blocks), f.window
 	arena := sp.arena[:(2*nb+1)*n]
 	clear(arena)
 	carve := func() uState {
@@ -705,7 +613,7 @@ func (sp *syncProgram) states(f *syncFunc) (in, out []uState) {
 // The states live in the scratch arena: they are valid until the next
 // flow.
 func (sp *syncProgram) flow(f *syncFunc, divJoin []bool) []uState {
-	c := f.c
+	c := f.cfg
 	nb := len(c.blocks)
 	in, out := sp.states(f)
 	seen, inWork := sp.seen[:nb], sp.inWork[:nb]
@@ -771,11 +679,11 @@ func (sp *syncProgram) flow(f *syncFunc, divJoin []bool) []uState {
 // calling visit with the state just before each instruction executes.
 func (sp *syncProgram) walk(f *syncFunc, in []uState, visit func(i int, st *uState)) {
 	st := &sp.cur
-	for bi := range f.c.blocks {
-		if !f.c.reach[bi] {
+	for bi := range f.cfg.blocks {
+		if !f.cfg.reach[bi] {
 			continue
 		}
-		b := &f.c.blocks[bi]
+		b := &f.cfg.blocks[bi]
 		st.set(&in[bi])
 		for i := b.start; i < b.end; i++ {
 			visit(i, st)
@@ -824,7 +732,7 @@ func divJoins(c *cfg, divBranch []bool) []bool {
 // classify iterates the dataflow and the divergent-branch set to a
 // joint fixpoint: divergence can only grow, so it terminates.
 func (sp *syncProgram) classify(f *syncFunc) []uState {
-	c := f.c
+	c := f.cfg
 	f.divBranch = make([]bool, len(f.code))
 	for round := 0; round <= len(f.code)+1; round++ {
 		in := sp.flow(f, divJoins(c, f.divBranch))
@@ -852,12 +760,10 @@ func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
 	in := sp.classify(f)
 	sum := syncSummary{analyzed: true, retUniform: true}
 	if final {
-		f.sites, f.txs = f.sites[:0], f.txs[:0]
+		f.shared, f.txs = f.shared[:0], f.txs[:0]
 		f.barriers, f.divCount = 0, 0
 	}
 
-	type callRec struct{ index int }
-	var calls []callRec
 	var divExit bool
 	sp.walk(f, in, func(i int, st *uState) {
 		ins := &f.code[i]
@@ -872,7 +778,7 @@ func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
 				addr := addVal(regOr(st, ins.SrcA, topVal()), constVal(int64(ins.Imm)))
 				f.txs = append(f.txs, txSite{index: i, spill: ins.Spill, addr: addr})
 				if !ins.Spill {
-					f.sites = append(f.sites, shSite{index: i, store: ins.Op == isa.OpStS, addr: addr})
+					f.shared = append(f.shared, shSite{index: i, store: ins.Op == isa.OpStS, addr: addr})
 				}
 			}
 			if !ins.Spill {
@@ -883,13 +789,10 @@ func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
 				sum.retUniform = false
 			}
 		case isa.OpCall, isa.OpCallI:
-			for _, ti := range f.targets[i] {
-				if ti >= 0 && ti < len(sp.funcs) && sp.funcs[ti].sum.hasBarrier {
+			for _, ti := range f.summary.site(i).callees {
+				if sp.funcs[ti].sum.hasBarrier {
 					sum.hasBarrier = true
 				}
-			}
-			if final {
-				calls = append(calls, callRec{index: i})
 			}
 		case isa.OpExit:
 			if ins.Pred != isa.NoPred && !st.preds[ins.Pred&7].uniform {
@@ -906,15 +809,15 @@ func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
 	}
 
 	// Control-dependence taint: which blocks execute under divergence.
-	f.tainted = divTaint(f.c, f.divBranch)
+	f.tainted = divTaint(f.cfg, f.divBranch)
 	// A thread exit under divergent control permanently shrinks the
 	// warp's mask: everything that executes afterwards is divergent.
 	// (Reconvergence never collects exited lanes back.)
-	for bi := range f.c.blocks {
-		if !f.c.reach[bi] || divExit {
+	for bi := range f.cfg.blocks {
+		if !f.cfg.reach[bi] || divExit {
 			continue
 		}
-		b := &f.c.blocks[bi]
+		b := &f.cfg.blocks[bi]
 		if !f.tainted[bi] {
 			continue
 		}
@@ -926,18 +829,18 @@ func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
 	}
 	if divExit {
 		for bi := range f.tainted {
-			if f.c.reach[bi] {
+			if f.cfg.reach[bi] {
 				f.tainted[bi] = true
 			}
 		}
 	}
 
 	// Barrier legality.
-	for bi := range f.c.blocks {
-		if !f.c.reach[bi] {
+	for bi := range f.cfg.blocks {
+		if !f.cfg.reach[bi] {
 			continue
 		}
-		b := &f.c.blocks[bi]
+		b := &f.cfg.blocks[bi]
 		for i := b.start; i < b.end; i++ {
 			ins := &f.code[i]
 			if ins.Op == isa.OpBar {
@@ -952,14 +855,13 @@ func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
 			}
 		}
 	}
-	for _, cr := range calls {
-		bi := f.c.blockOf[cr.index]
-		if !f.tainted[bi] {
+	for _, site := range f.summary.sites {
+		if !site.reachable || !f.tainted[f.cfg.blockOf[site.index]] {
 			continue
 		}
-		for _, ti := range f.targets[cr.index] {
-			if ti >= 0 && ti < len(sp.funcs) && sp.funcs[ti].sum.hasBarrier {
-				sp.diag(f, SevError, cr.index, CheckBarrier,
+		for _, ti := range site.callees {
+			if sp.funcs[ti].sum.hasBarrier {
+				sp.diag(f, SevError, site.index, CheckBarrier,
 					"call to %s under divergent control flow executes BAR.SYNC with a partial warp",
 					sp.funcs[ti].name)
 				break
@@ -1093,7 +995,7 @@ func (sp *syncProgram) checkReconv(f *syncFunc) {
 		return
 	}
 	const maxDepth = 64
-	c := f.c
+	c := f.cfg
 	nb := len(c.blocks)
 	inStack := make([][]int, nb)
 	have := make([]bool, nb)

@@ -375,8 +375,8 @@ func Report(p *isa.Program) *ProgramReport {
 	mode := modeOf(p)
 	rep.Mode = mode.String()
 	var diags []Diagnostic
+	vets := make([]*funcVet, len(p.Funcs))
 	sums := make([]*funcSummary, len(p.Funcs))
-	windows := make([]int, len(p.Funcs))
 	for fi, f := range p.Funcs {
 		v := &funcVet{
 			name:        f.Name,
@@ -387,12 +387,29 @@ func Report(p *isa.Program) *ProgramReport {
 			smemFrame:   4 * f.CalleeSaved,
 			mode:        mode,
 			linked:      true,
+			indirect:    f.IndirectTargets,
 		}
 		v.run()
 		diags = append(diags, v.diags...)
-		sums[fi] = &v.summary
-		windows[fi] = v.window
-		fr := FuncReport{
+		vets[fi], sums[fi] = v, &v.summary
+		var sites []SiteReport
+		for _, s := range v.summary.sites {
+			sites = append(sites, SiteReport{Index: s.index, Depth: s.depth, LiveAcross: s.live})
+			// Call targets must be device functions: a kernel ends in
+			// EXIT, so a call into one never returns to its caller.
+			for _, ti := range s.callees {
+				if !p.Funcs[ti].IsKernel {
+					continue
+				}
+				msg := "calls kernel %s: kernels end with EXIT and never return"
+				if s.ordinal >= 0 {
+					msg = "indirect-call candidate %s is a kernel: kernels end with EXIT and never return"
+				}
+				diags = append(diags, Diagnostic{Sev: SevError, Func: f.Name, Index: -1,
+					Check: CheckCallSite, Msg: fmt.Sprintf(msg, p.Funcs[ti].Name)})
+			}
+		}
+		rep.Funcs = append(rep.Funcs, FuncReport{
 			Func:          f.Name,
 			Kernel:        f.IsKernel,
 			CalleeSaved:   f.CalleeSaved,
@@ -400,41 +417,23 @@ func Report(p *isa.Program) *ProgramReport {
 			SpillBytes:    v.summary.spillBytes,
 			MaxLive:       v.summary.maxLive,
 			LiveRanges:    v.summary.ranges,
-			CallSites:     v.summary.callSites,
+			CallSites:     sites,
 			Cost:          v.summary.cost.report(),
-		}
-		rep.Funcs = append(rep.Funcs, fr)
-		// Call targets must be device functions: a kernel ends in
-		// EXIT, so a call into one never returns to its caller.
-		// Validate range-checks these indices; only the shape is left.
-		for _, ti := range f.Callees {
-			if p.Funcs[ti].IsKernel {
-				diags = append(diags, Diagnostic{Sev: SevError, Func: f.Name, Index: -1,
-					Check: CheckCallSite,
-					Msg:   fmt.Sprintf("calls kernel %s: kernels end with EXIT and never return", p.Funcs[ti].Name)})
-			}
-		}
-		for _, cands := range f.IndirectTargets {
-			for _, ti := range cands {
-				if p.Funcs[ti].IsKernel {
-					diags = append(diags, Diagnostic{Sev: SevError, Func: f.Name, Index: -1,
-						Check: CheckCallSite,
-						Msg:   fmt.Sprintf("indirect-call candidate %s is a kernel: kernels end with EXIT and never return", p.Funcs[ti].Name)})
-				}
-			}
-		}
+		})
 	}
+	graphs, graphDiags := kernelGraphs(p)
+	diags = append(diags, graphDiags...)
 	if mode == modeCARS {
-		d, kernels := checkStackDemand(p, sums)
+		d, kernels := checkStackDemand(sums, graphs)
 		diags = append(diags, d...)
 		rep.Kernels = kernels
 	}
 
 	// Synchronization analyses: uniformity/divergence, barrier legality,
 	// SSY/SYNC well-formedness, shared-memory races (sync.go, race.go).
-	sp := newSyncLinked(p, mode, windows)
+	sp := newSyncProgram(vets, mode, p.SmemSpillPerThread, true)
 	sp.run()
-	verdicts := sp.analyzeRaces()
+	verdicts := sp.analyzeRaces(sums)
 	diags = append(diags, sp.diags...)
 	for fi := range rep.Funcs {
 		rep.Funcs[fi].DivergentBranches = sp.funcs[fi].divCount
@@ -471,15 +470,14 @@ func Report(p *isa.Program) *ProgramReport {
 		}
 	}
 	// Static cost bounds (cost.go): interprocedural, per kernel.
-	costs := kernelCosts(p, sums)
 	for i := range rep.Kernels {
-		if c := costs[rep.Kernels[i].Kernel]; c != nil {
-			rep.Kernels[i].Perf = &KernelPerf{Cost: *c}
+		if root, ok := p.Kernels[rep.Kernels[i].Kernel]; ok {
+			rep.Kernels[i].Perf = &KernelPerf{Cost: *kernelCost(sums, root)}
 		}
 	}
 	// Residual traffic closures for the backend lattice (backend.go);
 	// also fills the kernel-level SharedTxns bound.
-	attachResiduals(rep, p, sums)
+	attachResiduals(rep, sums, graphs)
 	// Value-range facts (range.go): per-kernel trip-count and
 	// dead-branch aggregates for the perf report.
 	attachRanges(rep, p, sums)
@@ -493,7 +491,8 @@ func Report(p *isa.Program) *ProgramReport {
 // otherwise turn into lowering failures or runtime panics.
 func Modules(mods ...*kir.Module) []Diagnostic {
 	var diags []Diagnostic
-	var windows []int
+	var vets []*funcVet
+	var sums []*funcSummary
 	for _, m := range mods {
 		for _, f := range m.Funcs {
 			v := &funcVet{
@@ -505,12 +504,13 @@ func Modules(mods ...*kir.Module) []Diagnostic {
 			}
 			v.run()
 			diags = append(diags, v.diags...)
-			windows = append(windows, v.window)
+			vets, sums = append(vets, v), append(sums, &v.summary)
 		}
 	}
-	sp := newSyncModules(mods, windows)
+	resolveModuleCalls(vets)
+	sp := newSyncProgram(vets, modeBaseline, 0, false)
 	sp.run()
-	sp.analyzeRaces()
+	sp.analyzeRaces(sums)
 	diags = append(diags, sp.diags...)
 	return Normalize(diags)
 }
