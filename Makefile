@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint check opt san fuzz test test-short race-short bench bench-diff prof loadbench experiments examples serve-smoke serve-test clean
+.PHONY: all build fmt vet lint check opt san fuzz test test-short race-short bench prof loadbench experiments published examples serve-smoke serve-test clean
 
 all: build vet lint test
 
@@ -105,28 +105,25 @@ test-short:
 race-short:
 	$(GO) test -race -short ./internal/...
 
-# Regenerate every table and figure (writes to stdout; see EXPERIMENTS.md).
+# Every published number comes from one run of every exhibit
+# (internal/experiments' TestPublished, build tag "published"): the
+# generated blocks of EXPERIMENTS.md — each exhibit's table and the
+# headline joined from them — and testdata/runs.golden, one line per
+# simulation with its cycles and a digest of its result. `published`
+# fails on any difference; `experiments` rewrites both files. A full
+# run takes about 15 minutes on two cores, beyond go test's default
+# 10-minute timeout.
+PUBLISHED = $(GO) test -tags published -run '^TestPublished$$' -count=1 -timeout=40m ./internal/experiments
 experiments:
-	$(GO) run ./cmd/carsexp
+	$(PUBLISHED) -update
+published:
+	$(PUBLISHED)
 
-# The same experiments as benchmarks, with headline metrics, plus the
-# per-workload cycle/wall-time rows. -benchtime=1x: each simulation is
-# deterministic, so one iteration is the measurement. cmd/benchjson
-# tees the text stream and archives every row into BENCH_<date>.json
-# (cycles + wall time per workload) for the perf trajectory.
-# -timeout=40m: the full figure + ablation sweep outgrew go test's
-# default 10m budget around the fig19 backend lattice.
+# Ablations on CARS' design choices (bench_test.go), one iteration
+# each: every simulation is deterministic, so one run is the
+# measurement.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem -timeout=40m . | $(GO) run ./cmd/benchjson
-
-# Perf-trajectory diff: re-measure into a scratch snapshot and compare
-# against the checked-in baseline, warning (never failing) on >5%
-# simulated-cycle regressions. Override BENCH_BASELINE to diff against
-# a different snapshot.
-BENCH_BASELINE ?= BENCH_2026-08-08.json
-bench-diff:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem -timeout=40m . | $(GO) run ./cmd/benchjson -o bench-head.json
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) bench-head.json
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem .
 
 # Profile the cycle loop: one BenchmarkSimMST iteration (sim.New, MST
 # setup and its launches) under the CPU and heap profilers. Writes

@@ -1,145 +1,17 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per exhibit), plus ablations on CARS'
-// design choices. The underlying simulation results are memoised in a
-// shared runner, so `go test -bench=.` performs each simulation once
-// even across benchmarks that share configurations.
-//
-// Reported custom metrics carry the figure's headline number, e.g.
-// BenchmarkFig08_Performance reports the CARS geomean speedup
-// (paper: 1.26×).
+// Ablations on CARS' design choices, one benchmark each; each
+// reports its speedups as custom metrics. Run them with `make bench`.
+// The paper's exhibits themselves are regenerated and checked by
+// internal/experiments' TestPublished (`make published`).
 package carsgo_test
 
 import (
-	"os"
-	"runtime"
 	"strconv"
-	"sync"
 	"testing"
 
 	"carsgo"
 	"carsgo/internal/cars"
 	"carsgo/internal/config"
-	"carsgo/internal/experiments"
 )
-
-var (
-	runnerOnce sync.Once
-	runner     *experiments.Runner
-)
-
-func sharedRunner() *experiments.Runner {
-	runnerOnce.Do(func() {
-		runner = experiments.NewRunner(runtime.NumCPU())
-		if os.Getenv("CARSGO_BENCH_VERBOSE") != "" {
-			runner.Log = os.Stderr
-		}
-	})
-	return runner
-}
-
-// summaryCell parses cell col of the last (geomean/average) row; a
-// negative col counts from the end, and col 0 scans for the last
-// numeric cell.
-func summaryCell(t *experiments.Table, col int) float64 {
-	row := t.Rows[len(t.Rows)-1]
-	parse := func(s string) (float64, bool) {
-		if len(s) > 0 && s[len(s)-1] == '%' {
-			s = s[:len(s)-1]
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		return v, err == nil
-	}
-	if col != 0 {
-		if col < 0 {
-			col += len(row)
-		}
-		if col >= 0 && col < len(row) {
-			if v, ok := parse(row[col]); ok {
-				return v
-			}
-		}
-		return 0
-	}
-	for i := len(row) - 1; i >= 0; i-- {
-		if v, ok := parse(row[i]); ok {
-			return v
-		}
-	}
-	return 0
-}
-
-func benchExperiment(b *testing.B, id, metric string) {
-	benchExperimentCol(b, id, metric, 0)
-}
-
-func benchExperimentCol(b *testing.B, id, metric string, col int) {
-	r := sharedRunner()
-	for i := 0; i < b.N; i++ {
-		t, err := r.Run(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if metric != "" {
-			b.ReportMetric(summaryCell(t, col), metric)
-		}
-	}
-}
-
-// BenchmarkWorkloadCycles runs every Table I workload under the
-// baseline and CARS configurations, one sub-benchmark per workload,
-// reporting the simulated cycle counts as custom metrics; the
-// benchmark's own ns/op is the workload's simulation wall time.
-// `make bench` pipes these rows through cmd/benchjson into
-// BENCH_<date>.json so the repo's perf trajectory has data points.
-func BenchmarkWorkloadCycles(b *testing.B) {
-	for _, w := range carsgo.Workloads() {
-		b.Run(w.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				base, err := carsgo.Run(carsgo.Baseline(), w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				crs, err := carsgo.Run(carsgo.CARS(), w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(base.Stats.Cycles), "base-cycles")
-				b.ReportMetric(float64(crs.Stats.Cycles), "cars-cycles")
-				b.ReportMetric(crs.Speedup(base), "speedup-x")
-			}
-		})
-	}
-}
-
-func BenchmarkFig01_Trends(b *testing.B) { benchExperiment(b, "fig1", "device-fns") }
-func BenchmarkFig02_AccessBreakdown(b *testing.B) {
-	benchExperimentCol(b, "fig2", "avg-spill-%", 1)
-}
-func BenchmarkTab01_WorkloadStats(b *testing.B)   { benchExperiment(b, "tab1", "") }
-func BenchmarkFig08_Performance(b *testing.B)     { benchExperiment(b, "fig8", "cars-geomean-x") }
-func BenchmarkFig09_AccessReduction(b *testing.B) { benchExperiment(b, "fig9", "") }
-func BenchmarkFig10_AllHit(b *testing.B)          { benchExperiment(b, "fig10", "cars-geomean-x") }
-func BenchmarkFig11_BandwidthTimeline(b *testing.B) {
-	benchExperiment(b, "fig11", "")
-}
-func BenchmarkFig12_MPKI(b *testing.B)     { benchExperiment(b, "fig12", "avg-reduction-%") }
-func BenchmarkFig13_InstrMix(b *testing.B) { benchExperiment(b, "fig13", "") }
-func BenchmarkTab02_SpeedupFactors(b *testing.B) {
-	benchExperiment(b, "tab2", "")
-}
-func BenchmarkFig14_AllocationMechanisms(b *testing.B) {
-	benchExperiment(b, "fig14", "")
-}
-func BenchmarkTab03_TrapFrequency(b *testing.B) { benchExperiment(b, "tab3", "") }
-func BenchmarkFig15_Energy(b *testing.B)        { benchExperiment(b, "fig15", "cars-geomean-x") }
-func BenchmarkFig16_InliningLTO(b *testing.B)   { benchExperiment(b, "fig16", "cars-geomean-x") }
-func BenchmarkFig17_L1Bandwidth(b *testing.B)   { benchExperiment(b, "fig17", "cars-8x-geomean-x") }
-func BenchmarkFig18_Ampere(b *testing.B)        { benchExperiment(b, "fig18", "") }
-func BenchmarkFig19_BackendLattice(b *testing.B) {
-	benchExperiment(b, "fig19", "")
-}
-
-// --- Ablations on the design choices DESIGN.md calls out ---
 
 // BenchmarkAblationAllocationMechanism compares the static watermark
 // points against the Fig. 5 adaptive machine on MST (the workload the

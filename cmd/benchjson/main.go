@@ -1,241 +1,23 @@
-// Command benchjson converts `go test -bench` text output into a JSON
-// snapshot for the repo's perf trajectory. It reads the benchmark
-// stream on stdin, echoes it through to stdout unchanged, and writes
-// every parsed benchmark row — iterations, wall time per op, and all
-// custom metrics (simulated cycles, speedups, …) — to the output file:
+// Command benchjson diffs two carsbench load reports (LOAD_<date>.json,
+// see internal/load) stage by stage:
 //
-//	go test -bench=. -benchtime=1x | go run ./cmd/benchjson
-//
-// The default output name is BENCH_<date>.json (see `make bench`); CI
-// uploads it as a non-blocking artifact so regressions in simulated
-// cycles or harness wall time are visible across commits.
-//
-// Compare mode diffs two snapshots instead of reading stdin:
-//
-//	go run ./cmd/benchjson -compare BENCH_old.json BENCH_new.json
 //	go run ./cmd/benchjson -compare LOAD_old.json LOAD_new.json
 //
-// For BENCH files it prints the per-benchmark delta of every
-// deterministic cycle metric (units containing "cycles" — simulated
-// work, not wall time) and warns on any regression above -threshold
-// percent (default 5). When both files are carsbench load reports
-// (probed by their "kind":"load" field) it instead diffs the per-stage
-// latency quantiles and throughput. Warnings are advisory either way:
-// compare mode exits 0 even when regressions are found, so a slow
-// design point never gates a merge — the CI bench and load jobs
-// surface the warnings without blocking.
-//
-// Exit status 1 when no benchmark rows were found (a broken pipeline
-// would otherwise silently archive an empty snapshot), 2 on I/O or
-// flag errors. Compare mode: 0 even with warnings, 2 on unreadable or
-// empty snapshots or when the two files are different kinds.
+// It prints the per-stage delta of every latency quantile and of
+// throughput, and warns on any regression above -threshold percent
+// (default 5). Warnings are advisory: latency on a shared runner is
+// noisy, so the command exits 0 even when regressions are found (the
+// CI load job surfaces them without blocking). Exit status 2 on
+// unreadable, empty or non-load reports, or on flag errors.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
 
 	carsload "carsgo/internal/load"
 )
-
-// schemaVersion identifies the snapshot layout; bump on any
-// field rename or semantic change so trajectory tooling can dispatch.
-const schemaVersion = 1
-
-// Benchmark is one parsed `go test -bench` result row.
-type Benchmark struct {
-	// Name is the benchmark name with the -GOMAXPROCS suffix trimmed,
-	// e.g. "WorkloadCycles/MST".
-	Name       string `json:"name"`
-	Iterations int64  `json:"iterations"`
-	// NsPerOp is the measured wall time per iteration.
-	NsPerOp float64 `json:"nsPerOp"`
-	// Metrics holds every other "value unit" pair on the row: the
-	// standard B/op and allocs/op plus custom metrics like base-cycles.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Snapshot is the BENCH_<date>.json document.
-type Snapshot struct {
-	SchemaVersion int         `json:"schemaVersion"`
-	Date          string      `json:"date"`
-	GoVersion     string      `json:"goVersion"`
-	GOOS          string      `json:"goos"`
-	GOARCH        string      `json:"goarch"`
-	Benchmarks    []Benchmark `json:"benchmarks"`
-}
-
-// parseLine parses one benchmark output row, e.g.
-//
-//	BenchmarkWorkloadCycles/MST-8  1  512345 ns/op  522123 base-cycles
-//
-// and reports ok=false for any non-benchmark line.
-func parseLine(line string) (Benchmark, bool) {
-	f := strings.Fields(line)
-	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
-		return Benchmark{}, false
-	}
-	iters, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
-		return Benchmark{}, false
-	}
-	name := strings.TrimPrefix(f[0], "Benchmark")
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // trim the -GOMAXPROCS suffix
-		}
-	}
-	b := Benchmark{Name: name, Iterations: iters}
-	for i := 2; i+1 < len(f); i += 2 {
-		v, err := strconv.ParseFloat(f[i], 64)
-		if err != nil {
-			return Benchmark{}, false
-		}
-		if unit := f[i+1]; unit == "ns/op" {
-			b.NsPerOp = v
-		} else {
-			if b.Metrics == nil {
-				b.Metrics = make(map[string]float64)
-			}
-			b.Metrics[unit] = v
-		}
-	}
-	return b, true
-}
-
-// compareDelta is one metric's movement between two snapshots.
-type compareDelta struct {
-	bench, metric string
-	old, new      float64
-	pct           float64 // signed percent change; positive = regression
-}
-
-// cycleMetric reports whether a metric unit counts simulated cycles —
-// the deterministic measurements worth diffing across machines (wall
-// time depends on the runner and would drown the signal in noise).
-func cycleMetric(unit string) bool { return strings.Contains(unit, "cycles") }
-
-// compareSnapshots matches benchmarks by name and diffs every cycle
-// metric, returning all deltas plus the names present on one side only.
-func compareSnapshots(old, new *Snapshot) (deltas []compareDelta, onlyOld, onlyNew []string) {
-	oldBy := map[string]*Benchmark{}
-	for i := range old.Benchmarks {
-		oldBy[old.Benchmarks[i].Name] = &old.Benchmarks[i]
-	}
-	seen := map[string]bool{}
-	for i := range new.Benchmarks {
-		nb := &new.Benchmarks[i]
-		ob, ok := oldBy[nb.Name]
-		if !ok {
-			onlyNew = append(onlyNew, nb.Name)
-			continue
-		}
-		seen[nb.Name] = true
-		units := make([]string, 0, len(nb.Metrics))
-		for unit := range nb.Metrics {
-			if cycleMetric(unit) {
-				units = append(units, unit)
-			}
-		}
-		sort.Strings(units)
-		for _, unit := range units {
-			ov, ok := ob.Metrics[unit]
-			if !ok || ov == 0 {
-				continue
-			}
-			nv := nb.Metrics[unit]
-			deltas = append(deltas, compareDelta{
-				bench: nb.Name, metric: unit, old: ov, new: nv,
-				pct: 100 * (nv - ov) / ov,
-			})
-		}
-	}
-	for _, b := range old.Benchmarks {
-		if !seen[b.Name] {
-			onlyOld = append(onlyOld, b.Name)
-		}
-	}
-	sort.Strings(onlyOld)
-	sort.Strings(onlyNew)
-	return deltas, onlyOld, onlyNew
-}
-
-// runCompare loads and diffs two snapshots, warning (never failing) on
-// cycle regressions above threshold percent.
-func runCompare(oldPath, newPath string, threshold float64) int {
-	load := func(path string) (*Snapshot, error) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var s Snapshot
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if len(s.Benchmarks) == 0 {
-			return nil, fmt.Errorf("%s: snapshot has no benchmark rows", path)
-		}
-		return &s, nil
-	}
-	old, err := load(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		return 2
-	}
-	new, err := load(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		return 2
-	}
-	deltas, onlyOld, onlyNew := compareSnapshots(old, new)
-	warned := 0
-	for _, d := range deltas {
-		mark := "  "
-		if d.pct > threshold {
-			mark = "! "
-			warned++
-		}
-		fmt.Printf("%s%-40s %-24s %12.0f -> %-12.0f %+.1f%%\n",
-			mark, d.bench, d.metric, d.old, d.new, d.pct)
-	}
-	for _, n := range onlyOld {
-		fmt.Printf("-  %s (only in %s)\n", n, oldPath)
-	}
-	for _, n := range onlyNew {
-		fmt.Printf("+  %s (only in %s)\n", n, newPath)
-	}
-	if warned > 0 {
-		fmt.Fprintf(os.Stderr,
-			"benchjson: WARNING: %d cycle metric(s) regressed more than %.0f%% vs %s (advisory — not a failure)\n",
-			warned, threshold, oldPath)
-	} else {
-		fmt.Fprintf(os.Stderr, "benchjson: no cycle metric regressed more than %.0f%% (%d compared)\n",
-			threshold, len(deltas))
-	}
-	return 0
-}
-
-// isLoadSnapshot probes whether a snapshot file is a carsbench load
-// report (kind "load") rather than a benchmark snapshot.
-func isLoadSnapshot(path string) bool {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	_ = json.Unmarshal(raw, &probe)
-	return probe.Kind == carsload.ReportKind
-}
 
 // loadDelta is one stage metric's movement between two load reports.
 type loadDelta struct {
@@ -319,63 +101,12 @@ func runLoadCompare(oldPath, newPath string, threshold float64) int {
 }
 
 func main() {
-	out := flag.String("o", "", "output file (default BENCH_<date>.json)")
-	compare := flag.Bool("compare", false, "diff two snapshot files (OLD NEW) instead of reading a benchmark stream")
-	threshold := flag.Float64("threshold", 5, "compare mode: warn when a cycle metric regresses more than this percent")
+	compare := flag.Bool("compare", false, "diff two load reports (OLD NEW)")
+	threshold := flag.Float64("threshold", 5, "warn when a load metric regresses more than this percent")
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two snapshot files (old new)")
-			os.Exit(2)
-		}
-		oldLoad, newLoad := isLoadSnapshot(flag.Arg(0)), isLoadSnapshot(flag.Arg(1))
-		switch {
-		case oldLoad && newLoad:
-			os.Exit(runLoadCompare(flag.Arg(0), flag.Arg(1), *threshold))
-		case oldLoad != newLoad:
-			fmt.Fprintln(os.Stderr, "benchjson: cannot compare a load report with a benchmark snapshot")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *threshold))
-	}
-	date := time.Now().Format("2006-01-02")
-	path := *out
-	if path == "" {
-		path = "BENCH_" + date + ".json"
-	}
-
-	snap := Snapshot{
-		SchemaVersion: schemaVersion,
-		Date:          date,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // tee: keep the human-readable stream visible
-		if b, ok := parseLine(line); ok {
-			snap.Benchmarks = append(snap.Benchmarks, b)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
+	if !*compare || flag.NArg() != 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchjson -compare OLD.json NEW.json")
 		os.Exit(2)
 	}
-	if len(snap.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark rows on stdin; refusing to write an empty snapshot")
-		os.Exit(1)
-	}
-	data, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: write:", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmark(s) to %s\n", len(snap.Benchmarks), path)
+	os.Exit(runLoadCompare(flag.Arg(0), flag.Arg(1), *threshold))
 }

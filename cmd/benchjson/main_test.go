@@ -1,121 +1,11 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
 	carsload "carsgo/internal/load"
 )
-
-func TestParseLine(t *testing.T) {
-	cases := []struct {
-		name string
-		line string
-		ok   bool
-		want Benchmark
-	}{
-		{
-			name: "workload row with custom metrics",
-			line: "BenchmarkWorkloadCycles/MST-8  \t       1\t  512345678 ns/op\t    522123 base-cycles\t    247873 cars-cycles",
-			ok:   true,
-			want: Benchmark{
-				Name: "WorkloadCycles/MST", Iterations: 1, NsPerOp: 512345678,
-				Metrics: map[string]float64{"base-cycles": 522123, "cars-cycles": 247873},
-			},
-		},
-		{
-			name: "benchmem row",
-			line: "BenchmarkFig08_Performance-8   2   600000000 ns/op   1.26 cars-geomean-x   1024 B/op   3 allocs/op",
-			ok:   true,
-			want: Benchmark{
-				Name: "Fig08_Performance", Iterations: 2, NsPerOp: 6e8,
-				Metrics: map[string]float64{"cars-geomean-x": 1.26, "B/op": 1024, "allocs/op": 3},
-			},
-		},
-		{
-			name: "name containing a dash keeps it",
-			line: "BenchmarkX/sub-case-4   1   10 ns/op",
-			ok:   true,
-			want: Benchmark{Name: "X/sub-case", Iterations: 1, NsPerOp: 10},
-		},
-		{name: "header line", line: "goos: linux", ok: false},
-		{name: "pass line", line: "PASS", ok: false},
-		{name: "definition line", line: "BenchmarkFoo", ok: false},
-		{name: "non-numeric iterations", line: "BenchmarkFoo-8 x 10 ns/op", ok: false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			got, ok := parseLine(c.line)
-			if ok != c.ok {
-				t.Fatalf("ok = %v, want %v", ok, c.ok)
-			}
-			if !ok {
-				return
-			}
-			if got.Name != c.want.Name || got.Iterations != c.want.Iterations || got.NsPerOp != c.want.NsPerOp {
-				t.Errorf("got %+v, want %+v", got, c.want)
-			}
-			if len(got.Metrics) != len(c.want.Metrics) {
-				t.Fatalf("metrics %v, want %v", got.Metrics, c.want.Metrics)
-			}
-			for k, v := range c.want.Metrics {
-				if got.Metrics[k] != v {
-					t.Errorf("metric %s = %v, want %v", k, got.Metrics[k], v)
-				}
-			}
-		})
-	}
-}
-
-func TestCompareSnapshots(t *testing.T) {
-	old := &Snapshot{Benchmarks: []Benchmark{
-		{Name: "WorkloadCycles/MST", NsPerOp: 100, Metrics: map[string]float64{
-			"base-cycles": 1000, "cars-cycles": 500}},
-		{Name: "WorkloadCycles/FIB", Metrics: map[string]float64{"base-cycles": 200}},
-		{Name: "Gone", Metrics: map[string]float64{"base-cycles": 1}},
-	}}
-	new := &Snapshot{Benchmarks: []Benchmark{
-		// base regresses 10%, cars improves 10%; wall time is ignored.
-		{Name: "WorkloadCycles/MST", NsPerOp: 9999, Metrics: map[string]float64{
-			"base-cycles": 1100, "cars-cycles": 450}},
-		{Name: "WorkloadCycles/FIB", Metrics: map[string]float64{"base-cycles": 200}},
-		{Name: "Fresh", Metrics: map[string]float64{"base-cycles": 1}},
-	}}
-	deltas, onlyOld, onlyNew := compareSnapshots(old, new)
-	if len(deltas) != 3 {
-		t.Fatalf("deltas = %d, want 3 (cycle metrics only): %+v", len(deltas), deltas)
-	}
-	regressed := 0
-	for _, d := range deltas {
-		if d.pct > 5 {
-			regressed++
-			if d.bench != "WorkloadCycles/MST" || d.metric != "base-cycles" {
-				t.Errorf("wrong regression flagged: %+v", d)
-			}
-		}
-	}
-	if regressed != 1 {
-		t.Errorf("regressions over 5%% = %d, want 1", regressed)
-	}
-	if len(onlyOld) != 1 || onlyOld[0] != "Gone" {
-		t.Errorf("onlyOld = %v, want [Gone]", onlyOld)
-	}
-	if len(onlyNew) != 1 || onlyNew[0] != "Fresh" {
-		t.Errorf("onlyNew = %v, want [Fresh]", onlyNew)
-	}
-}
-
-func TestCycleMetricFilter(t *testing.T) {
-	for unit, want := range map[string]bool{
-		"base-cycles": true, "cars-cycles": true, "B/op": false,
-		"allocs/op": false, "cars-geomean-x": false,
-	} {
-		if cycleMetric(unit) != want {
-			t.Errorf("cycleMetric(%q) = %v, want %v", unit, !want, want)
-		}
-	}
-}
 
 func loadReportFixture(t *testing.T, dir, name string, p50, p99, tput float64) string {
 	t.Helper()
@@ -135,24 +25,6 @@ func loadReportFixture(t *testing.T, dir, name string, p50, p99, tput float64) s
 		t.Fatal(err)
 	}
 	return path
-}
-
-func TestIsLoadSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	lp := loadReportFixture(t, dir, "LOAD_a.json", 1, 5, 100)
-	if !isLoadSnapshot(lp) {
-		t.Error("load report not detected")
-	}
-	bp := filepath.Join(dir, "BENCH_a.json")
-	if err := os.WriteFile(bp, []byte(`{"schemaVersion":1,"benchmarks":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if isLoadSnapshot(bp) {
-		t.Error("bench snapshot misdetected as load report")
-	}
-	if isLoadSnapshot(filepath.Join(dir, "missing.json")) {
-		t.Error("missing file detected as load report")
-	}
 }
 
 func TestCompareLoadReports(t *testing.T) {

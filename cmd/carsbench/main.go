@@ -12,8 +12,8 @@
 // /metricsz typed snapshot, so the report pairs client-observed
 // latency quantiles with the daemon's own ground truth: singleflight
 // collapse rate, cache hit ratio, and 429/503/504 counts. The result
-// is a LOAD_<date>.json archived next to the BENCH_*.json simulator
-// curves; cmd/benchjson -compare diffs two of them advisorily.
+// is a LOAD_<date>.json report; cmd/benchjson -compare diffs two of
+// them advisorily.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Command carsgraph dumps the link-time call-graph analysis CARS uses
 // to size register stacks (§III-B): per-function FRU, MaxStackDepth,
 // and the watermark allocation ladder — the paper's Fig. 4, computed
-// for any of the repo's workloads.
+// for any of the repo's workloads. Kernels print in name order.
 //
 // Usage:
 //
@@ -12,7 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"carsgo/internal/abi"
 	"carsgo/internal/callgraph"
@@ -29,41 +32,48 @@ func main() {
 		fmt.Fprintln(os.Stderr, "carsgraph: -w <workload> required")
 		os.Exit(2)
 	}
-	w, err := workloads.ByName(*wname)
-	if err != nil {
+	if err := run(os.Stdout, *wname, *disasm); err != nil {
 		fmt.Fprintln(os.Stderr, "carsgraph:", err)
 		os.Exit(1)
 	}
-	prog, err := abi.Link(abi.CARS, w.Modules()...)
+}
+
+// run writes the analysis and allocation ladder of every kernel of the
+// named workload to w, then optionally every function's disassembly.
+func run(w io.Writer, wname string, disasm bool) error {
+	wl, err := workloads.ByName(wname)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "carsgraph:", err)
-		os.Exit(1)
+		return err
+	}
+	prog, err := abi.Link(abi.CARS, wl.Modules()...)
+	if err != nil {
+		return err
 	}
 	cfg := config.V100()
-	for kernel := range prog.Kernels {
+	for _, kernel := range slices.Sorted(maps.Keys(prog.Kernels)) {
 		a, err := callgraph.Analyze(prog, kernel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "carsgraph:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Print(a.String())
+		fmt.Fprint(w, a.String())
 		plan := cars.NewPlan(a, cfg.MaxWarpsPerSM, cfg.RegFileSlots)
-		fmt.Printf("allocation ladder (base %d regs/warp):\n", plan.Base)
+		fmt.Fprintf(w, "allocation ladder (base %d regs/warp):\n", plan.Base)
 		for i, l := range plan.Levels {
-			fmt.Printf("  [%d] %-6s stack %3d slots -> %3d regs/warp\n",
+			fmt.Fprintf(w, "  [%d] %-6s stack %3d slots -> %3d regs/warp\n",
 				i, l.Name(), l.StackSlots, plan.RegsPerWarp(i))
 		}
 		if plan.HighFree {
-			fmt.Println("  High-watermark costs no occupancy: all warps get High")
+			fmt.Fprintln(w, "  High-watermark costs no occupancy: all warps get High")
 		}
 		if plan.Cyclic {
-			fmt.Println("  cyclic call graph: High assumes one recursion iteration (§III-C)")
+			fmt.Fprintln(w, "  cyclic call graph: High assumes one recursion iteration (§III-C)")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	if *disasm {
+	if disasm {
 		for _, f := range prog.Funcs {
-			fmt.Println(f.Disassemble())
+			fmt.Fprintln(w, f.Disassemble())
 		}
 	}
+	return nil
 }

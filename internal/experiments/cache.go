@@ -17,7 +17,7 @@ import (
 
 // cacheSchema versions the key derivation and payload layout; bumping
 // it orphans (but does not invalidate the parsing of) old entries.
-const cacheSchema = 2
+const cacheSchema = 3
 
 // cacheKeySpec is the canonical key-spec hashed into each entry's
 // address. Field order is fixed by the type; values are scalars.
@@ -27,11 +27,12 @@ type cacheKeySpec struct {
 	Config   string `json:"config"`
 	Workload string `json:"workload"`
 	LTO      bool   `json:"lto"`
+	Kernel   string `json:"kernel"`
 }
 
 func (q request) keySpec() cacheKeySpec {
 	return cacheKeySpec{Schema: cacheSchema, Kind: "experiment-run",
-		Config: q.cfgName, Workload: q.workload, LTO: q.lto}
+		Config: q.cfgName, Workload: q.workload, LTO: q.lto, Kernel: q.kernel}
 }
 
 // cachePayload is one entry's JSON value: the request identity again
@@ -41,6 +42,7 @@ type cachePayload struct {
 	Config   string
 	Workload string
 	LTO      bool
+	Kernel   string
 	Result   *carsgo.Result
 }
 
@@ -52,7 +54,7 @@ func (r *Runner) SaveCache(path string) error {
 	var err error
 	for q, res := range r.results {
 		data, merr := json.Marshal(cachePayload{
-			Config: q.cfgName, Workload: q.workload, LTO: q.lto, Result: res,
+			Config: q.cfgName, Workload: q.workload, LTO: q.lto, Kernel: q.kernel, Result: res,
 		})
 		if merr != nil {
 			err = fmt.Errorf("experiments: encode cache entry: %w", merr)
@@ -91,7 +93,7 @@ func (r *Runner) LoadCache(path string) (int, error) {
 		if json.Unmarshal(v, &e) != nil || e.Result == nil {
 			return true
 		}
-		q := request{cfgName: e.Config, workload: e.Workload, lto: e.LTO}
+		q := request{cfgName: e.Config, workload: e.Workload, lto: e.LTO, kernel: e.Kernel}
 		// The payload must live at its own content address; a mismatch
 		// means the entry was corrupted or relocated.
 		want, err := cache.KeyOf(q.keySpec())

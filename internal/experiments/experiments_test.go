@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"carsgo"
+	"carsgo/internal/config"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -90,6 +91,33 @@ func TestRunnerMemoises(t *testing.T) {
 	}
 }
 
+// TestDefineConfigRefusesReusedName registers a second, different
+// config under the baseline's name (a timeline config keeps its
+// input's name): every request for that name must then fail with an
+// error naming it, even one already memoised, and nothing may run.
+func TestDefineConfigRefusesReusedName(t *testing.T) {
+	r := NewRunner(1)
+	base := r.baseName()
+	r.baseName() // the same config again is no clash
+	memo := request{cfgName: base, workload: "MST"}
+	r.results[memo] = &carsgo.Result{Config: base, Workload: "MST"}
+	if _, err := r.fetch(memo); err != nil {
+		t.Fatalf("re-registering an identical config: %v", err)
+	}
+
+	r.defineConfig(config.WithTimeline(config.V100(), 2048))
+	for _, q := range []request{memo, {cfgName: base, workload: "FIB"}} {
+		r.prefetch([]request{q})
+		_, err := r.fetch(q)
+		if err == nil || !strings.Contains(err.Error(), `"V100"`) {
+			t.Errorf("%s after a clash: err = %v, want one naming \"V100\"", q.label(), err)
+		}
+	}
+	if len(r.results) != 1 || len(r.errs) != 0 {
+		t.Errorf("a clashing config ran: %d results, %d errors", len(r.results), len(r.errs))
+	}
+}
+
 func TestChartRendering(t *testing.T) {
 	tb := &Table{
 		ID: "figY", Title: "speedups", Columns: []string{"Workload", "CARS"},
@@ -150,17 +178,24 @@ func TestCacheRoundTrip(t *testing.T) {
 	path := dir + "/cache.json"
 
 	r := NewRunner(1)
-	// Seed one synthetic result directly.
+	// Seed synthetic results directly: one whole-workload run and two
+	// kernels of one workload, which the cache key must keep apart.
 	r.results[request{cfgName: "V100", workload: "MST"}] = &carsgo.Result{
 		Config: "V100", Workload: "MST", Output: []uint32{1, 2, 3},
+	}
+	for i, k := range []string{"PTA_K1_kernel", "PTA_K2_kernel"} {
+		r.results[ptaKernel("V100", k)] = &carsgo.Result{Config: "V100", Workload: "PTA/" + k, Output: []uint32{uint32(i)}}
 	}
 	if err := r.SaveCache(path); err != nil {
 		t.Fatal(err)
 	}
 	r2 := NewRunner(1)
 	n, err := r2.LoadCache(path)
-	if err != nil || n != 1 {
+	if err != nil || n != 3 {
 		t.Fatalf("load: n=%d err=%v", n, err)
+	}
+	if res, err := r2.fetch(ptaKernel("V100", "PTA_K2_kernel")); err != nil || res.Output[0] != 1 {
+		t.Fatalf("cached kernel run: %+v, %v", res, err)
 	}
 	res, err := r2.result("V100", "MST", false)
 	if err != nil {

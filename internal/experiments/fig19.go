@@ -128,12 +128,12 @@ func (r *Runner) Fig19() (*Table, error) {
 			return nil, fmt.Errorf("%s: %w", n, err)
 		}
 		l.smem = l.smem && fit
-		reqs = append(reqs, request{base, n, false}, request{carsN, n, false})
+		reqs = append(reqs, request{base, n, false, ""}, request{carsN, n, false, ""})
 		if l.smem {
-			reqs = append(reqs, request{smemN, n, false})
+			reqs = append(reqs, request{smemN, n, false, ""})
 			if l.adv.window > 0 {
 				l.rfc = r.defineConfig(config.WithRFCache(config.V100(), l.adv.window))
-				reqs = append(reqs, request{l.rfc, n, false})
+				reqs = append(reqs, request{l.rfc, n, false, ""})
 			}
 		}
 		lat[n] = l

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"carsgo"
 	"carsgo/internal/config"
@@ -15,7 +17,7 @@ func (r *Runner) Table1() (*Table, error) {
 	base := r.baseName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false})
+		reqs = append(reqs, request{base, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -24,12 +26,16 @@ func (r *Runner) Table1() (*Table, error) {
 		Columns: []string{"Workload", "Suite", "Depth", "Depth(paper)",
 			"CPKI", "CPKI(paper)"},
 	}
+	depthMatches := 0
 	for _, n := range allNames() {
 		res, err := r.result(base, n, false)
 		if err != nil {
 			return nil, err
 		}
 		w, _ := carsgo.Workload(n)
+		if res.Stats.MaxCallDepth == w.PaperCallDepth {
+			depthMatches++
+		}
 		t.Rows = append(t.Rows, []string{
 			n, w.Suite,
 			fmt.Sprintf("%d", res.Stats.MaxCallDepth),
@@ -38,6 +44,11 @@ func (r *Runner) Table1() (*Table, error) {
 			fmt.Sprintf("%.2f", w.PaperCPKI),
 		})
 	}
+	depths := "identical per workload"
+	if depthMatches != len(allNames()) {
+		depths = fmt.Sprintf("%d of %d identical", depthMatches, len(allNames()))
+	}
+	t.addHeadline("Call depths (Table I)", "1-17", depths)
 	return t, nil
 }
 
@@ -58,7 +69,7 @@ func (r *Runner) Fig2() (*Table, error) {
 	base := r.baseName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false})
+		reqs = append(reqs, request{base, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -85,6 +96,7 @@ func (r *Runner) Fig2() (*Table, error) {
 	nw := float64(len(allNames()))
 	t.Rows = append(t.Rows, []string{"AVG",
 		fmtPct(sumSpill / nw), fmtPct(sumGlobal / nw), fmtPct(sumOther / nw)})
+	t.addHeadline("Baseline spill/fill share of L1D accesses", "40.4%", fmtPct(sumSpill/nw))
 	return t, nil
 }
 
@@ -96,10 +108,10 @@ func (r *Runner) Fig8() (*Table, error) {
 	var reqs []request
 	for _, n := range allNames() {
 		reqs = append(reqs,
-			request{base, n, false}, request{ideal, n, false},
-			request{tenMB, n, false}, request{cars, n, false})
+			request{base, n, false, ""}, request{ideal, n, false, ""},
+			request{tenMB, n, false, ""}, request{cars, n, false, ""})
 		for _, s := range []int{1, 2, 3, 4, 8, 16} {
-			reqs = append(reqs, request{r.swlName(s), n, false})
+			reqs = append(reqs, request{r.swlName(s), n, false, ""})
 		}
 	}
 	r.prefetch(reqs)
@@ -109,6 +121,7 @@ func (r *Runner) Fig8() (*Table, error) {
 		Columns: []string{"Workload", "IdealVW", "10MB-L1", "Best-SWL", "CARS"},
 	}
 	var gIdeal, gTen, gSWL, gCARS []float64
+	best, bestX := "", 0.0
 	for _, n := range allNames() {
 		b, err := r.result(base, n, false)
 		if err != nil {
@@ -137,10 +150,18 @@ func (r *Runner) Fig8() (*Table, error) {
 		gTen = append(gTen, tm.Speedup(b))
 		gSWL = append(gSWL, sw.Speedup(b))
 		gCARS = append(gCARS, cs.Speedup(b))
+		if x := cs.Speedup(b); x > bestX {
+			best, bestX = n, x
+		}
 	}
 	t.Rows = append(t.Rows, []string{"GEOMEAN",
 		fmtX(stats.Geomean(gIdeal)), fmtX(stats.Geomean(gTen)),
 		fmtX(stats.Geomean(gSWL)), fmtX(stats.Geomean(gCARS))})
+	t.addHeadline(fmt.Sprintf("CARS speedup, geomean over %d workloads", len(allNames())),
+		"1.26x", fmtX(stats.Geomean(gCARS))+"x")
+	t.addHeadline("Best workload", "MST (~1.9x)", fmt.Sprintf("%s (%sx)", best, fmtX(bestX)))
+	t.addHeadline("Best-SWL geomean", "~1.0 (floors at baseline)", fmtX(stats.Geomean(gSWL)))
+	t.addHeadline("Idealized Virtual Warps geomean", "~1.0", fmtX(stats.Geomean(gIdeal)))
 	return t, nil
 }
 
@@ -151,7 +172,7 @@ func (r *Runner) Fig9() (*Table, error) {
 	base, cars := r.baseName(), r.carsName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false}, request{cars, n, false})
+		reqs = append(reqs, request{base, n, false, ""}, request{cars, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -200,8 +221,8 @@ func (r *Runner) Fig10() (*Table, error) {
 	base, allhit, cars := r.baseName(), r.allHitName(), r.carsName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false},
-			request{allhit, n, false}, request{cars, n, false})
+		reqs = append(reqs, request{base, n, false, ""},
+			request{allhit, n, false, ""}, request{cars, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -237,7 +258,7 @@ func (r *Runner) Fig12() (*Table, error) {
 	base, cars := r.baseName(), r.carsName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false}, request{cars, n, false})
+		reqs = append(reqs, request{base, n, false, ""}, request{cars, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -269,6 +290,7 @@ func (r *Runner) Fig12() (*Table, error) {
 		avg += x
 	}
 	t.Rows = append(t.Rows, []string{"AVG", "", "", fmtPct(avg / float64(len(reds)))})
+	t.addHeadline("CARS MPKI reduction", "35%", fmtPct(avg/float64(len(reds))))
 	return t, nil
 }
 
@@ -278,7 +300,7 @@ func (r *Runner) Fig13() (*Table, error) {
 	base, cars := r.baseName(), r.carsName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false}, request{cars, n, false})
+		reqs = append(reqs, request{base, n, false, ""}, request{cars, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -314,10 +336,10 @@ func (r *Runner) Table2() (*Table, error) {
 	base, tenMB, allhit, carsN := r.baseName(), r.tenMBName(), r.allHitName(), r.carsName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false}, request{carsN, n, false},
-			request{tenMB, n, false}, request{allhit, n, false})
+		reqs = append(reqs, request{base, n, false, ""}, request{carsN, n, false, ""},
+			request{tenMB, n, false, ""}, request{allhit, n, false, ""})
 		for _, s := range []int{1, 2, 3, 4, 8, 16} {
-			reqs = append(reqs, request{r.swlName(s), n, false})
+			reqs = append(reqs, request{r.swlName(s), n, false, ""})
 		}
 	}
 	r.prefetch(reqs)
@@ -393,8 +415,8 @@ func (r *Runner) Fig15() (*Table, error) {
 	var reqs []request
 	for _, n := range allNames() {
 		reqs = append(reqs,
-			request{base, n, false}, request{ideal, n, false},
-			request{tenMB, n, false}, request{cars, n, false})
+			request{base, n, false, ""}, request{ideal, n, false, ""},
+			request{tenMB, n, false, ""}, request{cars, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -408,8 +430,14 @@ func (r *Runner) Fig15() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		iv, _ := r.result(ideal, n, false)
-		tm, _ := r.result(tenMB, n, false)
+		iv, err := r.result(ideal, n, false)
+		if err != nil {
+			return nil, err
+		}
+		tm, err := r.result(tenMB, n, false)
+		if err != nil {
+			return nil, err
+		}
 		sw, err := r.bestSWL(n)
 		if err != nil {
 			return nil, err
@@ -429,6 +457,8 @@ func (r *Runner) Fig15() (*Table, error) {
 	t.Rows = append(t.Rows, []string{"GEOMEAN",
 		fmtX(stats.Geomean(gI)), fmtX(stats.Geomean(gT)),
 		fmtX(stats.Geomean(gS)), fmtX(stats.Geomean(gC))})
+	t.addHeadline("CARS energy efficiency, geomean", "+28%",
+		fmt.Sprintf("%+.0f%%", 100*(stats.Geomean(gC)-1)))
 	return t, nil
 }
 
@@ -438,8 +468,8 @@ func (r *Runner) Fig16() (*Table, error) {
 	base, cars := r.baseName(), r.carsName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false},
-			request{base, n, true}, request{cars, n, false})
+		reqs = append(reqs, request{base, n, false, ""},
+			request{base, n, true, ""}, request{cars, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -466,26 +496,30 @@ func (r *Runner) Fig16() (*Table, error) {
 		gC = append(gC, c.Speedup(b))
 	}
 	t.Rows = append(t.Rows, []string{"GEOMEAN", fmtX(stats.Geomean(gL)), fmtX(stats.Geomean(gC))})
+	t.addHeadline("Fully-inlined (LTO) geomean", "1.28x (vs CARS 1.26x)",
+		fmt.Sprintf("%sx (vs CARS %sx)", fmtX(stats.Geomean(gL)), fmtX(stats.Geomean(gC))))
 	return t, nil
 }
 
 // Fig17 regenerates Fig. 17: L1D port bandwidth scaled 2x/4x/8x, for
-// both the baseline and CARS, normalised to the 1x baseline.
+// both the baseline and CARS, normalised to the 1x baseline. The 1x
+// column is the plain baseline and CARS configurations.
 func (r *Runner) Fig17() (*Table, error) {
-	type pair struct{ base, cars string }
-	scales := map[int]pair{}
-	for _, f := range []int{1, 2, 4, 8} {
+	factors := []int{1, 2, 4, 8}
+	baseNames := map[int]string{1: r.baseName()}
+	carsNames := map[int]string{1: r.carsName()}
+	for _, f := range factors[1:] {
 		cb := config.ScaleL1Ports(config.V100(), f)
 		cb.Name = fmt.Sprintf("V100-L1x%d", f)
 		cc := config.ScaleL1Ports(config.WithCARS(config.V100()), f)
 		cc.Name = fmt.Sprintf("V100+CARS-L1x%d", f)
-		scales[f] = pair{r.defineConfig(cb), r.defineConfig(cc)}
+		baseNames[f], carsNames[f] = r.defineConfig(cb), r.defineConfig(cc)
 	}
 	var reqs []request
 	for _, n := range allNames() {
-		for _, f := range []int{1, 2, 4, 8} {
-			reqs = append(reqs, request{scales[f].base, n, false},
-				request{scales[f].cars, n, false})
+		for _, f := range factors {
+			reqs = append(reqs, request{baseNames[f], n, false, ""},
+				request{carsNames[f], n, false, ""})
 		}
 	}
 	r.prefetch(reqs)
@@ -494,12 +528,13 @@ func (r *Runner) Fig17() (*Table, error) {
 		Title:   "L1 bandwidth scaling: geomean speedup over 1x baseline",
 		Columns: []string{"Config", "1x", "2x", "4x", "8x"},
 	}
-	row := func(label string, names map[int]string) ([]string, error) {
-		cells := []string{label}
-		for _, f := range []int{1, 2, 4, 8} {
+	// row returns the geomean speedup at each port factor.
+	row := func(names map[int]string) ([]float64, error) {
+		var g []float64
+		for _, f := range factors {
 			var sp []float64
 			for _, n := range allNames() {
-				b, err := r.result(scales[1].base, n, false)
+				b, err := r.result(baseNames[1], n, false)
 				if err != nil {
 					return nil, err
 				}
@@ -509,25 +544,38 @@ func (r *Runner) Fig17() (*Table, error) {
 				}
 				sp = append(sp, c.Speedup(b))
 			}
-			cells = append(cells, fmtX(stats.Geomean(sp)))
+			g = append(g, stats.Geomean(sp))
 		}
-		return cells, nil
+		return g, nil
 	}
-	baseNames, carsNames := map[int]string{}, map[int]string{}
-	for f, p := range scales {
-		baseNames[f], carsNames[f] = p.base, p.cars
+	// span renders the 2x-8x range of a row.
+	span := func(g []float64) string {
+		lo, hi := fmtX(slices.Min(g[1:])), fmtX(slices.Max(g[1:]))
+		if lo == hi {
+			return lo + "x"
+		}
+		return lo + "-" + hi + "x"
 	}
-	br, err := row("Baseline", baseNames)
-	if err != nil {
-		return nil, err
+	var spans []string
+	for _, c := range []struct {
+		label string
+		names map[int]string
+	}{{"Baseline", baseNames}, {"CARS", carsNames}} {
+		g, err := row(c.names)
+		if err != nil {
+			return nil, err
+		}
+		cells := []string{c.label}
+		for _, x := range g {
+			cells = append(cells, fmtX(x))
+		}
+		t.Rows = append(t.Rows, cells)
+		spans = append(spans, span(g))
 	}
-	cr, err := row("CARS", carsNames)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, br, cr)
 	t.Notes = append(t.Notes,
 		"paper: baseline gains only 1.02-1.03x from 2-8x ports; CARS holds 1.28-1.29x")
+	t.addHeadline("L1 ports 2-8x: baseline / CARS", "1.02-1.03x / 1.28-1.29x",
+		strings.Join(spans, " / "))
 	return t, nil
 }
 
@@ -537,7 +585,7 @@ func (r *Runner) Fig18() (*Table, error) {
 	cars3070 := r.defineConfig(config.WithCARS(config.RTX3070()))
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{base3070, n, false}, request{cars3070, n, false})
+		reqs = append(reqs, request{base3070, n, false, ""}, request{cars3070, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{

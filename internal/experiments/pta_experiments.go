@@ -3,24 +3,21 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"carsgo"
 	"carsgo/internal/abi"
 	"carsgo/internal/cars"
 	"carsgo/internal/config"
-	"carsgo/internal/serve/jobq"
 	"carsgo/internal/sim"
 	"carsgo/internal/stats"
 	"carsgo/internal/workloads"
 )
 
-// runPTAKernel runs one PTA kernel in isolation under a configuration,
-// optionally pinning the CARS allocation mechanism.
-func runPTAKernel(ctx context.Context, cfg sim.Config, kernel string) (*carsgo.Result, error) {
-	w, err := workloads.ByName("PTA")
-	if err != nil {
-		return nil, err
-	}
+// runKernel runs one kernel of a workload in isolation under a
+// configuration: every launch of that kernel, in the workload's launch
+// order, and no other.
+func runKernel(ctx context.Context, cfg sim.Config, w *workloads.Workload, kernel string) (*carsgo.Result, error) {
 	mode := abi.Baseline
 	if cfg.CARSEnabled {
 		mode = abi.CARS
@@ -37,7 +34,7 @@ func runPTAKernel(ctx context.Context, cfg sim.Config, kernel string) (*carsgo.R
 	if err != nil {
 		return nil, err
 	}
-	res := &carsgo.Result{Config: cfg.Name, Workload: "PTA/" + kernel}
+	res := &carsgo.Result{Config: cfg.Name, Workload: w.Name + "/" + kernel}
 	for _, l := range launches {
 		if l.Kernel != kernel {
 			continue
@@ -50,9 +47,14 @@ func runPTAKernel(ctx context.Context, cfg sim.Config, kernel string) (*carsgo.R
 		res.Stats.Merge(st)
 	}
 	if len(res.PerLaunch) == 0 {
-		return nil, fmt.Errorf("experiments: PTA kernel %q not found", kernel)
+		return nil, fmt.Errorf("experiments: %s kernel %q not found", w.Name, kernel)
 	}
 	return res, nil
+}
+
+// ptaKernel is the request for one PTA kernel under a configuration.
+func ptaKernel(cfgName, kernel string) request {
+	return request{cfgName: cfgName, workload: "PTA", kernel: kernel}
 }
 
 // Fig14 regenerates Fig. 14: per-kernel PTA speedup under each
@@ -70,72 +72,47 @@ func (r *Runner) Fig14() (*Table, error) {
 		{"High", cars.ForcedPolicy(cars.Level{Kind: cars.KindHigh})},
 		{"Adaptive", cars.AdaptivePolicy()},
 	}
+	base := r.baseName()
+	cfgNames := make([]string, len(policies))
+	cols := []string{"Kernel"}
+	for i, p := range policies {
+		cfg := config.WithCARSPolicy(config.V100(), p.policy)
+		cfg.Name = "V100+CARS-" + p.label
+		cfgNames[i] = r.defineConfig(cfg)
+		cols = append(cols, p.label)
+	}
+	var reqs []request
+	for _, k := range kernels {
+		reqs = append(reqs, ptaKernel(base, k))
+		for _, c := range cfgNames {
+			reqs = append(reqs, ptaKernel(c, k))
+		}
+	}
+	r.prefetch(reqs)
 	t := &Table{
-		ID:    "fig14",
-		Title: "PTA per-kernel speedup by allocation mechanism (vs baseline)",
-		Columns: append([]string{"Kernel"}, func() []string {
-			var c []string
-			for _, p := range policies {
-				c = append(c, p.label)
-			}
-			return append(c, "CtxSw(High)")
-		}()...),
+		ID:      "fig14",
+		Title:   "PTA per-kernel speedup by allocation mechanism (vs baseline)",
+		Columns: append(cols, "CtxSw(High)"),
 	}
-
-	type cell struct {
-		speedup float64
-		ctx     uint64
-	}
-	// One pool job per kernel: the fan-out is bounded by the runner's
-	// shared worker pool rather than a goroutine per kernel.
-	ctx := r.context()
-	results := make([][]cell, len(kernels))
-	errs := make([]error, len(kernels))
-	tasks := make([]*jobq.Task, len(kernels))
-	for ki, kernel := range kernels {
-		ki, kernel := ki, kernel
-		t, err := r.pool.SubmitWait(ctx, func(ctx context.Context) (any, error) {
-			base, err := runPTAKernel(ctx, config.V100(), kernel)
-			if err != nil {
-				errs[ki] = err
-				return nil, nil
-			}
-			row := make([]cell, len(policies))
-			for pi, p := range policies {
-				cfg := config.WithCARSPolicy(config.V100(), p.policy)
-				cfg.Name = "V100+CARS-" + p.label
-				res, err := runPTAKernel(ctx, cfg, kernel)
-				if err != nil {
-					errs[ki] = err
-					return nil, nil
-				}
-				row[pi] = cell{speedup: res.Speedup(base), ctx: res.Stats.ContextSwitches}
-			}
-			results[ki] = row
-			return nil, nil
-		})
+	for _, k := range kernels {
+		b, err := r.fetch(ptaKernel(base, k))
 		if err != nil {
-			errs[ki] = err
-			continue
+			return nil, err
 		}
-		tasks[ki] = t
-	}
-	for _, t := range tasks {
-		if t != nil {
-			t.Wait(context.Background())
-		}
-	}
-	for ki, kernel := range kernels {
-		if errs[ki] != nil {
-			return nil, errs[ki]
-		}
-		row := []string{kernel}
-		for _, c := range results[ki] {
-			row = append(row, fmtX(c.speedup))
+		row := []string{k}
+		var ctxSw uint64
+		for i, c := range cfgNames {
+			res, err := r.fetch(ptaKernel(c, k))
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, fmtX(res.Speedup(b)))
+			if policies[i].label == "High" {
+				ctxSw = res.Stats.ContextSwitches
+			}
 		}
 		// Context switches observed under forced High.
-		row = append(row, fmt.Sprintf("%d", results[ki][3].ctx))
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append(row, fmt.Sprintf("%d", ctxSw)))
 	}
 	t.Notes = append(t.Notes,
 		"paper: over half of PTA's kernels gain nothing (no calls); only K1 favours High despite context switches; K3-style kernels avoid High")
@@ -151,7 +128,7 @@ func (r *Runner) Table3() (*Table, error) {
 	carsN := r.carsName()
 	var reqs []request
 	for _, n := range allNames() {
-		reqs = append(reqs, request{carsN, n, false})
+		reqs = append(reqs, request{carsN, n, false, ""})
 	}
 	r.prefetch(reqs)
 	t := &Table{
@@ -160,6 +137,7 @@ func (r *Runner) Table3() (*Table, error) {
 		Columns: []string{"Workload", "Calls trapping",
 			"Bytes spilled/filled per call"},
 	}
+	var trapping []string
 	for _, n := range allNames() {
 		res, err := r.result(carsN, n, false)
 		if err != nil {
@@ -178,10 +156,13 @@ func (r *Runner) Table3() (*Table, error) {
 		bytesPerCall := float64(slots*4) / float64(maxU64(st.Calls, 1))
 		t.Rows = append(t.Rows, []string{n, fmtPct(frac),
 			fmt.Sprintf("%.2f", bytesPerCall)})
+		trapping = append(trapping, n)
 	}
 	if len(t.Rows) == 0 {
 		t.Rows = append(t.Rows, []string{"(none)", "-", "-"})
+		trapping = append(trapping, "none")
 	}
+	t.addHeadline("Workloads still trapping under CARS", "PTA only", strings.Join(trapping, ", "))
 	t.Notes = append(t.Notes,
 		"measured on each app's final launch (converged allocation); FIB traps by design — its dynamic depth exceeds the one-iteration static bound (§VI-C)")
 	return t, nil
@@ -207,11 +188,19 @@ func steadyState(res *carsgo.Result) *stats.Kernel {
 func (r *Runner) Fig11() (*Table, error) {
 	const kernel = "PTA_K7_kernel"
 	const window = 2048
-	base, err := runPTAKernel(r.context(), config.WithTimeline(config.V100(), window), kernel)
+	timeline := func(c sim.Config) string {
+		c = config.WithTimeline(c, window)
+		c.Name += "-Timeline"
+		return r.defineConfig(c)
+	}
+	baseQ := ptaKernel(timeline(config.V100()), kernel)
+	carsQ := ptaKernel(timeline(config.WithCARS(config.V100())), kernel)
+	r.prefetch([]request{baseQ, carsQ})
+	base, err := r.fetch(baseQ)
 	if err != nil {
 		return nil, err
 	}
-	crs, err := runPTAKernel(r.context(), config.WithTimeline(config.WithCARS(config.V100()), window), kernel)
+	crs, err := r.fetch(carsQ)
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +244,7 @@ func (r *Runner) Fig11() (*Table, error) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"average global bandwidth: baseline %.3f, CARS %.3f sectors/cycle (%+.1f%%; paper +98%%)",
 		bAvg, cAvg, 100*uplift))
+	t.addHeadline("PTA kernel global-bandwidth uplift", "+98%", fmt.Sprintf("%+.1f%%", 100*uplift))
 	return t, nil
 }
 

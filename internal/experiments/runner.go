@@ -31,6 +31,19 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+
+	// headline holds the rows this exhibit contributes to
+	// EXPERIMENTS.md's headline table (see joinHeadlines).
+	headline []headlineRow
+}
+
+// headlineRow is one quantity of the headline table: the paper's value
+// next to the one this exhibit measured.
+type headlineRow struct{ quantity, paper, measured string }
+
+// addHeadline appends one headline row to the table.
+func (t *Table) addHeadline(quantity, paper, measured string) {
+	t.headline = append(t.headline, headlineRow{quantity, paper, measured})
 }
 
 // Render prints the table in aligned plain text.
@@ -82,11 +95,22 @@ func (t *Table) Markdown(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// request identifies one simulation run.
+// request identifies one simulation run. A request with a kernel runs
+// only that kernel's launches of the workload (PTA's per-kernel
+// studies, Figs. 11 and 14).
 type request struct {
 	cfgName  string
 	workload string
 	lto      bool
+	kernel   string
+}
+
+// label names the request's workload, or workload/kernel.
+func (q request) label() string {
+	if q.kernel != "" {
+		return q.workload + "/" + q.kernel
+	}
+	return q.workload
 }
 
 // Runner executes and memoises simulation runs for the experiments.
@@ -107,6 +131,10 @@ type Runner struct {
 	results map[request]*carsgo.Result
 	errs    map[request]error
 	configs map[string]sim.Config
+	// clashes holds, per config name, the error of registering a
+	// second, different config under that name; every request for
+	// the name then fails with it.
+	clashes map[string]error
 }
 
 // NewRunner builds a Runner with the given parallelism.
@@ -120,6 +148,7 @@ func NewRunner(workers int) *Runner {
 		results: map[request]*carsgo.Result{},
 		errs:    map[request]error{},
 		configs: map[string]sim.Config{},
+		clashes: map[string]error{},
 	}
 }
 
@@ -131,12 +160,17 @@ func (r *Runner) context() context.Context {
 	return context.Background()
 }
 
-// defineConfig registers a named configuration lazily.
+// defineConfig registers a named configuration lazily. Registering a
+// different configuration under a name already taken makes every
+// request for that name fail, since the memo could not tell the two
+// apart.
 func (r *Runner) defineConfig(c sim.Config) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.configs[c.Name]; !ok {
+	if old, ok := r.configs[c.Name]; !ok {
 		r.configs[c.Name] = c
+	} else if old != c && r.clashes[c.Name] == nil {
+		r.clashes[c.Name] = fmt.Errorf("experiments: two different configs are named %q", c.Name)
 	}
 	return c.Name
 }
@@ -153,7 +187,7 @@ func (r *Runner) prefetch(reqs []request) {
 	r.mu.Lock()
 	seen := map[request]bool{}
 	for _, q := range reqs {
-		if _, ok := r.results[q]; ok || r.errs[q] != nil || seen[q] {
+		if _, ok := r.results[q]; ok || r.errs[q] != nil || r.clashes[q.cfgName] != nil || seen[q] {
 			continue
 		}
 		seen[q] = true
@@ -203,17 +237,28 @@ func (r *Runner) execute(ctx context.Context, q request) (*carsgo.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	r.logf("run %-10s %-12s lto=%v", q.cfgName, q.workload, q.lto)
-	if q.lto {
+	r.logf("run %-10s %-12s lto=%v", q.cfgName, q.label(), q.lto)
+	switch {
+	case q.kernel != "":
+		return runKernel(ctx, cfg, w, q.kernel)
+	case q.lto:
 		return carsgo.RunLTOContext(ctx, cfg, w)
 	}
 	return carsgo.RunContext(ctx, cfg, w)
 }
 
-// result fetches (running if needed) one run.
+// result fetches (running if needed) one whole-workload run.
 func (r *Runner) result(cfgName, workload string, lto bool) (*carsgo.Result, error) {
-	q := request{cfgName, workload, lto}
+	return r.fetch(request{cfgName: cfgName, workload: workload, lto: lto})
+}
+
+// fetch returns one request's result, running it if needed.
+func (r *Runner) fetch(q request) (*carsgo.Result, error) {
 	r.mu.Lock()
+	if err := r.clashes[q.cfgName]; err != nil {
+		r.mu.Unlock()
+		return nil, err
+	}
 	if res, ok := r.results[q]; ok {
 		r.mu.Unlock()
 		return res, nil
@@ -253,14 +298,14 @@ func (r *Runner) swlName(n int) string {
 // The unlimited baseline is an implicit candidate: a limiter that only
 // hurts is simply not applied.
 func (r *Runner) bestSWL(workload string) (*carsgo.Result, error) {
-	reqs := []request{{r.baseName(), workload, false}}
+	reqs := []request{{r.baseName(), workload, false, ""}}
 	for _, n := range config.BestSWLCounts {
-		reqs = append(reqs, request{r.swlName(n), workload, false})
+		reqs = append(reqs, request{r.swlName(n), workload, false, ""})
 	}
 	r.prefetch(reqs)
 	var best *carsgo.Result
 	for _, q := range reqs {
-		res, err := r.result(q.cfgName, q.workload, false)
+		res, err := r.fetch(q)
 		if err != nil {
 			return nil, err
 		}

@@ -11,18 +11,16 @@ import (
 )
 
 // ReportSchemaVersion versions the LOAD_<date>.json layout; bump on
-// any field rename or semantic change so trajectory tooling can
-// dispatch (cmd/benchjson -compare uses Kind+SchemaVersion to pick the
-// load-diff path).
+// any field rename or semantic change (ReadReport, and so
+// cmd/benchjson -compare, refuses other versions).
 const ReportSchemaVersion = 1
 
-// ReportKind marks a snapshot file as a serving-layer load report
-// (BENCH_*.json files have no kind field — the probe that tells the
-// two archives apart).
+// ReportKind marks a file as a serving-layer load report; ReadReport
+// refuses JSON of any other kind.
 const ReportKind = "load"
 
-// Report is the LOAD_<date>.json document: the serving-layer
-// counterpart of BENCH_<date>.json. One run of cmd/carsbench archives
+// Report is the LOAD_<date>.json document: the serving layer's perf
+// trajectory. One run of cmd/carsbench archives
 // the offered load's exact identity (seed + model — replayable byte
 // for byte), the per-stage client-side measurements, and the daemon's
 // own counter deltas over the run, so the perf trajectory covers the
@@ -170,8 +168,7 @@ func ServerDeltaOf(before, after metrics.Snapshot) ServerDelta {
 	return d
 }
 
-// WriteFile archives the report (two-space indent, trailing newline —
-// the BENCH_*.json house style).
+// WriteFile archives the report (two-space indent, trailing newline).
 func (r *Report) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

@@ -217,10 +217,10 @@ func (r *residEval) at(windowWords int) (spillBytes, txns CostBound) {
 	return sb.bound(), tx.bound()
 }
 
-// attachResiduals stashes a per-kernel residual evaluator on each
-// KernelReport (the unexported resid field) and fills the kernel-level
-// SharedTxns bound. Report calls it once the sync pass has populated
-// the txn accumulators.
+// attachResiduals stashes each kernel's call-graph analysis and a
+// residual evaluator on its KernelReport (the unexported graph and
+// resid fields) and fills the kernel-level SharedTxns bound. Report
+// calls it once the sync pass has populated the txn accumulators.
 func attachResiduals(rep *ProgramReport, sums []*funcSummary, graphs map[string]*callgraph.Analysis) {
 	for i := range rep.Kernels {
 		kr := &rep.Kernels[i]
@@ -228,6 +228,7 @@ func attachResiduals(rep *ProgramReport, sums []*funcSummary, graphs map[string]
 		if an == nil {
 			continue
 		}
+		kr.graph = an
 		kr.resid = &residEval{sums: sums, root: an.Root, depths: spillDepths(an)}
 		if kr.Perf != nil {
 			_, kr.Perf.Cost.SharedTxns = kr.resid.at(-1)

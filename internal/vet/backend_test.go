@@ -1,13 +1,20 @@
 package vet_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"carsgo/internal/abi"
 	"carsgo/internal/callgraph"
 	"carsgo/internal/cars"
+	"carsgo/internal/isa"
 	"carsgo/internal/kir"
+	"carsgo/internal/san"
+	"carsgo/internal/sim"
 	"carsgo/internal/vet"
+	"carsgo/internal/workloads"
 )
 
 // chainModule builds k -> f0 -> f1 -> ... with the given callee-saved
@@ -362,6 +369,55 @@ func TestBackendLatticeColumns(t *testing.T) {
 	for _, bl := range carsCol.Levels {
 		if bl.SpillSmemBytes.Value != 0 || bl.SpillSmemBytes.Unbounded {
 			t.Fatalf("CARS level %s claims smem spill traffic %s", bl.Level, bl.SpillSmemBytes.Sym)
+		}
+	}
+}
+
+// TestAnalyzePerfReusesReportGraphs checks AnalyzePerf against its
+// fallback: a report paired with its own program reuses the call
+// graphs Report stashed, a report paired with an identical copy of the
+// program analyses afresh, and both must come out identical — as
+// values and as JSON.
+func TestAnalyzePerfReusesReportGraphs(t *testing.T) {
+	for _, name := range []string{"MST", "PTA", "FIB"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []abi.Mode{abi.Baseline, abi.CARS} {
+			link := func() *isa.Program {
+				prog, err := abi.Link(mode, w.Modules()...)
+				if err != nil {
+					t.Fatalf("%s [%s]: %v", name, mode, err)
+				}
+				return prog
+			}
+			own, other := link(), link()
+			cfg := san.ConfigFor(mode)
+			g, err := sim.New(cfg, own)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launches, err := w.Setup(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perf := func(rep *vet.ProgramReport, prog *isa.Program) *vet.ProgramReport {
+				if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), san.Shapes(launches)); err != nil {
+					t.Fatalf("%s [%s]: %v", name, mode, err)
+				}
+				return rep
+			}
+			reused := perf(vet.Report(own), own)
+			fresh := perf(vet.Report(other), own)
+			if !reflect.DeepEqual(reused, perf(vet.Report(other), other)) {
+				t.Errorf("%s [%s]: reports of identical programs differ", name, mode)
+			}
+			a, _ := json.Marshal(reused)
+			b, _ := json.Marshal(fresh)
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s [%s]: AnalyzePerf with the stashed call graphs differs from a fresh analysis", name, mode)
+			}
 		}
 	}
 }

@@ -48,6 +48,9 @@ type funcVet struct {
 	window  int // registers the abstract interpreters track (regWindow)
 	diags   []Diagnostic
 	summary funcSummary
+	// ranges is the range analysis's store, shared with the other
+	// functions vetted alongside this one; nil allocates a fresh one.
+	ranges *rangeScratch
 }
 
 func (v *funcVet) diag(sev Severity, idx int, check Check, format string, args ...any) {

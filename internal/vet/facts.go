@@ -101,6 +101,7 @@ func (ff *FuncFacts) Fact(name string, index int, detail string) Fact {
 // individually but the optimizer refuses to proceed on one.
 func ModuleFacts(m *kir.Module) map[string]*FuncFacts {
 	out := map[string]*FuncFacts{}
+	ranges := &rangeScratch{}
 	for _, f := range m.Funcs {
 		v := &funcVet{
 			name:        f.Name,
@@ -108,6 +109,7 @@ func ModuleFacts(m *kir.Module) map[string]*FuncFacts {
 			isKernel:    f.IsKernel,
 			calleeSaved: f.CalleeSaved,
 			preABI:      f,
+			ranges:      ranges,
 		}
 		v.run()
 		ff := &FuncFacts{Func: f.Name}

@@ -140,6 +140,15 @@ func (v *funcVet) analyzeLiveness() {
 		}
 	}
 
+	n := 0
+	for r := range first {
+		if first[r] >= 0 {
+			n++
+		}
+	}
+	if n > 0 {
+		v.summary.ranges = make([]LiveRange, 0, n)
+	}
 	for r := 0; r < isa.MaxArchRegs; r++ {
 		if first[r] >= 0 {
 			v.summary.ranges = append(v.summary.ranges, LiveRange{Reg: r, Start: first[r], End: last[r]})

@@ -102,9 +102,15 @@ func AnalyzePerf(rep *ProgramReport, p *isa.Program, m MachineParams, shapes []L
 		if kr.Perf == nil {
 			kr.Perf = &KernelPerf{}
 		}
-		an, err := callgraph.Analyze(p, shape.Kernel)
-		if err != nil {
-			return err
+		// Report analysed every kernel of p already; only a hand-built
+		// report, or one paired with another program, needs a fresh
+		// analysis.
+		an := kr.graph
+		if an == nil || an.Program != p {
+			var err error
+			if an, err = callgraph.Analyze(p, shape.Kernel); err != nil {
+				return err
+			}
 		}
 		s := shapeOf(p, shape)
 		kr.Perf.Occupancy = kr.Perf.Occupancy[:0]

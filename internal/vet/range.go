@@ -327,7 +327,8 @@ type funcRanges struct {
 }
 
 // rangeAnalysis runs the interval fixpoint for one function. Every
-// state it holds is carved from one arena when run starts.
+// state it holds is carved from the funcVet's rangeScratch when run
+// starts.
 type rangeAnalysis struct {
 	v         *funcVet
 	li        *loopInfo
@@ -366,16 +367,43 @@ func (v *funcVet) analyzeRanges(li *loopInfo) {
 	}
 }
 
-// carve allocates the analysis's states in one arena each for the
-// intervals and the funcrefs: nb per-block in-states, one entry state
-// per loop header, and the scratch states. All start as the zero state.
+// rangeScratch is the backing store the range analysis carves its
+// states from. One is shared by every function of a Report (or a
+// module set) and grows to the widest function among them; each
+// function's analysis overwrites the previous one's states.
+type rangeScratch struct {
+	regs   []ival
+	refs   []int16
+	states []rstate
+}
+
+// zeroed returns s resized to n zero elements, reallocating only when
+// its capacity falls short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// carve lays out the analysis's states in the scratch store: nb
+// per-block in-states, one entry state per loop header, and the
+// scratch states. All start as the zero state.
 func (ra *rangeAnalysis) carve(nb int) {
+	sc := ra.v.ranges
+	if sc == nil {
+		sc = &rangeScratch{}
+	}
 	n := ra.v.window
 	count := nb + len(ra.li.headers) + 4
-	regs := make([]ival, count*n)
+	sc.regs = zeroed(sc.regs, count*n)
+	regs := sc.regs
 	var refs []int16
 	if ra.v.preABI != nil && len(ra.v.preABI.FuncRefs) > 0 {
-		refs = make([]int16, count*n)
+		sc.refs = zeroed(sc.refs, count*n)
+		refs = sc.refs
 	}
 	next := func() rstate {
 		st := rstate{regs: regs[:n:n]}
@@ -386,11 +414,11 @@ func (ra *rangeAnalysis) carve(nb int) {
 		}
 		return st
 	}
-	ra.in = make([]rstate, nb)
+	sc.states = zeroed(sc.states, 2*nb)
+	ra.in, ra.entry = sc.states[:nb:nb], sc.states[nb:]
 	for bi := range ra.in {
 		ra.in[bi] = next()
 	}
-	ra.entry = make([]rstate, nb)
 	for h := range ra.li.headers {
 		ra.entry[h] = next()
 	}

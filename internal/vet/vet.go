@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 
+	"carsgo/internal/callgraph"
 	"carsgo/internal/isa"
 	"carsgo/internal/kir"
 )
@@ -270,6 +271,9 @@ type KernelReport struct {
 	// reports. Deliberately a data struct, not a closure: reports
 	// built from identical programs stay reflect.DeepEqual.
 	resid *residEval
+	// graph is the kernel's call-graph analysis, stashed by Report so
+	// AnalyzePerf need not rerun it; nil on hand-built reports.
+	graph *callgraph.Analysis
 }
 
 // RacePair is one may-race between two shared-memory access sites
@@ -377,6 +381,7 @@ func Report(p *isa.Program) *ProgramReport {
 	var diags []Diagnostic
 	vets := make([]*funcVet, len(p.Funcs))
 	sums := make([]*funcSummary, len(p.Funcs))
+	ranges := &rangeScratch{}
 	for fi, f := range p.Funcs {
 		v := &funcVet{
 			name:        f.Name,
@@ -388,6 +393,7 @@ func Report(p *isa.Program) *ProgramReport {
 			mode:        mode,
 			linked:      true,
 			indirect:    f.IndirectTargets,
+			ranges:      ranges,
 		}
 		v.run()
 		diags = append(diags, v.diags...)
@@ -493,6 +499,7 @@ func Modules(mods ...*kir.Module) []Diagnostic {
 	var diags []Diagnostic
 	var vets []*funcVet
 	var sums []*funcSummary
+	ranges := &rangeScratch{}
 	for _, m := range mods {
 		for _, f := range m.Funcs {
 			v := &funcVet{
@@ -501,6 +508,7 @@ func Modules(mods ...*kir.Module) []Diagnostic {
 				isKernel:    f.IsKernel,
 				calleeSaved: f.CalleeSaved,
 				preABI:      f,
+				ranges:      ranges,
 			}
 			v.run()
 			diags = append(diags, v.diags...)
