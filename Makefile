@@ -28,13 +28,14 @@ vet:
 	! $(GO) run ./cmd/carsvet -race examples/vetdemo/racy.carsasm
 	$(GO) run ./cmd/carsvet internal/spec/testdata/workloads
 
-# Repo-custom analyzers (internal/lint): the five legacy syntax
-# checks over the simulator hot paths plus the carsguard suite —
-# whole-module concurrency/resource-safety analysis of the serving
-# layer (ctxflow, goleak, lockheld, atomicmix, metriclabels; DESIGN.md
-# §13). The selftest holds every guard analyzer to its
-# planted-violation fixture first: like the racy vet demo, the plants
-# must keep FAILING, or the analyzers have lost their teeth.
+# Repo-custom analyzers (internal/lint): ten analyzers over one
+# type-checked load of the module — five checks on the simulator,
+# linker and fuzzer packages they defend, and the carsguard suite's
+# concurrency/resource-safety analysis of the serving layer (ctxflow,
+# goleak, lockheld, atomicmix, metriclabels; DESIGN.md §13). The
+# selftest holds every analyzer to its planted-violation fixture
+# first: like the racy vet demo, the plants must keep FAILING, or the
+# analyzers have lost their teeth.
 lint:
 	$(GO) run ./cmd/carslint -selftest
 	$(GO) run ./cmd/carslint

@@ -1,40 +1,37 @@
 // Command carslint runs the repo's custom analyzers (internal/lint)
-// over the simulator's Go sources: the five legacy syntax-level
-// analyzers, each defending its default packages, plus the carsguard
-// suite — five type-aware, whole-module concurrency and
-// resource-safety analyzers sharing one set of call-graph facts
-// (ctxflow, goleak, lockheld, atomicmix, metriclabels; DESIGN.md §13).
-//
-// Legacy analyzer defaults:
+// over its Go sources. All ten run over one type-checked load of the
+// module and share one set of call-graph facts; each reports only
+// inside the packages it defends (lint.Analyzer.Pkgs):
 //
 //   - nonakedpanic: internal/sim and internal/cars, where a stray
 //     panic would take down a whole multi-launch run instead of
 //     surfacing as a *sim.ExecError;
 //   - uncheckedsimerror: the packages that launch programs or link
 //     modules (internal/san, internal/workloads, internal/experiments,
-//     cmd/carsvet, cmd/carsim), where a discarded GPU.Run or abi.Link
-//     error hides faults;
+//     cmd/carsvet, cmd/carsim), where a discarded GPU.Run, carsgo.Run
+//     or abi.Link error hides faults;
 //   - unusedmonitorhook: internal/san and internal/sim, where an
 //     empty-bodied sim.Monitor hook silently swallows part of the
 //     event stream the sanitizer's invariants depend on;
 //   - seededrand: the packages whose reproducibility contract the
-//     fuzzer depends on (internal/spec, internal/workloads,
-//     internal/sim, internal/experiments, cmd/carsfuzz), where a
-//     math/rand global-source draw or a time-derived seed would make
-//     a printed seed unable to replay its run;
+//     fuzzer and the load generator depend on (internal/spec,
+//     internal/workloads, internal/sim, internal/experiments,
+//     internal/load, cmd/carsfuzz, cmd/carsbench), where a math/rand
+//     global-source draw or a time-derived seed would make a printed
+//     seed unable to replay its run;
 //   - backendexhaustive: the packages that branch on the spill-backend
 //     enum (internal/cars, internal/sim, internal/vet, internal/san,
 //     internal/config, internal/experiments), where a switch missing a
-//     backend case silently falls through when the lattice grows.
+//     backend case silently falls through when the lattice grows;
+//   - the carsguard suite — ctxflow, goleak, lockheld, atomicmix,
+//     metriclabels (DESIGN.md §13) — over the whole module, since its
+//     reachability and lock-order facts are global.
 //
-// The guard suite always analyzes the whole module (reachability and
-// lock-order facts are global); pass directories to filter which
-// findings are reported (and to point the legacy analyzers at those
-// directories instead of their defaults).
+// Pass directories to report only the findings under them.
 //
 // Modes:
 //
-//	-selftest  run every guard analyzer against its planted-violation
+//	-selftest  run every analyzer against its planted-violation
 //	           fixture (internal/lint/testdata/src) and require all
 //	           plants to fire with zero false positives on the clean
 //	           twins — proof the analyzers still have teeth;
@@ -50,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"carsgo/internal/lint"
@@ -57,28 +55,6 @@ import (
 
 // reportSchemaVersion identifies the -json envelope layout.
 const reportSchemaVersion = 1
-
-// checks pairs each legacy analyzer with the directories it defends.
-var checks = []struct {
-	analyzer *lint.Analyzer
-	dirs     []string
-}{
-	{lint.NoNakedPanic, []string{"internal/sim", "internal/cars"}},
-	{lint.UncheckedSimError, []string{
-		"internal/san", "internal/workloads", "internal/experiments",
-		"cmd/carsvet", "cmd/carsim",
-	}},
-	{lint.UnusedMonitorHook, []string{"internal/san", "internal/sim"}},
-	{lint.SeededRand, []string{
-		"internal/spec", "internal/workloads", "internal/sim",
-		"internal/experiments", "internal/load",
-		"cmd/carsfuzz", "cmd/carsbench",
-	}},
-	{lint.BackendExhaustive, []string{
-		"internal/cars", "internal/sim", "internal/vet",
-		"internal/san", "internal/config", "internal/experiments",
-	}},
-}
 
 // finding is one diagnostic in the -json report.
 type finding struct {
@@ -99,7 +75,7 @@ type report struct {
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit a schemaVersioned JSON report instead of plain lines")
-	selftest := flag.Bool("selftest", false, "run the guard analyzers against their planted-violation fixtures")
+	selftest := flag.Bool("selftest", false, "run every analyzer against its planted-violation fixture")
 	table := flag.Bool("table", false, "print a per-analyzer findings summary table")
 	flag.Parse()
 
@@ -107,51 +83,35 @@ func main() {
 		os.Exit(runSelfTest(*jsonOut))
 	}
 
-	findings := []finding{}
-	addDiags := func(name string, diags []lint.Diagnostic) {
-		for _, d := range diags {
-			findings = append(findings, finding{
-				Analyzer: name,
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "carslint:", err)
 		os.Exit(2)
 	}
-
-	// Legacy syntax-level analyzers, per directory.
-	dirs := flag.Args()
-	for _, c := range checks {
-		targets := c.dirs
-		if len(dirs) > 0 {
-			targets = dirs
-		}
-		for _, dir := range targets {
-			diags, err := lint.RunDir(c.analyzer, dir)
-			if err != nil {
-				fail(err)
-			}
-			addDiags(c.analyzer.Name, diags)
-		}
-	}
-
-	// The carsguard suite: whole-module analysis, shared facts.
 	mod, err := lint.LoadModule(".")
 	if err != nil {
 		fail(err)
 	}
 	facts := lint.BuildFacts(mod)
-	for _, g := range lint.Guards {
-		diags, err := lint.RunGuard(g, mod, facts)
+	cwd, _ := os.Getwd()
+	findings := []finding{}
+	for _, a := range lint.Analyzers {
+		diags, err := lint.Run(a, mod, facts)
 		if err != nil {
 			fail(err)
 		}
-		addDiags(g.Name, lint.FilterDirs(diags, dirs))
+		for _, d := range lint.FilterDirs(diags, flag.Args()) {
+			file := d.Pos.Filename
+			if rel, err := filepath.Rel(cwd, file); err == nil {
+				file = rel // findings print relative to the working directory
+			}
+			findings = append(findings, finding{
+				Analyzer: a.Name,
+				File:     file,
+				Line:     d.Pos.Line,
+				Col:      d.Pos.Column,
+				Message:  d.Message,
+			})
+		}
 	}
 
 	names := analyzerNames()
@@ -187,11 +147,8 @@ func main() {
 // analyzerNames lists every analyzer in reporting order.
 func analyzerNames() []string {
 	var names []string
-	for _, c := range checks {
-		names = append(names, c.analyzer.Name)
-	}
-	for _, g := range lint.Guards {
-		names = append(names, g.Name)
+	for _, a := range lint.Analyzers {
+		names = append(names, a.Name)
 	}
 	return names
 }
@@ -225,7 +182,7 @@ type selftestResult struct {
 	OK         bool     `json:"ok"`
 }
 
-// runSelfTest holds every guard analyzer to its planted fixture.
+// runSelfTest holds every analyzer to its planted fixture.
 func runSelfTest(jsonOut bool) int {
 	results, err := lint.SelfTest(".")
 	if err != nil {

@@ -647,31 +647,7 @@ func vetModules(path string, mods []*kir.Module, modes []abi.Mode,
 func vetWorkloads(modes []abi.Mode) bool {
 	dirty := false
 	for _, w := range workloads.All() {
-		mods := w.Modules()
-		dirty = emitPreABI(w.Name+" [pre-abi]", vet.Modules(mods...)) || dirty
-		var perfReps []*vet.ProgramReport
-		for _, mode := range modes {
-			prog, err := abi.Link(mode, mods...)
-			if err != nil {
-				// The shared-spill ABI legitimately rejects recursive
-				// workloads: a static frame cannot hold an unbounded
-				// call chain.
-				if errors.Is(err, abi.ErrRecursive) {
-					continue
-				}
-				dirty = emit(w.Name, mode.String(), nil, nil, err) || dirty
-				continue
-			}
-			rep := vet.Report(prog)
-			if perfOut {
-				dirty = attachPerf(fmt.Sprintf("%s [%s]", w.Name, mode), prog, rep, mode, w.Setup) || dirty
-				perfReps = append(perfReps, rep)
-			}
-			dirty = emit(w.Name, mode.String(), prog, rep, nil) || dirty
-		}
-		if len(perfReps) > 0 {
-			crossReport(w.Name, perfReps)
-		}
+		dirty = vetModules(w.Name, w.Modules(), modes, w.Setup) || dirty
 	}
 	if !dirty && !jsonOut {
 		fmt.Printf("%d workloads vet clean\n", len(workloads.All()))

@@ -6,7 +6,7 @@
 // information for the call-graph pass. This package plays that role for
 // the repo's toolchain: abi.Link produces a Program, binfmt writes it as
 // a binary image with a section table and symbol table, and the
-// analysis side (cmd/carsgraph, tests) can reload it without access to
+// analysis side (cmd/carsvet, tests) can reload it without access to
 // the builder that produced it.
 //
 // Layout (all little-endian):

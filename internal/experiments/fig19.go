@@ -7,6 +7,7 @@ import (
 	"carsgo/internal/abi"
 	"carsgo/internal/cars"
 	"carsgo/internal/config"
+	"carsgo/internal/isa"
 	"carsgo/internal/san"
 	"carsgo/internal/sim"
 	"carsgo/internal/stats"
@@ -28,18 +29,16 @@ type latticeAdvice struct {
 // runs the static backend lattice (vet.AnalyzePerf), and merges the
 // columns with vet.CrossBackendAdvice. Launch geometry comes from the
 // workload's own setup on an unstarted simulator — no kernel runs.
-// The returned fit reports whether every shared-spill launch's frame
-// fits in shared memory: an over-committed launch admits zero blocks
-// and cannot be measured (the san differential skips it the same way).
-func adviseLattice(w *workloads.Workload, smemOK bool) (adv latticeAdvice, fit bool, err error) {
-	adv, fit = latticeAdvice{window: -1}, smemOK
+// smem reports whether the shared-spill column can be measured: the
+// shared-spill ABI accepts the workload (a recursive one cannot
+// compile there) and every launch's frame fits in shared memory (an
+// over-committed launch admits zero blocks, and the san differential
+// skips it the same way).
+func adviseLattice(w *workloads.Workload) (adv latticeAdvice, smem bool, err error) {
+	adv, smem = latticeAdvice{window: -1}, true
 	var reps []*vet.ProgramReport
 	var kernel string
-	analyze := func(cfg sim.Config, mode abi.Mode) (*vet.ProgramReport, error) {
-		prog, err := abi.Link(mode, w.Modules()...)
-		if err != nil {
-			return nil, err
-		}
+	analyze := func(cfg sim.Config, prog *isa.Program) (*vet.ProgramReport, error) {
 		g, err := sim.New(cfg, prog)
 		if err != nil {
 			return nil, err
@@ -54,7 +53,7 @@ func adviseLattice(w *workloads.Workload, smemOK bool) (adv latticeAdvice, fit b
 		for _, l := range launches {
 			shape := cars.Shape{Dim: l.Dim, SharedBytes: l.SharedBytes, SpillPerThread: prog.SmemSpillPerThread}
 			if shape.BlockSmem() > cfg.SharedMemBytes {
-				fit = false
+				smem = false
 			}
 		}
 		rep := vet.Report(prog)
@@ -63,15 +62,25 @@ func adviseLattice(w *workloads.Workload, smemOK bool) (adv latticeAdvice, fit b
 		}
 		return rep, nil
 	}
-	carsRep, err := analyze(config.WithCARS(config.V100()), abi.CARS)
+	prog, err := abi.Link(abi.CARS, w.Modules()...)
 	if err != nil {
-		return adv, fit, err
+		return adv, false, err
+	}
+	carsRep, err := analyze(config.WithCARS(config.V100()), prog)
+	if err != nil {
+		return adv, false, err
 	}
 	reps = append(reps, carsRep)
-	if smemOK {
-		smemRep, err := analyze(config.WithSharedSpill(config.V100()), abi.SharedSpill)
+	prog, err = abi.Link(abi.SharedSpill, w.Modules()...)
+	switch {
+	case errors.Is(err, abi.ErrRecursive):
+		smem = false
+	case err != nil:
+		return adv, false, err
+	default:
+		smemRep, err := analyze(config.WithSharedSpill(config.V100()), prog)
 		if err != nil {
-			return adv, fit, err
+			return adv, false, err
 		}
 		reps = append(reps, smemRep)
 		if kr := smemRep.Kernel(kernel); kr != nil && kr.Perf != nil {
@@ -91,7 +100,7 @@ func adviseLattice(w *workloads.Workload, smemOK bool) (adv latticeAdvice, fit b
 			adv.pick = ca.Backend + "/" + ca.Level
 		}
 	}
-	return adv, fit, nil
+	return adv, smem, nil
 }
 
 // Fig19 regenerates the cross-backend lattice comparison (DESIGN.md
@@ -106,7 +115,7 @@ func (r *Runner) Fig19() (*Table, error) {
 
 	type lattice struct {
 		adv  latticeAdvice
-		smem bool   // shared-spill ABI links (no recursion)
+		smem bool   // shared-spill column measurable (see adviseLattice)
 		rfc  string // config name of the advised-window run; "" = none
 	}
 	lat := map[string]lattice{}
@@ -116,18 +125,10 @@ func (r *Runner) Fig19() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		l := lattice{smem: true}
-		if _, err := abi.Link(abi.SharedSpill, w.Modules()...); err != nil {
-			if !errors.Is(err, abi.ErrRecursive) {
-				return nil, fmt.Errorf("%s: %w", n, err)
-			}
-			l.smem = false
-		}
-		var fit bool
-		if l.adv, fit, err = adviseLattice(w, l.smem); err != nil {
+		var l lattice
+		if l.adv, l.smem, err = adviseLattice(w); err != nil {
 			return nil, fmt.Errorf("%s: %w", n, err)
 		}
-		l.smem = l.smem && fit
 		reqs = append(reqs, request{base, n, false, ""}, request{carsN, n, false, ""})
 		if l.smem {
 			reqs = append(reqs, request{smemN, n, false, ""})

@@ -25,13 +25,13 @@ import (
 )
 
 // AtomicMix is the mixed atomic/plain field-access analyzer.
-var AtomicMix = &GuardAnalyzer{
+var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "struct fields accessed via sync/atomic must not also be accessed plainly",
 	Run:  runAtomicMix,
 }
 
-func runAtomicMix(p *GuardPass) error {
+func runAtomicMix(p *Pass) error {
 	// Pass 1: fields used atomically, and the exact selector nodes
 	// that appear inside atomic calls (those are not "plain").
 	atomicFields := map[string]token.Pos{} // field key -> first atomic site
@@ -110,7 +110,7 @@ func runAtomicMix(p *GuardPass) error {
 	sort.Slice(finds, func(i, j int) bool { return finds[i].pos < finds[j].pos })
 	for _, f := range finds {
 		p.report(f.pos, "atomicmix: plain access to %s, which is also accessed via sync/atomic (first atomic use at %s); migrate the field to a typed atomic",
-			shortLock(f.key), posOf(p.Mod.Fset, atomicFields[f.key]))
+			shortLock(f.key), p.Mod.Fset.Position(atomicFields[f.key]))
 	}
 	return nil
 }

@@ -41,13 +41,13 @@ import (
 )
 
 // CtxFlow is the request-path context-propagation analyzer.
-var CtxFlow = &GuardAnalyzer{
+var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "request-reachable blocking code must thread a context.Context; no context.Background() on request paths; prefer FContext when it exists",
 	Run:  runCtxFlow,
 }
 
-func runCtxFlow(p *GuardPass) error {
+func runCtxFlow(p *Pass) error {
 	reach := p.Facts.Reachable(p.Facts.ServeRoots())
 	for _, ff := range sortedFuncs(p.Facts) {
 		info := ff.Pkg.Info

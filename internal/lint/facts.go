@@ -262,9 +262,6 @@ func (f *Facts) Reachable(roots []string) map[string]bool {
 	return seen
 }
 
-// posOf renders a diagnostic position.
-func posOf(fset *token.FileSet, pos token.Pos) token.Position { return fset.Position(pos) }
-
 // sortFuncFacts orders facts by declaration position for
 // deterministic diagnostics.
 func sortFuncFacts(ffs []*FuncFact, fset *token.FileSet) {

@@ -27,13 +27,13 @@ import (
 )
 
 // GoLeak is the goroutine-lifecycle analyzer.
-var GoLeak = &GuardAnalyzer{
+var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc:  "goroutines must have a cancellation/done/drain path: a context, a channel discipline, or a WaitGroup",
 	Run:  runGoLeak,
 }
 
-func runGoLeak(p *GuardPass) error {
+func runGoLeak(p *Pass) error {
 	for _, ff := range sortedFuncs(p.Facts) {
 		info := ff.Pkg.Info
 		ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
@@ -68,7 +68,7 @@ func runGoLeak(p *GuardPass) error {
 // bodyJoined reports whether a goroutine body shows an accepted
 // lifecycle discipline, descending `depth` further levels into
 // in-module callees.
-func (p *GuardPass) bodyJoined(pkg *Package, body ast.Node, depth int) bool {
+func (p *Pass) bodyJoined(pkg *Package, body ast.Node, depth int) bool {
 	info := pkg.Info
 	joined := false
 	ast.Inspect(body, func(n ast.Node) bool {

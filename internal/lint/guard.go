@@ -1,102 +1,13 @@
-// The carsguard suite: type-aware, whole-module concurrency and
-// resource-safety analyzers over the serving layer, sharing one set of
-// call-graph facts. Where the legacy Analyzer runs per-directory on
-// bare syntax, a GuardAnalyzer runs once over a type-checked Module.
-//
-// The five analyzers and their false-positive policies are documented
-// in DESIGN.md §13; each ships with a planted-violation fixture under
-// internal/lint/testdata/src/<name> that the carslint -selftest mode
-// (and the package tests) hold it to.
+// Syntax and type helpers shared by the carsguard analyzers (ctxflow,
+// goleak, lockheld, atomicmix, metriclabels).
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
-	"sort"
 	"strings"
 )
-
-// GuardPass carries one analysis run: the loaded module, the shared
-// facts, and the diagnostic sink.
-type GuardPass struct {
-	Mod    *Module
-	Facts  *Facts
-	Report func(Diagnostic)
-}
-
-// GuardAnalyzer is one whole-module analyzer.
-type GuardAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(*GuardPass) error
-}
-
-// Guards lists the carsguard suite in reporting order.
-var Guards = []*GuardAnalyzer{CtxFlow, GoLeak, LockHeld, AtomicMix, MetricLabels}
-
-// GuardByName finds a suite analyzer, or nil.
-func GuardByName(name string) *GuardAnalyzer {
-	for _, g := range Guards {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
-}
-
-// RunGuard applies one analyzer to a loaded module with prebuilt
-// facts, returning position-sorted diagnostics.
-func RunGuard(a *GuardAnalyzer, m *Module, facts *Facts) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	pass := &GuardPass{Mod: m, Facts: facts,
-		Report: func(d Diagnostic) { diags = append(diags, d) }}
-	if err := a.Run(pass); err != nil {
-		return nil, err
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Offset < b.Offset
-	})
-	return diags, nil
-}
-
-// report is the analyzers' shared diagnostic constructor.
-func (p *GuardPass) report(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: posOf(p.Mod.Fset, pos), Message: fmt.Sprintf(format, args...)})
-}
-
-// FilterDirs filters a diagnostic set to files under any of the given
-// directories (carslint's positional-argument mode); an empty dir list
-// keeps everything.
-func FilterDirs(diags []Diagnostic, dirs []string) []Diagnostic {
-	if len(dirs) == 0 {
-		return diags
-	}
-	var out []Diagnostic
-	for _, d := range diags {
-		for _, dir := range dirs {
-			abs, err := filepath.Abs(dir)
-			if err != nil {
-				continue
-			}
-			if fabs, err := filepath.Abs(d.Pos.Filename); err == nil {
-				if rel, err := filepath.Rel(abs, fabs); err == nil && !strings.HasPrefix(rel, "..") {
-					out = append(out, d)
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ---- shared syntax helpers -------------------------------------------------
 
 // selectHasDefault reports a select with a default clause.
 func selectHasDefault(sel *ast.SelectStmt) bool {

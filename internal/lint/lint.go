@@ -1,30 +1,25 @@
-// Package lint hosts the repo's custom static checks for the
-// simulator's Go sources, shaped after golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic) but built purely on the standard
-// library's go/ast and go/parser so the module stays dependency-free.
+// Package lint hosts the repo's custom static analyzers for its own Go
+// sources, shaped after golang.org/x/tools/go/analysis (Analyzer /
+// Pass / Diagnostic) but built on the standard library alone — go/parser
+// and go/types with the source importer — so the module stays
+// dependency-free.
 //
-// The one analyzer today is NoNakedPanic: the simulator's hot paths
-// (internal/sim, internal/cars) must not abort the process with a
-// bare panic. Functional-execution faults are required to flow
-// through (*SM).execFault, which panics a structured *ExecError that
-// GPU.Run recovers into an error return. Two shapes are therefore
-// allowed:
+// Every analyzer runs over one type-checked Module and the call-graph
+// Facts built from it, and reads hooks, constants and callees from the
+// type information rather than from their spelling. Each analyzer
+// declares the packages it defends; Run keeps only the findings inside
+// them, and declaring none means the whole module. Test files are
+// never loaded, so tests are exempt from every analyzer.
 //
-//   - any panic inside a function declaration named execFault
-//     (the single sanctioned throw site), and
-//   - re-panicking a recovered value — panic(r) where r was assigned
-//     from recover() in the same function — which preserves real
-//     simulator bugs' stack traces.
-//
-// Everything else is a finding. Test files are exempt.
+// Each analyzer ships a planted-violation fixture under
+// testdata/src/<name> that SelfTest (and carslint -selftest) holds it
+// to. DESIGN.md §13 documents the analyzers and their false-positive
+// policies.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -40,129 +35,50 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
 }
 
-// Pass carries one analysis unit — a parsed set of files sharing a
-// FileSet — to an Analyzer's Run, mirroring analysis.Pass.
-type Pass struct {
-	Fset   *token.FileSet
-	Files  []*ast.File
-	Report func(Diagnostic)
-}
-
 // Analyzer describes one static check, mirroring analysis.Analyzer.
 type Analyzer struct {
 	Name string
 	Doc  string
+	// Pkgs lists the import paths of the packages the analyzer
+	// defends; nil means the whole module.
+	Pkgs []string
 	Run  func(*Pass) error
 }
 
-// NoNakedPanic forbids bare panics on the simulator's hot paths; see
-// the package comment for the two allowed shapes.
-var NoNakedPanic = &Analyzer{
-	Name: "nonakedpanic",
-	Doc:  "forbid naked panic() on simulator hot paths; faults must use execFault or re-panic a recovered value",
-	Run:  runNoNakedPanic,
+// Pass carries one analysis run: the loaded module, the shared facts,
+// and the diagnostic sink.
+type Pass struct {
+	Mod    *Module
+	Facts  *Facts
+	Report func(Diagnostic)
 }
 
-// funcCtx is one lexical function (declaration or literal) on the
-// walk stack, with the identifiers it assigned from recover().
-type funcCtx struct {
-	declName   string
-	recoverIDs map[*ast.Object]bool
+// Analyzers lists every analyzer in reporting order: the five
+// per-package checks, then the carsguard suite over the serving layer.
+var Analyzers = []*Analyzer{
+	NoNakedPanic, UncheckedSimError, UnusedMonitorHook, SeededRand, BackendExhaustive,
+	CtxFlow, GoLeak, LockHeld, AtomicMix, MetricLabels,
 }
 
-func runNoNakedPanic(pass *Pass) error {
-	for _, file := range pass.Files {
-		var stack []*funcCtx
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				stack = append(stack, &funcCtx{declName: n.Name.Name, recoverIDs: map[*ast.Object]bool{}})
-				if n.Body != nil {
-					ast.Inspect(n.Body, walk)
-				}
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.FuncLit:
-				stack = append(stack, &funcCtx{recoverIDs: map[*ast.Object]bool{}})
-				ast.Inspect(n.Body, walk)
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.AssignStmt:
-				// r := recover() / r = recover()
-				if len(n.Rhs) == 1 && isCallTo(n.Rhs[0], "recover") && len(stack) > 0 {
-					top := stack[len(stack)-1]
-					for _, lhs := range n.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok && id.Obj != nil {
-							top.recoverIDs[id.Obj] = true
-						}
-					}
-				}
-			case *ast.CallExpr:
-				if !isIdentCall(n, "panic") {
-					return true
-				}
-				if allowedPanic(n, stack) {
-					return true
-				}
-				pass.Report(Diagnostic{
-					Pos:     pass.Fset.Position(n.Pos()),
-					Message: "naked panic on a hot path: fault through execFault (or re-panic a recovered value)",
-				})
-			}
-			return true
+// Run applies a to a loaded module with prebuilt facts and returns the
+// findings inside a's packages, sorted by position. The analysis sees
+// the whole module; only the findings are restricted. A package a
+// declares that the module does not hold is an error.
+func Run(a *Analyzer, m *Module, facts *Facts) ([]Diagnostic, error) {
+	dirs := map[string]bool{}
+	for _, path := range a.Pkgs {
+		pkg := m.pkgByPath(path)
+		if pkg == nil {
+			return nil, fmt.Errorf("lint: %s defends %s, which the module does not hold", a.Name, path)
 		}
-		ast.Inspect(file, walk)
-	}
-	return nil
-}
-
-// allowedPanic implements the two sanctioned shapes, searching the
-// enclosing functions innermost-first.
-func allowedPanic(call *ast.CallExpr, stack []*funcCtx) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i].declName == "execFault" {
-			return true
-		}
-	}
-	if len(call.Args) == 1 {
-		if id, ok := call.Args[0].(*ast.Ident); ok && id.Obj != nil {
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i].recoverIDs[id.Obj] {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func isIdentCall(call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == name
-}
-
-func isCallTo(e ast.Expr, name string) bool {
-	call, ok := e.(*ast.CallExpr)
-	return ok && isIdentCall(call, name)
-}
-
-// RunFiles parses the given Go sources and applies the analyzer.
-func RunFiles(a *Analyzer, paths []string) ([]Diagnostic, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, p := range paths {
-		// Comments ride along for the monitor-hook analyzer's
-		// documented-no-op allowance; object resolution stays on for
-		// the recover-ident allowance's ast.Object identities.
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+		dirs[pkg.Dir] = true
 	}
 	var diags []Diagnostic
-	pass := &Pass{Fset: fset, Files: files, Report: func(d Diagnostic) { diags = append(diags, d) }}
+	pass := &Pass{Mod: m, Facts: facts, Report: func(d Diagnostic) {
+		if len(dirs) == 0 || dirs[filepath.Dir(d.Pos.Filename)] {
+			diags = append(diags, d)
+		}
+	}}
 	if err := a.Run(pass); err != nil {
 		return nil, err
 	}
@@ -176,19 +92,32 @@ func RunFiles(a *Analyzer, paths []string) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunDir applies the analyzer to every non-test Go file in dir.
-func RunDir(a *Analyzer, dir string) ([]Diagnostic, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// report is the analyzers' shared diagnostic constructor.
+func (p *Pass) report(pos token.Pos, format string, args ...any) {
+	p.Report(Diagnostic{Pos: p.Mod.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
+}
+
+// FilterDirs filters a diagnostic set to files under any of the given
+// directories (carslint's positional arguments); an empty dir list
+// keeps everything.
+func FilterDirs(diags []Diagnostic, dirs []string) []Diagnostic {
+	if len(dirs) == 0 {
+		return diags
 	}
-	var paths []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+	var out []Diagnostic
+	for _, d := range diags {
+		for _, dir := range dirs {
+			abs, err := filepath.Abs(dir)
+			if err != nil {
+				continue
+			}
+			if fabs, err := filepath.Abs(d.Pos.Filename); err == nil {
+				if rel, err := filepath.Rel(abs, fabs); err == nil && !strings.HasPrefix(rel, "..") {
+					out = append(out, d)
+					break
+				}
+			}
 		}
-		paths = append(paths, filepath.Join(dir, name))
 	}
-	return RunFiles(a, paths)
+	return out
 }

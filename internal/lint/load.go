@@ -1,8 +1,7 @@
-// Module loading for the carsguard analyzer suite (ctxflow, goleak,
-// lockheld, atomicmix, metriclabels). Unlike the legacy single-file
-// analyzers, the guard analyzers are type-aware and whole-module: they
-// need resolved types to tell a context.Context parameter from any
-// other ctx-named value, and a cross-package call graph to decide
+// Module loading for the analyzers. They are type-aware and
+// whole-module: they need resolved types to tell a context.Context
+// parameter from any other ctx-named value or sim.Monitor's hooks from
+// methods that share a name, and a cross-package call graph to decide
 // reachability from the serving roots. Both come from the standard
 // library alone — go/parser + go/types with the source importer — so
 // the module stays dependency-free.
@@ -34,9 +33,9 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Module is the analysis unit the guard analyzers run over: every
-// package of the repo (or a fixture subset), sharing one FileSet and
-// one importer, plus the call-graph facts built from them.
+// Module is the analysis unit every analyzer runs over: every package
+// of the repo (or one fixture package), sharing one FileSet and one
+// importer.
 type Module struct {
 	Root string // module root directory
 	Fset *token.FileSet
@@ -90,7 +89,7 @@ func newModule(root string) *Module {
 
 // LoadModule parses and type-checks every package of the module at
 // root (skipping testdata, vendor-like, and dot directories). Soft
-// type errors do not abort the load: the guard analyzers run on the
+// type errors do not abort the load: the analyzers run on the
 // best-effort type information, same as go vet.
 func LoadModule(root string) (*Module, error) {
 	root, err := FindModuleRoot(root)
@@ -135,22 +134,20 @@ func LoadModule(root string) (*Module, error) {
 	return m, nil
 }
 
-// LoadFixture loads a single fixture directory (one package) under a
-// synthetic import path, for the planted-violation selftests. The
-// fixture may import stdlib and in-module packages.
-func LoadFixture(root, dir, syntheticPath string) (*Module, error) {
-	root, err := FindModuleRoot(root)
-	if err != nil {
+// fixture loads one fixture directory (one package) under a synthetic
+// import path, for the planted-violation selftests. The fixture may
+// import stdlib and in-module packages; it shares m's FileSet and
+// importer, so an in-module import is type-checked once across every
+// fixture.
+func (m *Module) fixture(dir, syntheticPath string) (*Module, error) {
+	f := &Module{Root: m.Root, Fset: m.Fset, imp: m.imp}
+	if err := f.loadDir(dir, syntheticPath); err != nil {
 		return nil, err
 	}
-	m := newModule(root)
-	if err := m.loadDir(dir, syntheticPath); err != nil {
-		return nil, err
-	}
-	if len(m.Pkgs) == 0 {
+	if len(f.Pkgs) == 0 {
 		return nil, fmt.Errorf("lint: fixture %s has no Go files", dir)
 	}
-	return m, nil
+	return f, nil
 }
 
 // loadDir parses dir's non-test Go files (respecting build tags) and
@@ -202,4 +199,24 @@ func (m *Module) pkgByPath(path string) *Package {
 		}
 	}
 	return nil
+}
+
+// lookup finds a package-level object of an in-module package: in the
+// module's own type-checked copy when it loaded the package, else
+// through its importer (a fixture module holds only its own package).
+func (m *Module) lookup(path, name string) (types.Object, error) {
+	var tpkg *types.Package
+	if pkg := m.pkgByPath(path); pkg != nil {
+		tpkg = pkg.Types
+	} else {
+		var err error
+		if tpkg, err = m.imp.ImportFrom(path, m.Root, 0); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+	}
+	obj := tpkg.Scope().Lookup(name)
+	if obj == nil {
+		return nil, fmt.Errorf("lint: %s has no %s", path, name)
+	}
+	return obj, nil
 }

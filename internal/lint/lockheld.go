@@ -45,7 +45,7 @@ import (
 )
 
 // LockHeld is the held-lock blocking/ordering analyzer.
-var LockHeld = &GuardAnalyzer{
+var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "no blocking operations while a mutex is held; no cross-package lock-acquisition-order cycles",
 	Run:  runLockHeld,
@@ -65,14 +65,14 @@ type lockOrderEdge struct {
 }
 
 type lockAnalysis struct {
-	p *GuardPass
+	p *Pass
 	// acquires maps function keys to the lock keys they acquire
 	// directly (any path), for interprocedural order edges.
 	acquires map[string][]heldLock
 	edges    []lockOrderEdge
 }
 
-func runLockHeld(p *GuardPass) error {
+func runLockHeld(p *Pass) error {
 	a := &lockAnalysis{p: p, acquires: map[string][]heldLock{}}
 	funcs := sortedFuncs(p.Facts)
 

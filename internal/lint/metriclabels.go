@@ -33,7 +33,7 @@ import (
 )
 
 // MetricLabels is the label-cardinality analyzer.
-var MetricLabels = &GuardAnalyzer{
+var MetricLabels = &Analyzer{
 	Name: "metriclabels",
 	Doc:  "metric label values must be bounded: constants, formatted numerics, or parameters only ever bound to constants",
 	Run:  runMetricLabels,
@@ -41,7 +41,7 @@ var MetricLabels = &GuardAnalyzer{
 
 const metricsPkgSuffix = "serve/metrics"
 
-func runMetricLabels(p *GuardPass) error {
+func runMetricLabels(p *Pass) error {
 	for _, ff := range sortedFuncs(p.Facts) {
 		if strings.HasSuffix(ff.Pkg.Path, metricsPkgSuffix) {
 			continue // the registry's own plumbing
@@ -85,7 +85,7 @@ func isLabelVecWith(callee *types.Func) bool {
 }
 
 // bounded classifies a label-value expression's cardinality.
-func (p *GuardPass) bounded(pkg *Package, e ast.Expr, depth int) bool {
+func (p *Pass) bounded(pkg *Package, e ast.Expr, depth int) bool {
 	info := pkg.Info
 	e = ast.Unparen(e)
 	if tv, ok := info.Types[e]; ok && tv.Value != nil {

@@ -1,15 +1,15 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"strconv"
+	"go/types"
 )
 
 // SeededRand defends the repo's reproducibility contract: every random
-// stream feeding spec generation, fuzzing, or simulation must come
-// from an explicitly seeded source, so a seed printed in a failure
-// report replays the exact run. Three shapes are findings:
+// stream feeding spec generation, fuzzing, load generation, or
+// simulation must come from an explicitly seeded source, so a seed
+// printed in a failure report replays the exact run. Three shapes are
+// findings:
 //
 //   - calls through math/rand's global source (rand.Intn, rand.Int63,
 //     rand.Perm, rand.Shuffle, ...) — the seed is invisible at the
@@ -21,32 +21,20 @@ import (
 //     rand.NewSource(time.Now().UnixNano())).
 //
 // A literal or named seed argument is fine: determinism, not secrecy,
-// is the property under defense. Test files are exempt (RunDir skips
-// them), and packages that avoid math/rand entirely — internal/spec's
-// splitmix64 — never trip it.
+// is the property under defense. Functions are identified by the
+// callee's package (math/rand, math/rand/v2, time), whatever name the
+// import goes by, so a local value named rand is never one; packages
+// that avoid math/rand entirely — internal/spec's splitmix64 — never
+// trip it.
 var SeededRand = &Analyzer{
 	Name: "seededrand",
 	Doc:  "require explicitly seeded random sources; forbid math/rand's global source and time-derived seeds",
-	Run:  runSeededRand,
-}
-
-// randImportName returns the local identifier math/rand (or v2) is
-// imported under in file, or "" when it is not imported.
-func randImportName(file *ast.File) string {
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || (path != "math/rand" && path != "math/rand/v2") {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return "" // nothing selectable to check
-			}
-			return imp.Name.Name
-		}
-		return "rand"
-	}
-	return ""
+	Pkgs: []string{
+		"carsgo/internal/spec", "carsgo/internal/workloads", "carsgo/internal/sim",
+		"carsgo/internal/experiments", "carsgo/internal/load",
+		"carsgo/cmd/carsfuzz", "carsgo/cmd/carsbench",
+	},
+	Run: runSeededRand,
 }
 
 // globalSourceFns are the top-level math/rand functions that draw from
@@ -62,13 +50,37 @@ var globalSourceFns = map[string]bool{
 	"N": true,
 }
 
-// mentionsTimeNow reports whether the expression contains a
-// time.Now call (the canonical nondeterministic seed).
-func mentionsTimeNow(e ast.Expr) bool {
+// randFunc resolves n to a call of a package-level math/rand (or v2)
+// function, with the name the package goes by at the call site.
+func randFunc(info *types.Info, n ast.Node) (call *ast.CallExpr, fn *types.Func, pkgName string) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return nil, nil, ""
+	}
+	fn = CalleeOf(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil, nil, ""
+	}
+	if path := fn.Pkg().Path(); path != "math/rand" && path != "math/rand/v2" {
+		return nil, nil, ""
+	}
+	pkgName = fn.Pkg().Name()
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			pkgName = id.Name
+		}
+	}
+	return call, fn, pkgName
+}
+
+// mentionsTimeNow reports whether the expression refers to time.Now
+// (the canonical nondeterministic seed).
+func mentionsTimeNow(info *types.Info, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" && sel.Sel.Name == "Now" {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil &&
+				fn.Pkg().Path() == "time" && fn.Name() == "Now" {
 				found = true
 			}
 		}
@@ -77,60 +89,38 @@ func mentionsTimeNow(e ast.Expr) bool {
 	return found
 }
 
-func runSeededRand(pass *Pass) error {
-	for _, file := range pass.Files {
-		randName := randImportName(file)
-		if randName == "" {
-			continue
-		}
-		isRandSel := func(e ast.Expr, fn string) bool {
-			sel, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return false
-			}
-			id, ok := sel.X.(*ast.Ident)
-			// Obj == nil keeps shadowed locals named like the import
-			// (e.g. a parameter `rand`) from matching.
-			return ok && id.Name == randName && id.Obj == nil && (fn == "" || sel.Sel.Name == fn)
-		}
-		report := func(n ast.Node, format string, args ...any) {
-			pass.Report(Diagnostic{
-				Pos:     pass.Fset.Position(n.Pos()),
-				Message: fmt.Sprintf(format, args...),
+func runSeededRand(p *Pass) error {
+	for _, pkg := range p.Mod.Pkgs {
+		info := pkg.Info
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, fn, rand := randFunc(info, n)
+				if fn == nil {
+					return true
+				}
+				switch name := fn.Name(); {
+				case globalSourceFns[name]:
+					p.report(call.Pos(), "%s.%s draws from the package-global source; build an explicitly seeded %s.New(%s.NewSource(seed)) and thread it through", rand, name, rand, rand)
+				case name == "Seed":
+					if len(call.Args) == 1 && mentionsTimeNow(info, call.Args[0]) {
+						p.report(call.Pos(), "%s.Seed from time.Now is nondeterministic; derive the seed from configuration so runs replay", rand)
+					}
+				case name == "New":
+					if len(call.Args) != 1 {
+						return true
+					}
+					src, srcFn, _ := randFunc(info, call.Args[0])
+					if srcFn == nil || srcFn.Name() != "NewSource" {
+						p.report(call.Pos(), "%s.New needs a visible seed: pass %s.NewSource(seed) directly, not a pre-built Source", rand, rand)
+						return true
+					}
+					if len(src.Args) == 1 && mentionsTimeNow(info, src.Args[0]) {
+						p.report(call.Pos(), "%s.NewSource from time.Now is nondeterministic; derive the seed from configuration so runs replay", rand)
+					}
+				}
+				return true
 			})
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !isRandSel(call.Fun, "") {
-				return true
-			}
-			fn := sel.Sel.Name
-			switch {
-			case globalSourceFns[fn]:
-				report(call, "%s.%s draws from the package-global source; build an explicitly seeded %s.New(%s.NewSource(seed)) and thread it through", randName, fn, randName, randName)
-			case fn == "Seed":
-				if len(call.Args) == 1 && mentionsTimeNow(call.Args[0]) {
-					report(call, "%s.Seed from time.Now is nondeterministic; derive the seed from configuration so runs replay", randName)
-				}
-			case fn == "New":
-				if len(call.Args) != 1 {
-					return true
-				}
-				src, ok := call.Args[0].(*ast.CallExpr)
-				if !ok || !isRandSel(src.Fun, "NewSource") {
-					report(call, "%s.New needs a visible seed: pass %s.NewSource(seed) directly, not a pre-built Source", randName, randName)
-					return true
-				}
-				if len(src.Args) == 1 && mentionsTimeNow(src.Args[0]) {
-					report(call, "%s.NewSource from time.Now is nondeterministic; derive the seed from configuration so runs replay", randName)
-				}
-			}
-			return true
-		})
 	}
 	return nil
 }

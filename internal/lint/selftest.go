@@ -1,5 +1,5 @@
-// Selftest: every guard analyzer must fire on its planted-violation
-// fixture, and must stay silent on the clean twins planted beside the
+// Selftest: every analyzer must fire on its planted-violation fixture,
+// and must stay silent on the clean twins planted beside the
 // violations. Fixtures live in internal/lint/testdata/src/<analyzer>,
 // one package each, with `// want "substring"` markers on the lines
 // that must produce a diagnostic. The contract is exact in both
@@ -38,31 +38,35 @@ func (r SelfTestResult) OK() bool {
 // to the module root.
 const FixtureDir = "internal/lint/testdata/src"
 
-// SelfTest runs every guard analyzer against its fixture package.
+// SelfTest runs every analyzer against its fixture package, with no
+// scope restriction. The fixtures share one FileSet and importer.
 func SelfTest(moduleRoot string) ([]SelfTestResult, error) {
 	root, err := FindModuleRoot(moduleRoot)
 	if err != nil {
 		return nil, err
 	}
+	base := newModule(root)
 	var results []SelfTestResult
-	for _, g := range Guards {
-		r, err := selfTestOne(root, g)
+	for _, a := range Analyzers {
+		r, err := selfTestOne(base, a)
 		if err != nil {
-			return nil, fmt.Errorf("selftest %s: %w", g.Name, err)
+			return nil, fmt.Errorf("selftest %s: %w", a.Name, err)
 		}
 		results = append(results, r)
 	}
 	return results, nil
 }
 
-func selfTestOne(root string, g *GuardAnalyzer) (SelfTestResult, error) {
-	dir := filepath.Join(root, filepath.FromSlash(FixtureDir), g.Name)
-	res := SelfTestResult{Analyzer: g.Name, Dir: dir}
-	mod, err := LoadFixture(root, dir, "carsguardfixture/"+g.Name)
+func selfTestOne(base *Module, a *Analyzer) (SelfTestResult, error) {
+	dir := filepath.Join(base.Root, filepath.FromSlash(FixtureDir), a.Name)
+	res := SelfTestResult{Analyzer: a.Name, Dir: dir}
+	mod, err := base.fixture(dir, "carsguardfixture/"+a.Name)
 	if err != nil {
 		return res, err
 	}
-	diags, err := RunGuard(g, mod, BuildFacts(mod))
+	unscoped := *a // the fixture is the analyzer's whole world
+	unscoped.Pkgs = nil
+	diags, err := Run(&unscoped, mod, BuildFacts(mod))
 	if err != nil {
 		return res, err
 	}
@@ -73,15 +77,24 @@ func selfTestOne(root string, g *GuardAnalyzer) (SelfTestResult, error) {
 		return res, err
 	}
 	res.Wanted = len(wants)
+	missing, unexpected := matchWants(wants, diags)
+	for _, w := range missing {
+		res.Missing = append(res.Missing, w.String())
+	}
+	for _, d := range unexpected {
+		res.Unexpected = append(res.Unexpected, d.String())
+	}
+	return res, nil
+}
 
+// matchWants pairs markers with diagnostics: a marker takes the first
+// unpaired diagnostic on its line whose message contains its text.
+func matchWants(wants []want, diags []Diagnostic) (missing []want, unexpected []Diagnostic) {
 	matched := make([]bool, len(diags))
 	for _, w := range wants {
 		found := false
 		for i, d := range diags {
-			if matched[i] {
-				continue
-			}
-			if filepath.Base(d.Pos.Filename) == w.file && d.Pos.Line == w.line &&
+			if !matched[i] && filepath.Base(d.Pos.Filename) == w.file && d.Pos.Line == w.line &&
 				strings.Contains(d.Message, w.substr) {
 				matched[i] = true
 				found = true
@@ -89,16 +102,15 @@ func selfTestOne(root string, g *GuardAnalyzer) (SelfTestResult, error) {
 			}
 		}
 		if !found {
-			res.Missing = append(res.Missing,
-				fmt.Sprintf("%s:%d: want %q", w.file, w.line, w.substr))
+			missing = append(missing, w)
 		}
 	}
 	for i, d := range diags {
 		if !matched[i] {
-			res.Unexpected = append(res.Unexpected, d.String())
+			unexpected = append(unexpected, d)
 		}
 	}
-	return res, nil
+	return missing, unexpected
 }
 
 // want is one planted-violation marker.
@@ -107,6 +119,8 @@ type want struct {
 	line   int
 	substr string
 }
+
+func (w want) String() string { return fmt.Sprintf("%s:%d: want %q", w.file, w.line, w.substr) }
 
 var wantRE = regexp.MustCompile(`// want "([^"]+)"`)
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -129,22 +130,55 @@ func resolveWorkload(name string, doc json.RawMessage) (*workloads.Workload, str
 	return workloads.FromSpec(s), wspec.Canon(s), nil
 }
 
-// resolveSim turns a SimulateRequest into a runnable configuration,
-// the workload, and the request's cache key spec.
-func resolveSim(req *SimulateRequest) (carsgo.Config, bool, *workloads.Workload, keySpec, error) {
-	var spec keySpec
+// prepared is a request resolved for execution: the content address
+// of its result, the pool job that computes it, and the request's own
+// timeout (0: the server default). The synchronous endpoints and the
+// async job path resolve each request kind through one function.
+type prepared struct {
+	key     cache.Key
+	job     func(ctx context.Context) (any, error)
+	timeout int64
+}
+
+// requestError is a request that cannot run, with the status and
+// error body it answers.
+type requestError struct {
+	status        int
+	code, message string
+}
+
+func (e *requestError) write(w http.ResponseWriter) {
+	writeError(w, e.status, e.code, "%s", e.message)
+}
+
+func badRequest(err error) *requestError {
+	return &requestError{http.StatusBadRequest, "bad_request", err.Error()}
+}
+
+// prepare content-addresses a resolved request.
+func prepare(spec keySpec, job func(ctx context.Context) (any, error), timeout int64) (prepared, *requestError) {
+	key, err := cache.KeyOf(spec)
+	if err != nil {
+		return prepared{}, &requestError{http.StatusInternalServerError, "internal", err.Error()}
+	}
+	return prepared{key: key, job: job, timeout: timeout}, nil
+}
+
+// prepareSimulate resolves a SimulateRequest into a runnable
+// configuration and workload, keyed by its cache key spec.
+func (s *Server) prepareSimulate(req *SimulateRequest) (prepared, *requestError) {
 	cfg, lto, err := config.Named(req.Config)
 	if err != nil {
-		return cfg, false, nil, spec, err
+		return prepared{}, badRequest(err)
 	}
 	forced := ""
 	if req.Force != "" {
 		if !cfg.CARSEnabled {
-			return cfg, false, nil, spec, fmt.Errorf("force=%q needs a CARS configuration, not %q", req.Force, req.Config)
+			return prepared{}, badRequest(fmt.Errorf("force=%q needs a CARS configuration, not %q", req.Force, req.Config))
 		}
-		lvl, perr := parseForce(req.Force)
-		if perr != nil {
-			return cfg, false, nil, spec, perr
+		lvl, err := parseForce(req.Force)
+		if err != nil {
+			return prepared{}, badRequest(err)
 		}
 		cfg = config.WithCARSPolicy(cfg, cars.ForcedPolicy(lvl))
 		cfg.Name += "-" + lvl.Name()
@@ -152,11 +186,11 @@ func resolveSim(req *SimulateRequest) (carsgo.Config, bool, *workloads.Workload,
 	}
 	w, canon, err := resolveWorkload(req.Workload, req.Spec)
 	if err != nil {
-		return cfg, false, nil, spec, err
+		return prepared{}, badRequest(err)
 	}
-	spec = keySpec{Schema: SchemaVersion, Kind: "simulate", Config: req.Config,
+	spec := keySpec{Schema: SchemaVersion, Kind: "simulate", Config: req.Config,
 		Workload: w.Name, Spec: canon, ABIMode: abiModeName(cfg, lto), Forced: forced}
-	return cfg, lto, w, spec, nil
+	return prepare(spec, s.simulateJob(cfg, lto, w), req.TimeoutMs)
 }
 
 // execCached is the serving core every endpoint goes through:
@@ -237,29 +271,30 @@ func (s *Server) simulateJob(cfg carsgo.Config, lto bool, w *workloads.Workload)
 	}
 }
 
+// serveSync answers a synchronous request: its resolution error, or
+// its result under the request's own deadline.
+func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, p prepared, rerr *requestError) {
+	if rerr != nil {
+		rerr.write(w)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout(p.timeout))
+	defer cancel()
+	data, cached, shared, err := s.execCached(ctx, p.key, p.job)
+	if err != nil {
+		s.writeExecError(w, err)
+		return
+	}
+	s.respond(w, p.key, data, cached, shared)
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	cfg, lto, wl, spec, err := resolveSim(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	key, err := cache.KeyOf(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout(req.TimeoutMs))
-	defer cancel()
-	data, cached, shared, err := s.execCached(ctx, key, s.simulateJob(cfg, lto, wl))
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	s.respond(w, key, data, cached, shared)
+	p, rerr := s.prepareSimulate(&req)
+	s.serveSync(w, r, p, rerr)
 }
 
 // vetJob links the workload for the configuration's ABI mode and runs
@@ -297,21 +332,20 @@ func vetJob(cfg carsgo.Config, lto bool, wl *workloads.Workload) func(ctx contex
 	}
 }
 
-// resolveVet turns a VetRequest into a configuration, the workload,
-// and the request's cache key spec.
-func resolveVet(req *VetRequest) (carsgo.Config, bool, *workloads.Workload, keySpec, error) {
-	var spec keySpec
+// prepareVet resolves a VetRequest into a configuration and workload,
+// keyed by its cache key spec.
+func prepareVet(req *VetRequest) (prepared, *requestError) {
 	cfg, lto, err := config.Named(req.Config)
 	if err != nil {
-		return cfg, false, nil, spec, err
+		return prepared{}, badRequest(err)
 	}
 	wl, canon, err := resolveWorkload(req.Workload, req.Spec)
 	if err != nil {
-		return cfg, false, nil, spec, err
+		return prepared{}, badRequest(err)
 	}
-	spec = keySpec{Schema: SchemaVersion, Kind: "vet", Config: req.Config,
+	spec := keySpec{Schema: SchemaVersion, Kind: "vet", Config: req.Config,
 		Workload: wl.Name, Spec: canon, ABIMode: abiModeName(cfg, lto)}
-	return cfg, lto, wl, spec, nil
+	return prepare(spec, vetJob(cfg, lto, wl), req.TimeoutMs)
 }
 
 func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
@@ -319,24 +353,31 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	cfg, lto, wl, spec, err := resolveVet(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
+	p, rerr := prepareVet(&req)
+	s.serveSync(w, r, p, rerr)
+}
+
+// prepareExperiment resolves an exhibit by ID; an unknown ID is a 404
+// naming the known ones, not a pool trip.
+func (s *Server) prepareExperiment(req *ExperimentRequest) (prepared, *requestError) {
+	ids := s.runner.IDs()
+	if !slices.Contains(ids, req.ID) {
+		return prepared{}, &requestError{http.StatusNotFound, "not_found",
+			fmt.Sprintf("unknown experiment %q (have %s)", req.ID, strings.Join(ids, ", "))}
 	}
-	key, err := cache.KeyOf(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
+	id := req.ID
+	// The experiment's own simulations run on the shared runner (its
+	// own pool, its own memo, daemon-lifetime context): abandoning the
+	// request at its deadline does not waste them — a retry finds the
+	// memoised results and finishes quickly.
+	job := func(_ context.Context) (any, error) {
+		tb, err := s.runner.Run(id)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(tb)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout(req.TimeoutMs))
-	defer cancel()
-	data, cached, shared, err := s.execCached(ctx, key, vetJob(cfg, lto, wl))
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	s.respond(w, key, data, cached, shared)
+	return prepare(keySpec{Schema: SchemaVersion, Kind: "experiment", ID: id}, job, req.TimeoutMs)
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -344,40 +385,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	known := false
-	for _, id := range s.runner.IDs() {
-		if id == req.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeError(w, http.StatusNotFound, "not_found",
-			"unknown experiment %q (have %s)", req.ID, strings.Join(s.runner.IDs(), ", "))
-		return
-	}
-	spec := keySpec{Schema: SchemaVersion, Kind: "experiment", ID: req.ID}
-	key, err := cache.KeyOf(spec)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout(req.TimeoutMs))
-	defer cancel()
-	// The experiment's own simulations run on the shared runner (its
-	// own pool, its own memo, daemon-lifetime context): abandoning the
-	// request at its deadline does not waste them — a retry finds the
-	// memoised results and finishes quickly.
-	data, cached, shared, err := s.execCached(ctx, key, func(_ context.Context) (any, error) {
-		tb, err := s.runner.Run(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(tb)
-	})
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	s.respond(w, key, data, cached, shared)
+	p, rerr := s.prepareExperiment(&req)
+	s.serveSync(w, r, p, rerr)
 }

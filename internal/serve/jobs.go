@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -157,11 +156,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Resolve the embedded request up front so submission errors are
-	// synchronous 400s, not parked error records.
+	// synchronous answers, the same ones the synchronous endpoints give,
+	// not parked error records.
 	var (
-		key     cache.Key
-		job     func(ctx context.Context) (any, error)
-		timeout int64
+		p    prepared
+		rerr *requestError
 	)
 	switch req.Kind {
 	case "simulate":
@@ -169,75 +168,32 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad_request", "kind simulate needs a simulate document")
 			return
 		}
-		cfg, lto, wl, spec, err := resolveSim(req.Simulate)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-			return
-		}
-		key, err = cache.KeyOf(spec)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-			return
-		}
-		job = s.simulateJob(cfg, lto, wl)
-		timeout = req.Simulate.TimeoutMs
+		p, rerr = s.prepareSimulate(req.Simulate)
 	case "vet":
 		if req.Vet == nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "kind vet needs a vet document")
 			return
 		}
-		cfg, lto, wl, spec, err := resolveVet(req.Vet)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-			return
-		}
-		key, err = cache.KeyOf(spec)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-			return
-		}
-		job = vetJob(cfg, lto, wl)
-		timeout = req.Vet.TimeoutMs
+		p, rerr = prepareVet(req.Vet)
 	case "experiment":
 		if req.Experiment == nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "kind experiment needs an experiment document")
 			return
 		}
-		id := req.Experiment.ID
-		known := false
-		for _, have := range s.runner.IDs() {
-			if have == id {
-				known = true
-				break
-			}
-		}
-		if !known {
-			writeError(w, http.StatusNotFound, "not_found", "unknown experiment %q", id)
-			return
-		}
-		var err error
-		key, err = cache.KeyOf(keySpec{Schema: SchemaVersion, Kind: "experiment", ID: id})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-			return
-		}
-		job = func(_ context.Context) (any, error) {
-			tb, rerr := s.runner.Run(id)
-			if rerr != nil {
-				return nil, rerr
-			}
-			return json.Marshal(tb)
-		}
-		timeout = req.Experiment.TimeoutMs
+		p, rerr = s.prepareExperiment(req.Experiment)
 	default:
 		writeError(w, http.StatusBadRequest, "bad_request",
 			"unknown job kind %q (want simulate, vet, or experiment)", req.Kind)
 		return
 	}
+	if rerr != nil {
+		rerr.write(w)
+		return
+	}
 
 	// The job runs under the daemon lifetime, not the submit request:
 	// the whole point of the async path is outliving the connection.
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.reqTimeout(timeout))
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.reqTimeout(p.timeout))
 	j := &asyncJob{id: newJobID(), kind: req.Kind, created: time.Now(),
 		cancel: cancel, done: make(chan struct{})}
 	if err := s.jobs.add(j); err != nil {
@@ -248,8 +204,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	go func() {
 		defer cancel()
-		data, cached, _, err := s.execCached(ctx, key, job)
-		j.finish(data, key, cached, err)
+		data, cached, _, err := s.execCached(ctx, p.key, p.job)
+		j.finish(data, p.key, cached, err)
 	}()
 	writeJSON(w, http.StatusAccepted, j.status())
 }

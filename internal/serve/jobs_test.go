@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -85,33 +87,10 @@ func TestJobFetchAfterEvict(t *testing.T) {
 		json.Unmarshal(rec.Body.Bytes(), &st)
 		return st.ID
 	}
-	waitDone := func(id string) {
-		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			rec := doJSON(s, "GET", "/v1/jobs/"+id, nil)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("poll %s = %d", id, rec.Code)
-			}
-			var st JobStatus
-			json.Unmarshal(rec.Body.Bytes(), &st)
-			if st.Status == "done" {
-				return
-			}
-			if st.Status == "error" {
-				t.Fatalf("job %s failed: %s", id, st.Error)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s never finished", id)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
 	id1 := submit("FIB")
-	waitDone(id1)
+	waitJob(t, s, id1)
 	id2 := submit("GOL")
-	waitDone(id2)
+	waitJob(t, s, id2)
 
 	// The store holds [id1 id2]; a third submission evicts id1, the
 	// oldest finished job.
@@ -135,9 +114,79 @@ func TestJobFetchAfterEvict(t *testing.T) {
 	if rec := doJSON(s, "GET", "/v1/jobs/"+id2+"/result", nil); rec.Code != http.StatusOK {
 		t.Fatalf("fetch survivor = %d: %s", rec.Code, rec.Body.String())
 	}
-	waitDone(id3)
+	waitJob(t, s, id3)
 	if rec := doJSON(s, "GET", "/v1/jobs/"+id3+"/result", nil); rec.Code != http.StatusOK {
 		t.Fatalf("fetch evictor = %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// waitJob polls an async job until it is done, failing on an error
+// status or after 30 s.
+func waitJob(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		rec := doJSON(s, "GET", "/v1/jobs/"+id, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("poll %s = %d", id, rec.Code)
+		}
+		var st JobStatus
+		json.Unmarshal(rec.Body.Bytes(), &st)
+		if st.Status == "done" {
+			return
+		}
+		if st.Status == "error" {
+			t.Fatalf("job %s failed: %s", id, st.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never finished", id)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestJobExperiment submits exhibits through the async path, which
+// resolves them with the synchronous endpoint's resolver: an unknown
+// ID answers that endpoint's 404 body, and a known one is accepted and
+// delivers the bytes the synchronous endpoint computes.
+func TestJobExperiment(t *testing.T) {
+	s := testServer(t, Options{})
+	submit := func(id string) *httptest.ResponseRecorder {
+		return doJSON(s, "POST", "/v1/jobs", map[string]any{
+			"kind": "experiment", "experiment": map[string]any{"id": id},
+		})
+	}
+
+	async := submit("fig99")
+	sync := doJSON(s, "POST", "/v1/experiment", map[string]any{"id": "fig99"})
+	if async.Code != http.StatusNotFound || async.Body.String() != sync.Body.String() {
+		t.Fatalf("async unknown experiment = %d %s, want the sync answer %d %s",
+			async.Code, async.Body.String(), sync.Code, sync.Body.String())
+	}
+
+	rec := submit("fig1")
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit fig1 = %d: %s", rec.Code, rec.Body.String())
+	}
+	var st JobStatus
+	json.Unmarshal(rec.Body.Bytes(), &st)
+	waitJob(t, s, st.ID)
+	rec = doJSON(s, "GET", "/v1/jobs/"+st.ID+"/result", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("fetch fig1 = %d: %s", rec.Code, rec.Body.String())
+	}
+	var got, want Response
+	json.Unmarshal(rec.Body.Bytes(), &got)
+	// A fresh server computes the synchronous answer, so the async
+	// result is compared with an execution, not with its own cache entry.
+	rec = doJSON(testServer(t, Options{}), "POST", "/v1/experiment", map[string]any{"id": "fig1"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sync fig1 = %d: %s", rec.Code, rec.Body.String())
+	}
+	json.Unmarshal(rec.Body.Bytes(), &want)
+	if want.Cached || got.Key != want.Key || !bytes.Equal(got.Result, want.Result) {
+		t.Fatalf("async fig1 = key %s, %d result bytes; sync = key %s (cached %v), %d bytes",
+			got.Key, len(got.Result), want.Key, want.Cached, len(want.Result))
 	}
 }
 
