@@ -506,14 +506,9 @@ func (r *Runner) Fig16() (*Table, error) {
 // column is the plain baseline and CARS configurations.
 func (r *Runner) Fig17() (*Table, error) {
 	factors := []int{1, 2, 4, 8}
-	baseNames := map[int]string{1: r.baseName()}
-	carsNames := map[int]string{1: r.carsName()}
-	for _, f := range factors[1:] {
-		cb := config.ScaleL1Ports(config.V100(), f)
-		cb.Name = fmt.Sprintf("V100-L1x%d", f)
-		cc := config.ScaleL1Ports(config.WithCARS(config.V100()), f)
-		cc.Name = fmt.Sprintf("V100+CARS-L1x%d", f)
-		baseNames[f], carsNames[f] = r.defineConfig(cb), r.defineConfig(cc)
+	baseNames, carsNames := map[int]string{}, map[int]string{}
+	for _, f := range factors {
+		baseNames[f], carsNames[f] = r.portNames(f)
 	}
 	var reqs []request
 	for _, n := range allNames() {
@@ -579,10 +574,27 @@ func (r *Runner) Fig17() (*Table, error) {
 	return t, nil
 }
 
+// portNames returns the baseline and CARS configurations with the L1D
+// port bandwidth scaled by f; f = 1 gives the plain ones.
+func (r *Runner) portNames(f int) (base, cars string) {
+	if f == 1 {
+		return r.baseName(), r.carsName()
+	}
+	cb := config.ScaleL1Ports(config.V100(), f)
+	cb.Name = fmt.Sprintf("V100-L1x%d", f)
+	cc := config.ScaleL1Ports(config.WithCARS(config.V100()), f)
+	cc.Name = fmt.Sprintf("V100+CARS-L1x%d", f)
+	return r.defineConfig(cb), r.defineConfig(cc)
+}
+
+// rtx3070Names returns the Ampere baseline and CARS configurations.
+func (r *Runner) rtx3070Names() (base, cars string) {
+	return r.defineConfig(config.RTX3070()), r.defineConfig(config.WithCARS(config.RTX3070()))
+}
+
 // Fig18 regenerates Fig. 18: CARS speedups on the Ampere RTX 3070.
 func (r *Runner) Fig18() (*Table, error) {
-	base3070 := r.defineConfig(config.RTX3070())
-	cars3070 := r.defineConfig(config.WithCARS(config.RTX3070()))
+	base3070, cars3070 := r.rtx3070Names()
 	var reqs []request
 	for _, n := range allNames() {
 		reqs = append(reqs, request{base3070, n, false, ""}, request{cars3070, n, false, ""})

@@ -57,28 +57,39 @@ func ptaKernel(cfgName, kernel string) request {
 	return request{cfgName: cfgName, workload: "PTA", kernel: kernel}
 }
 
+// fig14Policies are Fig. 14's allocation mechanisms: the forced ladder
+// levels and the adaptive state machine.
+var fig14Policies = []struct {
+	label  string
+	policy cars.Policy
+}{
+	{"Low", cars.ForcedPolicy(cars.Level{Kind: cars.KindLow, N: 1})},
+	{"2xLow", cars.ForcedPolicy(cars.Level{Kind: cars.KindNxLow, N: 2})},
+	{"4xLow", cars.ForcedPolicy(cars.Level{Kind: cars.KindNxLow, N: 4})},
+	{"High", cars.ForcedPolicy(cars.Level{Kind: cars.KindHigh})},
+	{"Adaptive", cars.AdaptivePolicy()},
+}
+
+// policyNames returns the CARS configuration of each of fig14Policies.
+func (r *Runner) policyNames() []string {
+	names := make([]string, len(fig14Policies))
+	for i, p := range fig14Policies {
+		cfg := config.WithCARSPolicy(config.V100(), p.policy)
+		cfg.Name = "V100+CARS-" + p.label
+		names[i] = r.defineConfig(cfg)
+	}
+	return names
+}
+
 // Fig14 regenerates Fig. 14: per-kernel PTA speedup under each
 // allocation mechanism (Low, NxLow ladder, High, and the adaptive
 // state machine), normalised to the baseline.
 func (r *Runner) Fig14() (*Table, error) {
 	kernels := workloads.PTAKernelNames()
-	policies := []struct {
-		label  string
-		policy cars.Policy
-	}{
-		{"Low", cars.ForcedPolicy(cars.Level{Kind: cars.KindLow, N: 1})},
-		{"2xLow", cars.ForcedPolicy(cars.Level{Kind: cars.KindNxLow, N: 2})},
-		{"4xLow", cars.ForcedPolicy(cars.Level{Kind: cars.KindNxLow, N: 4})},
-		{"High", cars.ForcedPolicy(cars.Level{Kind: cars.KindHigh})},
-		{"Adaptive", cars.AdaptivePolicy()},
-	}
 	base := r.baseName()
-	cfgNames := make([]string, len(policies))
+	cfgNames := r.policyNames()
 	cols := []string{"Kernel"}
-	for i, p := range policies {
-		cfg := config.WithCARSPolicy(config.V100(), p.policy)
-		cfg.Name = "V100+CARS-" + p.label
-		cfgNames[i] = r.defineConfig(cfg)
+	for _, p := range fig14Policies {
 		cols = append(cols, p.label)
 	}
 	var reqs []request
@@ -107,7 +118,7 @@ func (r *Runner) Fig14() (*Table, error) {
 				return nil, err
 			}
 			row = append(row, fmtX(res.Speedup(b)))
-			if policies[i].label == "High" {
+			if fig14Policies[i].label == "High" {
 				ctxSw = res.Stats.ContextSwitches
 			}
 		}

@@ -198,7 +198,11 @@ func (r *Runner) prefetch(reqs []request) {
 		return
 	}
 	ctx := r.context()
-	tasks := make([]*jobq.Task, 0, len(missing))
+	type task struct {
+		q request
+		t *jobq.Task
+	}
+	tasks := make([]task, 0, len(missing))
 	for _, q := range missing {
 		q := q
 		t, err := r.pool.SubmitWait(ctx, func(ctx context.Context) (any, error) {
@@ -219,10 +223,16 @@ func (r *Runner) prefetch(reqs []request) {
 			r.mu.Unlock()
 			continue
 		}
-		tasks = append(tasks, t)
+		tasks = append(tasks, task{q, t})
 	}
-	for _, t := range tasks {
-		t.Wait(context.Background())
+	for _, tk := range tasks {
+		// The job itself records its outcome; the task fails only when
+		// the simulation panicked (a *jobq.PanicError).
+		if _, err := tk.t.Wait(context.Background()); err != nil {
+			r.mu.Lock()
+			r.errs[tk.q] = err
+			r.mu.Unlock()
+		}
 	}
 }
 

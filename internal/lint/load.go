@@ -3,8 +3,8 @@
 // parameter from any other ctx-named value or sim.Monitor's hooks from
 // methods that share a name, and a cross-package call graph to decide
 // reachability from the serving roots. Both come from the standard
-// library alone — go/parser + go/types with the source importer — so
-// the module stays dependency-free.
+// library alone — go/parser + go/types, with the source importer for
+// the standard library — so the module stays dependency-free.
 package lint
 
 import (
@@ -41,7 +41,56 @@ type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	imp types.ImporterFrom
+	imp *moduleImporter
+}
+
+// moduleImporter resolves the imports of a module's packages and of
+// its fixtures. An in-module path is answered with the package the
+// module type-checks itself, loaded on its first import and memoised,
+// so each in-module package is checked once whether it is imported or
+// walked; any other path (the standard library) goes to the source
+// importer, which caches what it checks.
+type moduleImporter struct {
+	root, path string // module root directory and module path
+	fset       *token.FileSet
+	std        types.ImporterFrom
+	// pkgs holds the in-module packages checked so far, by import path
+	// (nil for a directory without Go files, or while one is checked).
+	pkgs map[string]*Package
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	return im.ImportFrom(path, im.root, 0)
+}
+
+func (im *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path != im.path && !strings.HasPrefix(path, im.path+"/") {
+		return im.std.ImportFrom(path, dir, mode)
+	}
+	pkg, err := im.load(path)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: import %q: no package (no Go files, or an import cycle)", path)
+	}
+	return pkg.Types, nil
+}
+
+// load returns the in-module package at import path, type-checking it
+// on the first call.
+func (im *moduleImporter) load(path string) (*Package, error) {
+	if pkg, ok := im.pkgs[path]; ok {
+		return pkg, nil
+	}
+	im.pkgs[path] = nil // an import cycle back to path finds no package
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, im.path), "/")
+	pkg, err := im.check(filepath.Join(im.root, filepath.FromSlash(rel)), path)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // FindModuleRoot walks up from dir to the directory holding go.mod.
@@ -76,15 +125,19 @@ func modulePath(root string) (string, error) {
 	return "", fmt.Errorf("lint: no module line in %s/go.mod", root)
 }
 
-// newModule builds an empty module with a shared importer. The source
-// importer type-checks imports (stdlib and in-module alike) from
-// source and caches them, so every package added to the module
-// resolves against one consistent set of dependency exports.
-func newModule(root string) *Module {
+// newModule builds an empty module over the module at root (the
+// directory holding go.mod).
+func newModule(root string) (*Module, error) {
+	modPath, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
-	m := &Module{Root: root, Fset: fset}
-	m.imp = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	return m
+	return &Module{Root: root, Fset: fset, imp: &moduleImporter{
+		root: root, path: modPath, fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs: map[string]*Package{},
+	}}, nil
 }
 
 // LoadModule parses and type-checks every package of the module at
@@ -96,11 +149,10 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePath(root)
+	m, err := newModule(root)
 	if err != nil {
 		return nil, err
 	}
-	m := newModule(root)
 	var dirs []string
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -123,12 +175,16 @@ func LoadModule(root string) (*Module, error) {
 	sort.Strings(dirs)
 	for _, dir := range dirs {
 		rel, _ := filepath.Rel(root, dir)
-		path := modPath
+		path := m.imp.path
 		if rel != "." {
-			path = modPath + "/" + filepath.ToSlash(rel)
+			path += "/" + filepath.ToSlash(rel)
 		}
-		if err := m.loadDir(dir, path); err != nil {
+		pkg, err := m.imp.load(path)
+		if err != nil {
 			return nil, err
+		}
+		if pkg != nil {
+			m.Pkgs = append(m.Pkgs, pkg)
 		}
 	}
 	return m, nil
@@ -140,38 +196,38 @@ func LoadModule(root string) (*Module, error) {
 // importer, so an in-module import is type-checked once across every
 // fixture.
 func (m *Module) fixture(dir, syntheticPath string) (*Module, error) {
-	f := &Module{Root: m.Root, Fset: m.Fset, imp: m.imp}
-	if err := f.loadDir(dir, syntheticPath); err != nil {
+	pkg, err := m.imp.check(dir, syntheticPath)
+	if err != nil {
 		return nil, err
 	}
-	if len(f.Pkgs) == 0 {
+	if pkg == nil {
 		return nil, fmt.Errorf("lint: fixture %s has no Go files", dir)
 	}
-	return f, nil
+	return &Module{Root: m.Root, Fset: m.Fset, Pkgs: []*Package{pkg}, imp: m.imp}, nil
 }
 
-// loadDir parses dir's non-test Go files (respecting build tags) and
+// check parses dir's non-test Go files (respecting build tags) and
 // type-checks them as one package under the given import path. A dir
-// with no Go files is skipped silently.
-func (m *Module) loadDir(dir, path string) error {
+// with no Go files gives no package and no error.
+func (im *moduleImporter) check(dir, path string) (*Package, error) {
 	bctx := build.Default
 	bpkg, err := bctx.ImportDir(dir, 0)
 	if err != nil {
 		if _, ok := err.(*build.NoGoError); ok {
-			return nil
+			return nil, nil
 		}
-		return fmt.Errorf("lint: %s: %w", dir, err)
+		return nil, fmt.Errorf("lint: %s: %w", dir, err)
 	}
 	var files []*ast.File
 	for _, name := range bpkg.GoFiles {
-		f, perr := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, perr := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if perr != nil {
-			return perr
+			return nil, perr
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil
+		return nil, nil
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -180,15 +236,14 @@ func (m *Module) loadDir(dir, path string) error {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{
-		Importer: m.imp,
+		Importer: im,
 		Error:    func(error) {}, // best-effort, like go vet
 	}
-	tpkg, _ := conf.Check(path, m.Fset, files, info)
+	tpkg, _ := conf.Check(path, im.fset, files, info)
 	if tpkg == nil {
-		return fmt.Errorf("lint: type-checking %s produced no package", path)
+		return nil, fmt.Errorf("lint: type-checking %s produced no package", path)
 	}
-	m.Pkgs = append(m.Pkgs, &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info})
-	return nil
+	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // pkgByPath returns the loaded package with the given import path.

@@ -45,7 +45,10 @@ func SelfTest(moduleRoot string) ([]SelfTestResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := newModule(root)
+	base, err := newModule(root)
+	if err != nil {
+		return nil, err
+	}
 	var results []SelfTestResult
 	for _, a := range Analyzers {
 		r, err := selfTestOne(base, a)

@@ -45,8 +45,10 @@ type L1 struct {
 	// waiter slices the next allocations reuse.
 	mshrs []l1MSHR
 
-	// MSHRStalls counts cycles the LSU could not proceed for want of an
-	// MSHR entry.
+	// MSHRStalls counts loads refused for want of an MSHR entry. The
+	// LSU retries a refused load on its SM's next tick, and an SM whose
+	// LSU head waits for an MSHR sleeps until a load completes, so this
+	// counts refusals, not cycles.
 	MSHRStalls uint64
 }
 

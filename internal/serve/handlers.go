@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"carsgo/internal/cars"
 	"carsgo/internal/config"
 	"carsgo/internal/serve/cache"
+	"carsgo/internal/serve/jobq"
 	wspec "carsgo/internal/spec"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
@@ -217,6 +219,7 @@ func (s *Server) execCached(ctx context.Context, key cache.Key, job func(ctx con
 		}
 		v, err := t.Wait(fctx)
 		if err != nil {
+			s.notePanic(key, err)
 			return nil, err
 		}
 		data := v.([]byte)
@@ -233,6 +236,18 @@ func (s *Server) execCached(ctx context.Context, key cache.Key, job func(ctx con
 		s.reqCollapsed.Inc()
 	}
 	return v.([]byte), false, shared, nil
+}
+
+// notePanic counts and logs an execution that panicked — in the
+// admission pool, or in the experiment runner's pool under it. The
+// request gets a 500 (writeExecError) and nothing is cached.
+func (s *Server) notePanic(key cache.Key, err error) {
+	var pe *jobq.PanicError
+	if !errors.As(err, &pe) {
+		return
+	}
+	s.jobPanics.Inc()
+	s.log.Error("job panicked", "key", key.String(), "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {

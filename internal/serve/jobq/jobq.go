@@ -11,12 +11,16 @@
 //
 // A job whose context is already done when a worker picks it up is
 // completed with the context error without running — cancelled work
-// never occupies a worker.
+// never occupies a worker. A job that panics is completed with a
+// *PanicError and its worker keeps serving: one bad job must not take
+// down the daemon or the batch around it.
 package jobq
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -26,6 +30,15 @@ var ErrQueueFull = errors.New("jobq: admission queue full")
 
 // ErrDraining reports that the pool no longer accepts jobs.
 var ErrDraining = errors.New("jobq: pool is draining")
+
+// PanicError is the error of a task whose job panicked: the panic value
+// and the stack of the job's goroutine at the panic.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("jobq: job panicked: %v", e.Value) }
 
 // Job is one unit of work. The context carries the submitter's
 // deadline/cancellation; implementations should return ctx.Err() when
@@ -64,7 +77,7 @@ func (t *Task) complete(v any, err error) {
 type Stats struct {
 	Submitted uint64 // accepted into the queue
 	Rejected  uint64 // refused (full queue, draining pool, or dead ctx)
-	Completed uint64 // jobs that ran to completion (any outcome)
+	Completed uint64 // jobs that ran to completion (any outcome, a panic included)
 	Expired   uint64 // jobs whose context ended before a worker ran them
 }
 
@@ -121,10 +134,20 @@ func (p *Pool) run(t *Task) {
 		return
 	}
 	p.inFlight.Add(1)
-	v, err := t.job(t.ctx)
+	v, err := call(t)
 	p.inFlight.Add(-1)
 	p.completed.Add(1)
 	t.complete(v, err)
+}
+
+// call runs t's job, turning a panic into a *PanicError.
+func call(t *Task) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return t.job(t.ctx)
 }
 
 // Submit enqueues a job without blocking. A full queue returns

@@ -3,6 +3,7 @@ package jobq
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,5 +213,31 @@ func TestDrainDeadline(t *testing.T) {
 	// A second drain with room to finish succeeds (idempotent).
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPanickingJobKeepsWorker(t *testing.T) {
+	p := New(1, 2)
+	defer p.Drain(context.Background())
+	_, err := p.Do(context.Background(), func(context.Context) (any, error) {
+		var m map[string]int
+		m["boom"]++ // a nil-map write: a runtime panic, not an error
+		return nil, nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PanicError", err)
+	}
+	if !strings.Contains(pe.Error(), "assignment to entry in nil map") ||
+		!strings.Contains(string(pe.Stack), "TestPanickingJobKeepsWorker") {
+		t.Errorf("PanicError = %q with stack\n%s", pe.Error(), pe.Stack)
+	}
+	// The pool's only worker survived the panic and runs the next job.
+	v, err := p.Do(context.Background(), func(context.Context) (any, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("job after the panic = %v, %v", v, err)
+	}
+	if st := p.Stats(); st.Completed != 2 || p.InFlight() != 0 {
+		t.Errorf("stats = %+v, in flight %d", st, p.InFlight())
 	}
 }

@@ -122,6 +122,7 @@ type Server struct {
 	timeouts     *metrics.Counter
 	reqCached    *metrics.Counter
 	reqCollapsed *metrics.Counter
+	jobPanics    *metrics.Counter
 }
 
 // New builds a Server. Call Close to drain it.
@@ -181,6 +182,8 @@ func (s *Server) registerMetrics() {
 		"Requests answered from the result cache without executing.")
 	s.reqCollapsed = r.Counter("carsd_requests_collapsed_total",
 		"Requests that joined another caller's in-flight execution.")
+	s.jobPanics = r.Counter("carsd_job_panics_total",
+		"Executions that panicked; the worker recovered and the request got a 500.")
 
 	r.GaugeFunc("carsd_queue_depth", "Jobs admitted but not yet running.",
 		func() float64 { return float64(s.pool.Depth()) })

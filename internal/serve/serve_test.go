@@ -420,6 +420,7 @@ func TestMetricsExposition(t *testing.T) {
 		"carsd_singleflight_executions_total",
 		"carsd_singleflight_collapsed_total",
 		"carsd_request_timeouts_total",
+		"carsd_job_panics_total",
 		"carsd_uptime_seconds",
 	} {
 		if !strings.Contains(body, "\n"+name) && !strings.HasPrefix(body, "# HELP "+name) {
@@ -517,5 +518,46 @@ func TestSpecWorkloadBadRequests(t *testing.T) {
 				t.Errorf("%s %s = %d, want 400: %s", path, name, rec.Code, rec.Body.String())
 			}
 		}
+	}
+}
+
+// TestJobPanicIsContained: a job that panics answers its request with
+// a structured 500, is counted and caches nothing, and the daemon's
+// only worker goes on to serve the same request.
+func TestJobPanicIsContained(t *testing.T) {
+	s := testServer(t, Options{Workers: 1})
+	req := &SimulateRequest{Config: "base", Workload: "FIB"}
+	p, rerr := s.prepareSimulate(req)
+	if rerr != nil {
+		t.Fatal(rerr.message)
+	}
+	p.job = func(context.Context) (any, error) { panic("simulator bug") }
+	rec := httptest.NewRecorder()
+	s.serveSync(rec, httptest.NewRequest("POST", "/v1/simulate", nil), p, nil)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking job = %d: %s", rec.Code, rec.Body.String())
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != "internal" ||
+		!strings.Contains(e.Error.Message, "simulator bug") {
+		t.Fatalf("error envelope = %s (%v)", rec.Body.String(), err)
+	}
+	if _, ok := s.cache.Get(p.key); ok {
+		t.Fatal("a panicked execution was cached")
+	}
+	if n := metricValue(t, s, "carsd_job_panics_total"); n != 1 {
+		t.Fatalf("carsd_job_panics_total = %v, want 1", n)
+	}
+
+	rec = doJSON(s, "POST", "/v1/simulate", req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request after the panic = %d: %s", rec.Code, rec.Body.String())
+	}
+	var r Response
+	if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil || r.Cached || r.Key != p.key.String() {
+		t.Fatalf("response after the panic: cached=%v key=%s (%v), want a fresh run of %s", r.Cached, r.Key, err, p.key)
+	}
+	if n := metricValue(t, s, "carsd_job_panics_total"); n != 1 {
+		t.Fatalf("carsd_job_panics_total = %v after a clean run, want 1", n)
 	}
 }

@@ -189,7 +189,7 @@ func (s *SM) execute(now int64, w *Warp, in *isa.Instruction) {
 
 	case isa.OpBra:
 		w.SIMT.Branch(pc, guard, in.Target, in.Target2)
-		w.Wake = now + 1
+		s.wake[w.Slot] = now + 1
 
 	case isa.OpCall:
 		st.Calls++
@@ -208,7 +208,7 @@ func (s *SM) execute(now int64, w *Warp, in *isa.Instruction) {
 		if w.DynCallDepth > st.MaxCallDepth {
 			st.MaxCallDepth = w.DynCallDepth
 		}
-		w.Wake = maxI64(w.Wake, now+2+ctrlExtra)
+		s.wake[w.Slot] = now + 2 + ctrlExtra
 
 	case isa.OpCallI:
 		st.Calls++
@@ -227,7 +227,7 @@ func (s *SM) execute(now int64, w *Warp, in *isa.Instruction) {
 		if w.DynCallDepth > st.MaxCallDepth {
 			st.MaxCallDepth = w.DynCallDepth
 		}
-		w.Wake = maxI64(w.Wake, now+2+ctrlExtra)
+		s.wake[w.Slot] = now + 2 + ctrlExtra
 
 	case isa.OpRet:
 		released := w.SIMT.Ret()
@@ -240,7 +240,7 @@ func (s *SM) execute(now int64, w *Warp, in *isa.Instruction) {
 				mon.Return(w.GWID, top.Func, pc, w.CStack.RFP, w.CStack.RSP, w.reg)
 			}
 		}
-		w.Wake = maxI64(w.Wake, now+2+ctrlExtra)
+		s.wake[w.Slot] = now + 2 + ctrlExtra
 
 	case isa.OpPushRFP:
 		// Timing-only: the register-stack pointer updates are performed
@@ -469,8 +469,7 @@ func (s *SM) indirectTarget(w *Warp, in *isa.Instruction, guard uint32) int {
 
 func (s *SM) execBarrier(now int64, w *Warp, mon Monitor) {
 	b := w.Block
-	w.AtBarrier = true
-	w.Wake = farFuture
+	s.park(w, parkBarrier)
 	w.SIMT.Advance()
 	b.BarrierArrived++
 	// Under the static wavefront limiter, a barrier-parked warp hands
@@ -479,23 +478,18 @@ func (s *SM) execBarrier(now int64, w *Warp, mon Monitor) {
 	s.swlActivateSibling(now, b)
 	s.checkBarrierContextSwitch(now, w)
 	if b.BarrierArrived >= b.LiveWarps {
-		releaseBarrier(now, b, mon)
+		s.releaseBarrier(now, b, mon)
 	}
 }
 
 // releaseBarrier unparks every warp waiting at the block's barrier.
-func releaseBarrier(now int64, b *Block, mon Monitor) {
+func (s *SM) releaseBarrier(now int64, b *Block, mon Monitor) {
 	if mon != nil {
 		mon.BarrierRelease(b.ID)
 	}
 	b.BarrierArrived = 0
 	for _, bw := range b.Warps {
-		if bw.AtBarrier {
-			bw.AtBarrier = false
-			if bw.Wake > now && bw.TrapOutstanding == 0 {
-				bw.Wake = now
-			}
-		}
+		s.unpark(bw, parkBarrier, now)
 	}
 }
 
@@ -504,8 +498,7 @@ func (s *SM) execExit(now int64, w *Warp, mon Monitor) {
 	if !w.SIMT.Empty() {
 		return
 	}
-	w.Finished = true
-	w.Wake = farFuture
+	s.park(w, parkFinished)
 	if mon != nil {
 		mon.WarpExit(w.GWID)
 	}
@@ -513,7 +506,7 @@ func (s *SM) execExit(now int64, w *Warp, mon Monitor) {
 	b.LiveWarps--
 	// A warp exiting may release a barrier its siblings wait at.
 	if b.LiveWarps > 0 && b.BarrierArrived >= b.LiveWarps {
-		releaseBarrier(now, b, mon)
+		s.releaseBarrier(now, b, mon)
 	}
 	s.warpStatusCheck(now, w)
 	s.applySWL()
@@ -755,11 +748,4 @@ func (s *SM) bankConflicts(w *Warp, in *isa.Instruction, banks int) int {
 		}
 	}
 	return conflicts
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -82,6 +82,10 @@ func New(cfg Config, prog *isa.Program) (*GPU, error) {
 	if cfg.CARSEnabled != prog.CARS {
 		return nil, fmt.Errorf("sim: config CARS=%v but program compiled with CARS=%v", cfg.CARSEnabled, prog.CARS)
 	}
+	if cfg.SchedulersPerSM < 1 || cfg.WarpsPerScheduler() > maxWarpsPerScheduler {
+		return nil, fmt.Errorf("sim: %d warp slots over %d schedulers: each scheduler must own 1 to %d slots",
+			cfg.MaxWarpsPerSM, cfg.SchedulersPerSM, maxWarpsPerScheduler)
+	}
 	g := &GPU{
 		Cfg:        cfg,
 		Prog:       prog,
@@ -234,6 +238,9 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 
 	g.admitDirty = true
 	g.waveOpen = true
+	for _, sm := range g.sms {
+		sm.wakeUp()
+	}
 	start := g.clock
 	cycle := g.clock
 	ctxDone := ctx.Done()
@@ -255,31 +262,28 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 		if g.admitDirty {
 			g.scheduleBlocks(cycle)
 		}
-		anyIssued := false
-		anyLSU := false
-		minWake := int64(-1)
+		wake := farFuture // the first cycle some SM ticks again
 		for _, sm := range g.sms {
-			sm.tick(cycle)
-			anyIssued = anyIssued || sm.issuedThisTick
-			anyLSU = anyLSU || sm.lsu.busy()
-			if sm.nextWake < farFuture {
-				if minWake < 0 || sm.nextWake < minWake {
-					minWake = sm.nextWake
-				}
+			if sm.sleepUntil <= cycle {
+				sm.tick(cycle)
+			}
+			if sm.sleepUntil < wake {
+				wake = sm.sleepUntil
 			}
 		}
 		cycle++
-		if !anyIssued && !anyLSU && !g.admitDirty {
-			// Idle: jump to the next interesting cycle.
-			next := g.Sys.NextEventCycle()
-			if minWake >= 0 && (next < 0 || minWake < next) {
-				next = minWake
+		if wake > cycle && !g.admitDirty {
+			// Every SM sleeps past the next cycle: jump to the first
+			// cycle at which one wakes or a memory event fires.
+			if next := g.Sys.NextEventCycle(); next >= 0 && next < wake {
+				wake = next
 			}
-			if next > cycle {
-				cycle = next
-			} else if next < 0 && g.blocksDone < g.totalBlocks {
+			if wake == farFuture {
 				return nil, fmt.Errorf("sim: deadlock at cycle %d: %d/%d blocks done",
 					cycle, g.blocksDone, g.totalBlocks)
+			}
+			if wake > cycle {
+				cycle = wake
 			}
 		}
 		if cycle-start > maxLaunchCycles {
@@ -351,10 +355,8 @@ func (g *GPU) completeBlock(now int64, s *SM, b *Block) {
 		if w.CStack.MaxRSP > st.MaxRSP {
 			st.MaxRSP = w.CStack.MaxRSP
 		}
-		if w.HasRegs {
-			s.regAlloc.Release(w.RegBase, w.RegCount)
-			w.HasRegs = false
-		}
+		// Every warp has exited, and warpStatusCheck released its
+		// registers then.
 		s.removeStalled(w)
 		s.warps[w.Slot] = nil
 	}

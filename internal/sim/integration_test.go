@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"carsgo/internal/abi"
@@ -10,6 +11,7 @@ import (
 	"carsgo/internal/kir"
 	"carsgo/internal/mem"
 	"carsgo/internal/sim"
+	"carsgo/internal/stats"
 )
 
 // barrierModule: each thread stores tid+1 to shared memory, barriers,
@@ -52,11 +54,17 @@ func TestBarrierSynchronises(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := gpu.Alloc(grid * block)
-	if _, err := gpu.Run(isa.Launch{
+	st, err := gpu.Run(isa.Launch{
 		Kernel: "main", Dim: isa.Dim3{Grid: grid, Block: block},
 		SharedBytes: block * 4, Params: []uint32{out},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Pinned: warps park at the barrier and the last arrival releases
+	// them in the same cycle.
+	if st.Cycles != 852 {
+		t.Errorf("cycles = %d, want 852", st.Cycles)
 	}
 	for g := 0; g < grid; g++ {
 		for tid := 0; tid < block; tid++ {
@@ -96,6 +104,11 @@ func TestSWLLimitsConcurrency(t *testing.T) {
 	free := run(0)
 	if limited <= free {
 		t.Errorf("SWL(1) %d cycles not slower than unlimited %d", limited, free)
+	}
+	// Pinned: under SWL(1) each barrier hands the limiter's slot to a
+	// sibling (swlActivateSibling) and each EXIT re-applies the limit.
+	if limited != 1005 || free != 867 {
+		t.Errorf("cycles SWL(1) %d, unlimited %d; want 1005, 867", limited, free)
 	}
 }
 
@@ -156,6 +169,13 @@ func TestContextSwitchPath(t *testing.T) {
 	}
 	if st.ContextSwitches == 0 {
 		t.Error("engineered kernel performed no context switches")
+	}
+	// Pinned: the switched-out warp parks on its barrier, its spill
+	// trap and its missing registers at once, and unparks only when the
+	// last of them clears.
+	if st.Cycles != 64884 || st.ContextSwitches != 168 || st.CtxSwitchSlots != 72576 {
+		t.Errorf("cycles %d, context switches %d, switched slots %d; want 64884, 168, 72576",
+			st.Cycles, st.ContextSwitches, st.CtxSwitchSlots)
 	}
 	// Functional correctness through the switch path: compare against
 	// the baseline ABI.
@@ -290,6 +310,140 @@ func TestUnlimitedRegsLiftOccupancy(t *testing.T) {
 	ideal := run(config.IdealizedVirtualWarps(config.V100()))
 	if ideal >= base {
 		t.Errorf("IdealVW (%d cycles) not faster than reg-limited baseline (%d)", ideal, base)
+	}
+	// Pinned: the baseline re-admits a block into the slots of each one
+	// that retires.
+	if base != 20500 || ideal != 16086 {
+		t.Errorf("cycles baseline %d, IdealVW %d; want 20500, 16086", base, ideal)
+	}
+}
+
+// loadStats is the part of a launch's statistics the load tests pin.
+func loadStats(st *stats.Kernel) string {
+	return fmt.Sprintf("cycles=%d instr=%d l1d.miss=%d l1i.access=%d l1i.miss=%d l2.access=%d dram=%d resident=%d",
+		st.Cycles, st.TotalInstructions(), st.L1D.Misses[mem.ClassGlobal],
+		st.L1I.Accesses[mem.ClassInst], st.L1I.Misses[mem.ClassInst],
+		st.L2.Accesses[mem.ClassGlobal], st.DRAMSectors, st.ResidentWarps)
+}
+
+// TestLoadsOutliveTheirWarps: odd blocks load and EXIT without waiting
+// for the data, so their loads complete after the warp is gone, often
+// once a block of the next wave holds the slot. Blocks past the first
+// wave first run code no earlier block fetched, so the new occupant is
+// likely waiting on an instruction fill when the old load lands; were
+// the completion to wake it, it would refetch early and the L1I counts
+// would move. Even blocks store the loaded value plus one.
+func TestLoadsOutliveTheirWarps(t *testing.T) {
+	m := &kir.Module{Name: "m"}
+	k := kir.NewKernel("main")
+	k.S2R(8, isa.SrTID).
+		S2R(9, isa.SrCTAID).
+		S2R(10, isa.SrNTID).
+		IMad(17, 9, 10, 8).
+		ShlI(12, 17, 2).
+		IAdd(18, 4, 12). // &in[gtid]
+		IAdd(19, 5, 12). // &out[gtid]
+		LdG(20, 18, 0).
+		SetPI(1, isa.CmpGE, 9, 64).
+		If(1, func(b *kir.Builder) {
+			for i := 0; i < 96; i++ {
+				b.IAddI(uint8(22+i%8), 17, int32(i))
+			}
+		}, nil).
+		AndI(11, 9, 1).
+		SetPI(0, isa.CmpEQ, 11, 0).
+		If(0, func(b *kir.Builder) { b.IAddI(21, 20, 1).StG(19, 0, 21) }, nil).
+		Exit()
+	m.AddFunc(k.MustBuild())
+	prog, err := abi.Link(abi.Baseline, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu, err := sim.New(config.V100(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 8 blocks of 8 warps fill an SM's 64 slots: 192 blocks are three
+	// waves.
+	const grid, block = 192, 256
+	in, out := gpu.Alloc(grid*block), gpu.Alloc(grid*block)
+	for i := 0; i < grid*block; i++ {
+		gpu.Global()[int(in/4)+i] = uint32(7 * i)
+	}
+	st, err := gpu.Run(isa.Launch{
+		Kernel: "main", Dim: isa.Dim3{Grid: grid, Block: block},
+		Params: []uint32{in, out},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < grid*block; i++ {
+		want := uint32(0)
+		if (i/block)%2 == 0 {
+			want = uint32(7*i) + 1
+		}
+		if got := gpu.Global()[int(out/4)+i]; got != want {
+			t.Fatalf("out[%d] = %d, want %d", i, got, want)
+		}
+	}
+	if got, want := loadStats(st), "cycles=5530 instr=122880 l1d.miss=9208 l1i.access=130589 l1i.miss=7709 l2.access=9208 dram=9208 resident=64"; got != want {
+		t.Errorf("stats %s\n want %s", got, want)
+	}
+}
+
+// TestMSHRExhaustion: every lane of a load touches its own 128B line,
+// so one warp-load needs 32 MSHRs. Two warps of two loads each ask an
+// SM's L1 for 128 lines with 48 MSHRs: the LSU head waits for an MSHR
+// while both warps wait on the scoreboard, leaving the SM nothing to
+// issue.
+func TestMSHRExhaustion(t *testing.T) {
+	m := &kir.Module{Name: "m"}
+	k := kir.NewKernel("main")
+	k.S2R(8, isa.SrTID).
+		S2R(9, isa.SrCTAID).
+		S2R(10, isa.SrNTID).
+		IMad(17, 9, 10, 8).
+		ShlI(12, 17, 7).
+		IAdd(18, 4, 12). // &in[32*gtid]: one line per lane
+		LdG(20, 18, 0).
+		LdG(21, 18, 64).
+		IAdd(22, 20, 21).
+		ShlI(13, 17, 2).
+		IAdd(19, 5, 13).
+		StG(19, 0, 22).
+		Exit()
+	m.AddFunc(k.MustBuild())
+	prog, err := abi.Link(abi.Baseline, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.V100()
+	if cfg.L1D.MSHRs != 48 {
+		t.Fatalf("V100 has %d L1 MSHRs; the test is sized for 48", cfg.L1D.MSHRs)
+	}
+	gpu, err := sim.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const grid, block = 8, 64 // one block per SM
+	in, out := gpu.Alloc(32*grid*block), gpu.Alloc(grid*block)
+	for i := 0; i < 32*grid*block; i++ {
+		gpu.Global()[int(in/4)+i] = uint32(i)
+	}
+	st, err := gpu.Run(isa.Launch{
+		Kernel: "main", Dim: isa.Dim3{Grid: grid, Block: block},
+		Params: []uint32{in, out},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < grid*block; i++ {
+		if got, want := gpu.Global()[int(out/4)+i], uint32(32*i)+uint32(32*i+16); got != want {
+			t.Fatalf("out[%d] = %d, want %d", i, got, want)
+		}
+	}
+	if got, want := loadStats(st), "cycles=1678 instr=224 l1d.miss=1088 l1i.access=256 l1i.miss=32 l2.access=1088 dram=1092 resident=2"; got != want {
+		t.Errorf("stats %s\n want %s", got, want)
 	}
 }
 

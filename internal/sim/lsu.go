@@ -32,7 +32,10 @@ type lsuEntry struct {
 }
 
 // LoadDone records one L1 load completion (the entry's mem.LoadTarget).
+// It wakes the SM: the completion may ready a register or a trap, and
+// it may have freed the MSHR the LSU head waits for.
 func (e *lsuEntry) LoadDone(done int64) {
+	e.lsu.sm.wakeUp()
 	e.outstanding--
 	if done > e.maxDone {
 		e.maxDone = done
@@ -59,7 +62,6 @@ func newLSU(sm *SM, capacity int) lsu {
 }
 
 func (l *lsu) hasSpace() bool { return len(l.queue) < l.cap }
-func (l *lsu) busy() bool     { return len(l.queue) > 0 }
 
 // newEntry returns a cleared entry for w, from the free list when one
 // is there; the caller appends its accesses and enqueues it.
@@ -92,8 +94,10 @@ func (l *lsu) pop() {
 }
 
 // tick dispatches sector accesses for the queue head(s) within the
-// cycle's port budget.
-func (l *lsu) tick(now int64) {
+// cycle's port budget and reports whether it dispatched or popped
+// anything. When it did neither, the queue is empty or its head waits
+// for an MSHR, which only a load completion frees.
+func (l *lsu) tick(now int64) (moved bool) {
 	budget := l.sm.gpu.Cfg.L1DSectorsPerCycle
 	for len(l.queue) > 0 && budget > 0 {
 		e := l.queue[0]
@@ -101,13 +105,13 @@ func (l *lsu) tick(now int64) {
 			acc := e.accesses[e.next]
 			cost := popcount8(acc.sectors)
 			if cost > budget {
-				return
+				return moved
 			}
 			if e.isLoad {
 				e.outstanding++
 				if !l.sm.l1d.Load(now, acc.lineAddr, acc.sectors, e.class, e) {
 					e.outstanding--
-					return // MSHR full: retry next cycle
+					return moved // MSHR full: retry once a load completes
 				}
 			} else if e.isLocal {
 				l.sm.l1d.StoreLocal(now, acc.lineAddr, acc.sectors, e.class)
@@ -117,9 +121,11 @@ func (l *lsu) tick(now int64) {
 			l.sm.noteTraffic(now, e.class, cost)
 			budget -= cost
 			e.next++
+			moved = true
 		}
 		e.dispatched = true
 		l.pop()
+		moved = true
 		if !e.isLoad || e.outstanding == 0 {
 			if e.isLoad && e.maxDone == 0 {
 				e.maxDone = now
@@ -127,11 +133,15 @@ func (l *lsu) tick(now int64) {
 			l.finish(e)
 		}
 	}
+	return moved
 }
 
 // finish resolves an entry's effect on its warp and recycles it. For
 // loads the destination register becomes readable at the data-arrival
-// cycle; for trap operations the warp wakes when the last one drains.
+// cycle; for trap operations the warp unparks when the last one drains
+// (and stays parked if something else still holds it: a switch, a
+// barrier). A load may outlive its warp, which exits without waiting
+// for it; lowerWake leaves such a warp's slot alone.
 func (l *lsu) finish(e *lsuEntry) {
 	w := e.warp
 	switch {
@@ -141,20 +151,13 @@ func (l *lsu) finish(e *lsuEntry) {
 			w.trapMaxDone = e.maxDone
 		}
 		if w.TrapOutstanding == 0 {
-			w.Wake = w.trapMaxDone
-			// Warps that still cannot run (context-switched out, at a
-			// barrier, deactivated) stay parked for their unblock event.
-			if w.SwappedOut || !w.HasRegs || w.Finished || w.AtBarrier {
-				w.Wake = farFuture
-			}
+			l.sm.unpark(w, parkTrap, w.trapMaxDone)
 		}
 	case e.isLoad && e.dst != isa.NoReg:
 		w.ReadyAt[e.dst] = e.maxDone
-		// The warp may be parked waiting on this register; wake it at
-		// the data-arrival cycle so the scheduler rescans it.
-		if w.Wake > e.maxDone && w.TrapOutstanding == 0 {
-			w.Wake = e.maxDone
-		}
+		// The warp may be waiting on this register; wake it at the
+		// data-arrival cycle so the scheduler rescans it.
+		l.sm.lowerWake(w, e.maxDone)
 	}
 	l.release(e)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"carsgo/internal/isa"
 	"carsgo/internal/mem"
 	"carsgo/internal/simt"
@@ -25,8 +27,24 @@ type SM struct {
 
 	lsu lsu
 
-	// schedLast is the greedy warp per scheduler (GTO).
-	schedLast []int
+	// nsched is the scheduler count; scheduler sc owns slots sc,
+	// sc+nsched, sc+2*nsched, ...
+	nsched int
+
+	// greedy is each scheduler's GTO greedy warp, as a bit of its masks
+	// (below): the last warp the oldest-first scan issued, -1 before
+	// the first. Scheduler 0 starts greedy on slot 0.
+	greedy []int
+
+	// The issue-state table (park.go), by slot: parkState holds the
+	// reasons a warp cannot issue and wake the first cycle an unparked
+	// warp may. Per scheduler, bit i of ready marks slot sc+i*nsched as
+	// holding a warp with no park reason, and of lsuWait as refused for
+	// LSU space since its last issue.
+	parkState []parkBits
+	wake      []int64
+	ready     []uint64
+	lsuWait   []uint64
 
 	// stalledWarps is the CARS issue-stage list of register-deactivated
 	// warps (§IV-B): scheduled warps that have not been allocated
@@ -37,11 +55,16 @@ type SM struct {
 	// spawned thread blocks (the Fig. 5 state machine input).
 	carsLevel int
 
-	// nextWake is the earliest cycle at which a currently-blocked warp
-	// may become issuable (used for idle-cycle skipping).
+	// nextWake is the earliest wake the current tick's scan passed over.
 	nextWake int64
 
-	issuedThisTick bool
+	// sleepUntil is the next cycle the SM ticks. A tick that issued
+	// nothing and left the LSU where it was sets it to nextWake: until
+	// then every tick would refuse the same warps for the same reasons,
+	// none with a side effect. A load completion and a block admission
+	// wake the SM early (wakeUp); every other unpark happens inside the
+	// SM's own issue.
+	sleepUntil int64
 }
 
 func newSM(id int, g *GPU) *SM {
@@ -57,7 +80,15 @@ func newSM(id int, g *GPU) *SM {
 		warps:     make([]*Warp, cfg.MaxWarpsPerSM),
 		freeSmem:  cfg.SharedMemBytes,
 		freeThr:   cfg.MaxThreadsPerSM,
-		schedLast: make([]int, cfg.SchedulersPerSM),
+		nsched:    cfg.SchedulersPerSM,
+		greedy:    make([]int, cfg.SchedulersPerSM),
+		parkState: make([]parkBits, cfg.MaxWarpsPerSM),
+		wake:      make([]int64, cfg.MaxWarpsPerSM),
+		ready:     make([]uint64, cfg.SchedulersPerSM),
+		lsuWait:   make([]uint64, cfg.SchedulersPerSM),
+	}
+	for sc := 1; sc < len(s.greedy); sc++ {
+		s.greedy[sc] = -1
 	}
 	s.lsu = newLSU(s, cfg.LSUQueueCap)
 	return s
@@ -163,16 +194,16 @@ func (s *SM) admitBlock(now int64, blockID int) bool {
 			WInBlock: wi,
 			GWID:     blockID*warpsPerBlock + wi,
 		}
-		if wi < len(bases) {
+		hasRegs := wi < len(bases)
+		if hasRegs {
 			w.RegBase = bases[wi]
 			w.RegCount = regsPerWarp
-			w.HasRegs = true
 		} else {
 			// Register-deactivated: parked on the stalled-warp list until
 			// the warp-status-check or a context switch frees space.
 			s.stalledWarps = append(s.stalledWarps, w)
 		}
-		s.initWarp(w)
+		s.initWarp(w, hasRegs)
 		s.warps[slot] = w
 		b.Warps = append(b.Warps, w)
 	}
@@ -190,7 +221,7 @@ func (s *SM) admitBlock(now int64, blockID int) bool {
 	resident := 0
 	for _, bb := range s.blocks {
 		for _, bw := range bb.Warps {
-			if !bw.Finished {
+			if !s.parked(bw, parkFinished) {
 				resident++
 			}
 		}
@@ -207,11 +238,14 @@ func (s *SM) admitBlock(now int64, blockID int) bool {
 
 	// SWL activation.
 	s.applySWL()
+	s.wakeUp()
 	return true
 }
 
-// initWarp resets a warp's architectural state for kernel entry.
-func (s *SM) initWarp(w *Warp) {
+// initWarp resets a warp's architectural state for kernel entry. A warp
+// admitted without registers parks until it receives them; under the
+// wavefront limiter every new warp parks until applySWL activates it.
+func (s *SM) initWarp(w *Warp, hasRegs bool) {
 	g := s.gpu
 	mask := blockTailMask(w.Block.ThreadsCnt, w.WInBlock)
 	w.SIMT.Reset(g.kernelFunc, mask)
@@ -231,16 +265,18 @@ func (s *SM) initWarp(w *Warp) {
 		w.PredReadyAt[i] = 0
 	}
 	w.Preds = [8]uint32{}
-	w.Wake = 0
-	if !w.HasRegs {
-		w.Wake = farFuture // deactivated: woken by status check / switch
-	}
 	w.IBufFunc, w.IBufPC = -1, -1
-	w.AtBarrier, w.Finished, w.SwappedOut = false, false, false
-	w.lsuRefused = false
 	w.TrapOutstanding = 0
 	w.DynCallDepth = 0
-	if w.HasRegs {
+	var p parkBits
+	if !hasRegs {
+		p |= parkNoRegs
+	}
+	if g.Cfg.SWLLimit > 0 {
+		p |= parkSWL
+	}
+	s.resetSlot(w, p)
+	if hasRegs {
 		s.zeroRegs(w)
 		s.loadParams(w)
 	}
@@ -291,37 +327,25 @@ func blockTailMask(n, wi int) uint32 {
 	return (uint32(1) << remaining) - 1
 }
 
-// applySWL keeps at most SWLLimit warps schedulable.
+// applySWL keeps at most SWLLimit warps schedulable: it activates
+// SWL-parked warps in slot order while fewer than the limit are active.
 func (s *SM) applySWL() {
 	limit := s.gpu.Cfg.SWLLimit
 	if limit <= 0 {
-		for _, w := range s.warps {
-			if w != nil {
-				w.SWLActive = true
-			}
-		}
 		return
 	}
 	n := 0
-	for _, w := range s.warps {
-		if w == nil || w.Finished {
-			continue
-		}
-		if w.SWLActive {
+	for slot, w := range s.warps {
+		if w != nil && s.parkState[slot]&(parkFinished|parkSWL) == 0 {
 			n++
-		} else if w.Wake < farFuture {
-			w.Wake = farFuture // parked until the limiter activates it
 		}
 	}
-	for _, w := range s.warps {
+	for slot, w := range s.warps {
 		if n >= limit {
 			break
 		}
-		if w != nil && !w.Finished && !w.SWLActive {
-			w.SWLActive = true
-			if w.TrapOutstanding == 0 && w.Wake == farFuture {
-				w.Wake = 0
-			}
+		if w != nil && s.parkState[slot]&(parkFinished|parkSWL) == parkSWL {
+			s.unpark(w, parkSWL, 0)
 			n++
 		}
 	}
@@ -334,12 +358,12 @@ func (s *SM) swlActivateSibling(now int64, b *Block) {
 		return
 	}
 	var fallback *Warp
-	for _, w := range s.warps {
-		if w == nil || w.Finished || w.SWLActive {
+	for slot, w := range s.warps {
+		if w == nil || s.parkState[slot]&(parkFinished|parkSWL) != parkSWL {
 			continue
 		}
 		if w.Block == b {
-			s.swlActivate(now, w)
+			s.unpark(w, parkSWL, now)
 			return
 		}
 		if fallback == nil {
@@ -347,99 +371,78 @@ func (s *SM) swlActivateSibling(now int64, b *Block) {
 		}
 	}
 	if fallback != nil {
-		s.swlActivate(now, fallback)
+		s.unpark(fallback, parkSWL, now)
 	}
 }
 
-func (s *SM) swlActivate(now int64, w *Warp) {
-	w.SWLActive = true
-	if w.TrapOutstanding == 0 && w.Wake == farFuture && !w.AtBarrier && w.HasRegs && !w.SwappedOut {
-		w.Wake = now
-	}
-}
-
-// tick advances the SM by one cycle.
+// tick advances the SM by one cycle and decides when it next ticks.
 func (s *SM) tick(now int64) {
-	s.issuedThisTick = false
 	s.nextWake = farFuture
-	s.lsu.tick(now)
-	nsched := s.gpu.Cfg.SchedulersPerSM
-	for sc := 0; sc < nsched; sc++ {
-		s.scheduleOne(now, sc)
+	moved := s.lsu.tick(now)
+	issued := false
+	for sc := 0; sc < s.nsched; sc++ {
+		if s.scheduleOne(now, sc) {
+			issued = true
+		}
+	}
+	if issued || moved {
+		s.sleepUntil = now + 1
+	} else {
+		s.sleepUntil = s.nextWake
 	}
 }
 
 // scheduleOne lets scheduler sc issue at most one instruction (GTO:
-// greedy on the last warp, then oldest-first).
+// greedy on the last warp, then oldest-first, i.e. ascending slots).
 //
-// While the LSU is full, a warp whose last refusal was for LSU space
-// (lsuRefused) is skipped without calling tryIssue. The skip is exact:
-// such a warp's next instruction is still the refused memory op, so
-// with its Wake reached, tryIssue would refuse it again at one of its
-// checks, none of which has a side effect before the LSU check. A warp
-// whose Wake lies ahead still goes through the wake gate (noteWake).
-// The LSU fills only by issuing, which ends the call, so one hasSpace
-// read serves the whole scan.
-func (s *SM) scheduleOne(now int64, sc int) {
-	nsched := s.gpu.Cfg.SchedulersPerSM
-	lsuFull := !s.lsu.hasSpace()
-	last := s.schedLast[sc]
-	if last >= 0 && last < len(s.warps) {
-		if w := s.warps[last]; w != nil && last%nsched == sc {
-			skip := lsuFull && w.lsuRefused && w.Wake <= now
-			if !skip && s.tryIssue(now, w) {
-				s.issuedThisTick = true
-				return
-			}
+// The candidates are the scheduler's ready mask, less its LSU-waiting
+// warps while the LSU is full: such a warp's next instruction is still
+// the refused memory op, and the LSU fills only by issuing, which ends
+// the call. Of those, a warp whose wake lies ahead is noted for the
+// SM's sleep and passed over; only the rest reach tryIssue.
+func (s *SM) scheduleOne(now int64, sc int) bool {
+	m := s.ready[sc]
+	if !s.lsu.hasSpace() {
+		m &^= s.lsuWait[sc]
+	}
+	if m == 0 {
+		return false
+	}
+	if i := s.greedy[sc]; i >= 0 && m&(1<<uint(i)) != 0 {
+		m &^= 1 << uint(i)
+		slot := sc + i*s.nsched
+		if wk := s.wake[slot]; wk > now {
+			s.noteWake(wk)
+		} else if s.tryIssue(now, s.warps[slot]) {
+			return true
 		}
 	}
-	for slot := sc; slot < len(s.warps); slot += nsched {
-		if slot == last {
+	for m != 0 {
+		i := bits.TrailingZeros64(m)
+		m &= m - 1
+		slot := sc + i*s.nsched
+		if wk := s.wake[slot]; wk > now {
+			s.noteWake(wk)
 			continue
 		}
-		w := s.warps[slot]
-		if w == nil {
-			continue
-		}
-		// Fast gate: Wake aggregates every known stall (scoreboard parks,
-		// traps, barriers, deactivation); it may be optimistic but never
-		// late, so skipping here is always safe.
-		if w.Wake > now {
-			if w.Wake < s.nextWake {
-				s.nextWake = w.Wake
-			}
-			continue
-		}
-		if lsuFull && w.lsuRefused {
-			continue
-		}
-		if s.tryIssue(now, w) {
-			s.schedLast[sc] = slot
-			s.issuedThisTick = true
-			return
+		if s.tryIssue(now, s.warps[slot]) {
+			s.greedy[sc] = i
+			return true
 		}
 	}
+	return false
 }
 
-// noteWake records a candidate wake cycle for idle skipping.
+// noteWake records a candidate wake cycle for the SM's sleep.
 func (s *SM) noteWake(c int64) {
 	if c < s.nextWake {
 		s.nextWake = c
 	}
 }
 
-// tryIssue issues w's next instruction if all hazards clear.
+// tryIssue issues w's next instruction if its remaining hazards clear:
+// the caller has found w unparked with its wake passed.
 func (s *SM) tryIssue(now int64, w *Warp) bool {
-	if w.Finished || w.AtBarrier || w.SwappedOut || !w.HasRegs || !w.SWLActive {
-		return false
-	}
-	if w.TrapOutstanding > 0 {
-		return false
-	}
-	if w.Wake > now {
-		s.noteWake(w.Wake)
-		return false
-	}
 	if w.SIMT.Empty() {
 		return false
 	}
@@ -454,30 +457,49 @@ func (s *SM) tryIssue(now int64, w *Warp) bool {
 	// Structural hazard first: with the LSU saturated (the common state
 	// of memory-bound phases) this is one boolean per warp.
 	if (in.Op.IsGlobal() || in.Op.IsLocal()) && !s.lsu.hasSpace() {
-		w.lsuRefused = true
+		s.setLSUWait(w, true)
 		return false
 	}
-	// Scoreboard: the hazard clears at a known cycle, so park the warp
-	// until then — later scans skip it with a single compare.
+	// Scoreboard: the hazard clears at a known cycle, so wait until then.
+	// Issue parks on it already (parkOnScoreboard); a load completion can
+	// lower the wake before the register it completes is the last one.
 	if ok, at := w.regsReady(now, in); !ok {
-		if at > w.Wake {
-			w.Wake = at // load completions lower this again (lsu.finish)
-		}
+		s.wake[w.Slot] = at
 		s.noteWake(at)
 		return false
 	}
 	// Instruction fetch, through the warp's instruction buffer.
 	if w.IBufFunc != top.Func || w.IBufPC != top.PC {
 		if ready, wake := s.l1i.Fetch(now, s.gpu.funcBase[top.Func]+uint64(top.PC)*16); !ready {
-			w.Wake = wake
+			s.wake[w.Slot] = wake
 			s.noteWake(wake)
 			return false
 		}
 		w.IBufFunc, w.IBufPC = top.Func, top.PC
 	}
-	w.lsuRefused = false
+	s.setLSUWait(w, false)
 	s.execute(now, w, in)
+	s.parkOnScoreboard(w)
 	return true
+}
+
+// parkOnScoreboard raises a just-issued warp's wake to the cycle its
+// next instruction's operands are ready. That is exact: until then
+// tryIssue would refuse the warp at the LSU or scoreboard check, and
+// neither refusal has a side effect; the i-fetch check, which has one,
+// is reached only once the scoreboard clears.
+func (s *SM) parkOnScoreboard(w *Warp) {
+	if s.parkState[w.Slot] != 0 || w.SIMT.Empty() {
+		return
+	}
+	top := w.SIMT.Top()
+	code := s.gpu.Prog.Funcs[top.Func].Code
+	if top.PC >= len(code) {
+		return // tryIssue reports the fault when it gets there
+	}
+	if _, at := w.regsReady(0, &code[top.PC]); at > s.wake[w.Slot] {
+		s.wake[w.Slot] = at
+	}
 }
 
 // recordStats routes per-SM counters into the launch-wide kernel stats.

@@ -109,7 +109,7 @@ func (s *SM) enqueueTrap(e *lsuEntry) {
 	w := e.warp
 	w.TrapOutstanding++
 	w.trapMaxDone = 0
-	w.Wake = farFuture
+	s.park(w, parkTrap)
 	s.lsu.enqueue(e)
 }
 
@@ -145,7 +145,7 @@ func (s *SM) checkBarrierContextSwitch(now int64, arrived *Warp) {
 		// Only a sibling that still has to reach the barrier justifies a
 		// switch; one already parked at the barrier gains nothing from
 		// registers until the barrier releases.
-		if sw.Block == b && !sw.Finished && !sw.AtBarrier {
+		if sw.Block == b && !s.parked(sw, parkFinished|parkBarrier) {
 			target = sw
 			break
 		}
@@ -160,24 +160,28 @@ func (s *SM) checkBarrierContextSwitch(now int64, arrived *Warp) {
 	// Spill the arriving warp's whole register state.
 	s.spillWarpState(now, arrived)
 	base, count := arrived.RegBase, arrived.RegCount
-	arrived.HasRegs = false
-	arrived.SwappedOut = true
+	s.park(arrived, parkNoRegs|parkSwapped)
 	s.stalledWarps = append(s.stalledWarps, arrived)
 
 	// Hand the registers to the deactivated sibling.
 	s.removeStalled(target)
 	target.RegBase, target.RegCount = base, count
-	target.HasRegs = true
-	if target.SwappedOut {
-		target.SwappedOut = false
-		st.CtxSwitchSlots += uint64(count)
-		s.fillWarpState(now, target) // parks until the fill drains
-	} else {
-		// First activation: fresh architectural state.
-		s.zeroRegs(target)
-		s.loadParams(target)
-		target.Wake = now
+	s.activateRegs(now, target)
+}
+
+// activateRegs unparks a warp that has just been given a register
+// range: a context-switched-out warp refills its saved state (and parks
+// until the fill drains), a never-run warp starts fresh.
+func (s *SM) activateRegs(now int64, w *Warp) {
+	if s.parked(w, parkSwapped) {
+		s.unpark(w, parkNoRegs|parkSwapped, now)
+		s.stats().CtxSwitchSlots += uint64(w.RegCount)
+		s.fillWarpState(now, w)
+		return
 	}
+	s.unpark(w, parkNoRegs, now)
+	s.zeroRegs(w)
+	s.loadParams(w)
 }
 
 // ctxBaseWord is where context-switched register state lives in the
@@ -223,14 +227,14 @@ func (s *SM) removeStalled(w *Warp) {
 // finished warp's registers and reactivates waiting warps (§IV-B's
 // warp status check unit releasing one waiting warp).
 func (s *SM) warpStatusCheck(now int64, finished *Warp) {
-	if finished.HasRegs {
+	if !s.parked(finished, parkNoRegs) {
 		s.regAlloc.Release(finished.RegBase, finished.RegCount)
-		finished.HasRegs = false
+		s.park(finished, parkNoRegs)
 	}
 	// Reactivate stalled warps while register space allows.
 	for len(s.stalledWarps) > 0 {
 		w := s.stalledWarps[0]
-		if w.Finished {
+		if s.parked(w, parkFinished) {
 			s.stalledWarps = s.stalledWarps[1:]
 			continue
 		}
@@ -240,17 +244,6 @@ func (s *SM) warpStatusCheck(now int64, finished *Warp) {
 		}
 		s.stalledWarps = s.stalledWarps[1:]
 		w.RegBase, w.RegCount = base, w.Block.RegsPerWarp
-		w.HasRegs = true
-		if w.SwappedOut {
-			w.SwappedOut = false
-			s.stats().CtxSwitchSlots += uint64(w.RegCount)
-			s.fillWarpState(now, w) // parks until the fill drains
-		} else {
-			s.zeroRegs(w)
-			s.loadParams(w)
-			if w.Wake > now && !w.AtBarrier {
-				w.Wake = now
-			}
-		}
+		s.activateRegs(now, w)
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"carsgo/internal/simt"
 )
 
-// farFuture marks registers with in-flight loads.
+// farFuture marks registers with in-flight loads, and a wake that no
+// cycle reaches (an SM with no pending wake sleeps until woken).
 const farFuture = int64(1) << 60
 
 // localPageWords is the granularity of lazy local-memory allocation.
@@ -47,11 +48,11 @@ type Warp struct {
 	SIMT simt.Stack
 
 	// Register allocation: base index and slot count in the SM register
-	// arena. hasRegs is false for CARS-deactivated (stalled-list) warps
-	// and context-switched-out warps.
+	// arena, meaningful while the slot is not parked on parkNoRegs (see
+	// SM.park): CARS-deactivated (stalled-list) and context-switched-out
+	// warps hold no range.
 	RegBase  int
 	RegCount int
-	HasRegs  bool
 
 	// KernelBase is the architectural register count backed by the base
 	// allocation; slots beyond it form the CARS register stack.
@@ -68,17 +69,8 @@ type Warp struct {
 	ReadyAt     [isa.MaxArchRegs]int64
 	PredReadyAt [8]int64
 
-	// Wake gates issue: icache misses, traps, and issue pacing push it
-	// into the future.
-	Wake int64
-
-	AtBarrier  bool
-	Finished   bool
-	SwappedOut bool // context-switched out (register state in memory)
-	SWLActive  bool // under the static wavefront limiter
-
 	// TrapOutstanding counts in-flight trap-injected memory operations;
-	// the warp cannot issue until they drain.
+	// the warp stays parked on parkTrap until they drain.
 	TrapOutstanding int
 	trapMaxDone     int64
 
@@ -91,13 +83,6 @@ type Warp struct {
 	// page number, allocated on first touch. Software LDL/STL stay
 	// within the localWordsPerWarp window (execLocal faults past it).
 	Local []*localPage
-
-	// lsuRefused records that tryIssue refused the warp because its next
-	// instruction, a global or local memory op, found the LSU full. The
-	// next instruction changes only when the warp issues or is
-	// initialised, which clear it; until then, while the LSU stays full,
-	// the scheduler skips the warp (see scheduleOne).
-	lsuRefused bool
 
 	// DynCallDepth tracks the current dynamic call depth for stats.
 	DynCallDepth int

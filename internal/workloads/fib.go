@@ -55,11 +55,15 @@ func registerFIB() {
 		PaperCPKI:      22.41,
 		SpeedupFactor:  "L1D bandwidth contention",
 	}
+	// Build once: Modules runs concurrently when configurations
+	// simulate FIB in parallel, and Build writes the function it
+	// returns. The built functions are shared read-only.
+	kf, ff := k.MustBuild(), fib.MustBuild()
 	w.Modules = func() []*kir.Module {
 		main := &kir.Module{Name: "FIB_main"}
 		lib := &kir.Module{Name: "FIB_lib"}
-		main.AddFunc(k.MustBuild())
-		lib.AddFunc(fib.MustBuild())
+		main.AddFunc(kf)
+		lib.AddFunc(ff)
 		return []*kir.Module{main, lib}
 	}
 	w.Setup = func(g *sim.GPU) ([]isa.Launch, error) {

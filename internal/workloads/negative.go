@@ -42,10 +42,13 @@ func negSetup(w *Workload, kernel string) func(g *sim.GPU) ([]isa.Launch, error)
 	}
 }
 
+// oneKernelModule builds k once (as FIB does, so concurrent runs share
+// the built function read-only) and wraps it in a fresh module per call.
 func oneKernelModule(name string, k *kir.Builder) func() []*kir.Module {
+	f := k.MustBuild()
 	return func() []*kir.Module {
 		m := &kir.Module{Name: name + "_main"}
-		m.AddFunc(k.MustBuild())
+		m.AddFunc(f)
 		return []*kir.Module{m}
 	}
 }

@@ -89,6 +89,7 @@ for m in \
   carsd_requests_cached_total \
   carsd_requests_collapsed_total \
   carsd_request_timeouts_total \
+  carsd_job_panics_total \
   carsd_uptime_seconds
 do
   grep -q "^$m" "$DIR/metrics.txt" || { echo "MISSING METRIC: $m"; exit 1; }
