@@ -75,11 +75,16 @@ opt:
 # and exactness at every forced CARS level AND every spill-backend
 # design point — the shared-spill base and the full RF-cache window
 # ladder — with per-backend advisor regret bounded and shared-memory
-# transaction counters held to sim/sanitizer parity. Takes a few
-# minutes.
+# transaction counters held to sim/sanitizer parity. The broken demo
+# must keep FAILING with exit status exactly 1 (findings, not an
+# internal error): go run reports every failure as 1, so it runs as a
+# built binary. Takes a few minutes.
 san:
 	$(GO) run ./cmd/carsvet -diff
 	$(GO) run ./cmd/carsvet -diff examples/vetdemo/clean.carsasm
+	bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && $(GO) build -o "$$bin/carsvet" ./cmd/carsvet || exit 2; \
+	"$$bin/carsvet" -diff examples/vetdemo/broken.carsasm; st=$$?; \
+	[ $$st -eq 1 ] || { echo "carsvet -diff examples/vetdemo/broken.carsasm exited $$st, want 1"; exit 1; }
 	$(GO) run ./cmd/carsvet -perfdiff
 
 # Generative differential fuzzing (cmd/carsfuzz): 200 seeded random

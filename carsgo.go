@@ -28,6 +28,7 @@ import (
 	"carsgo/internal/power"
 	"carsgo/internal/sim"
 	"carsgo/internal/stats"
+	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
 )
 
@@ -130,30 +131,49 @@ func run(ctx context.Context, cfg Config, w *workloads.Workload, lto bool) (*Res
 	return res, nil
 }
 
-// Compile links a workload's modules for the configuration's ABI mode
-// and runs the static verifier over the result (abi.LinkStrict): a
+// Compile links a workload's modules for the configuration (Link) and
+// runs the static verifier over the result, as abi.LinkStrict does: a
 // program with vet errors never reaches the simulator.
 func Compile(cfg Config, modules []*kir.Module, lto bool) (*isa.Program, error) {
-	if lto {
-		if cfg.CARSEnabled {
-			return nil, fmt.Errorf("carsgo: LTO and CARS are separate configurations")
-		}
-		// A practical -maxrregcount-style budget: the inlined kernel
-		// must still be launchable at reasonable occupancy.
-		flat, err := abi.InlineAllBudget(128, modules...)
-		if err != nil {
-			return nil, err
-		}
-		return abi.LinkStrict(abi.Baseline, flat)
+	prog, err := Link(cfg, modules, lto)
+	if err != nil {
+		return nil, err
 	}
-	mode := abi.Baseline
+	if err := abi.Verified(vet.Program(prog)); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// Link links a workload's modules under the configuration's ABI mode
+// (Mode), or with lto every call inlined first and the result linked
+// baseline. It does not vet the program: a report on a broken program
+// is an answer too.
+func Link(cfg Config, modules []*kir.Module, lto bool) (*isa.Program, error) {
+	if !lto {
+		return abi.Link(Mode(cfg), modules...)
+	}
+	if cfg.CARSEnabled {
+		return nil, fmt.Errorf("carsgo: LTO and CARS are separate configurations")
+	}
+	// A practical -maxrregcount-style budget: the inlined kernel must
+	// still be launchable at reasonable occupancy.
+	flat, err := abi.InlineAllBudget(128, modules...)
+	if err != nil {
+		return nil, err
+	}
+	return abi.Link(abi.Baseline, flat)
+}
+
+// Mode is the ABI mode a configuration's programs link under.
+func Mode(cfg Config) abi.Mode {
 	switch {
 	case cfg.CARSEnabled:
-		mode = abi.CARS
+		return abi.CARS
 	case cfg.SharedSpillABI:
-		mode = abi.SharedSpill
+		return abi.SharedSpill
 	}
-	return abi.LinkStrict(mode, modules...)
+	return abi.Baseline
 }
 
 // NewGPU builds a simulator for a custom program (see examples).

@@ -6,7 +6,6 @@ import (
 
 	"carsgo/internal/abi"
 	"carsgo/internal/san"
-	"carsgo/internal/sim"
 	"carsgo/internal/spec"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
@@ -19,33 +18,23 @@ import (
 // range, coverage implying a zero residual spill bound, and the
 // cross-backend winner actually carrying the maximal score among its
 // kernel's candidate rows. The dynamic half of each backend is already
-// exercised by PerfDiffWorkload; this stage catches the static half
+// exercised by the perf differential (san.Unit.PerfDiff); this stage catches the static half
 // disagreeing with itself, which no simulator run can see.
 
-// latticeReports links a spec's workload under every linkable ABI mode
-// and attaches the backend lattice, using the workload's own launch
-// geometry on an unstarted simulator.
+// latticeReports plans a spec's workload under every linkable ABI mode,
+// attaching the backend lattice for the workload's own launch
+// geometry.
 func latticeReports(w *workloads.Workload) ([]*vet.ProgramReport, error) {
 	var reps []*vet.ProgramReport
 	for _, mode := range abi.Modes {
-		prog, err := abi.Link(mode, w.Modules()...)
-		if err != nil {
+		u, err := san.Link(w, mode)
+		if err != nil || u.Skip != "" {
 			continue // link verdicts are the main harness's business
 		}
-		cfg := san.ConfigFor(mode)
-		g, err := sim.New(cfg, prog)
-		if err != nil {
+		if _, err := u.Plan(); err != nil {
 			return nil, err
 		}
-		launches, err := w.Setup(g)
-		if err != nil {
-			return nil, err
-		}
-		rep := vet.Report(prog)
-		if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), san.Shapes(launches)); err != nil {
-			return nil, err
-		}
-		reps = append(reps, rep)
+		reps = append(reps, u.Rep)
 	}
 	return reps, nil
 }

@@ -1,11 +1,12 @@
 // Command carsfuzz runs the generative differential: N seeded random
 // workload specs (internal/spec) flow through the full static/dynamic
-// stack — pre-ABI vet, LinkStrict under every ABI mode, the linked
-// verifier, and san's dominance + occupancy-exactness differential
-// (PerfDiffWorkload, which forces the simulator through every CARS
-// ladder level) — and any disagreement between a static verdict and a
-// dynamic observation is a failure. Failing specs are shrunk by the
-// spec minimizer and written to a corpus directory as reproducers.
+// stack — pre-ABI vet, a strict link under every ABI mode (a san.Unit
+// whose report has no errors), the linked verifier, and san's
+// dominance + occupancy-exactness differential (Unit.PerfDiff, which
+// forces the simulator through every CARS ladder level) — and any
+// disagreement between a static verdict and a dynamic observation is
+// a failure. Failing specs are shrunk by the spec minimizer and
+// written to a corpus directory as reproducers.
 //
 // Exit codes follow the carsvet contract: 0 = every spec agreed,
 // 1 = at least one disagreement (reproducers written), 2 = internal
@@ -36,12 +37,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -121,39 +122,46 @@ func (h *harness) run(s *spec.Spec) (violations []string, err error) {
 		}
 	}
 	w := workloads.FromSpec(s)
-	for _, mode := range abi.Modes {
-		prog, lerr := abi.LinkStrict(mode, mods...)
-		if lerr != nil {
-			if errors.Is(lerr, abi.ErrRecursive) {
-				continue // cannot happen for DAG specs, but not a disagreement
-			}
-			violations = append(violations, fmt.Sprintf("%s: link: %v", mode, lerr))
-			continue
+	one := []*workloads.Workload{w}
+	perf, _, err := san.Drive(one, func(w *workloads.Workload, mode abi.Mode) (verdict, error) {
+		u, err := san.Link(w, mode, mods...)
+		if err != nil {
+			return verdict{fmt.Sprintf("%s: link: %v", mode, err)}, nil
 		}
-		if verr := prog.Validate(); verr != nil {
-			violations = append(violations, fmt.Sprintf("%s: isa: %v", mode, verr))
-			continue
+		if u.Skip != "" {
+			return nil, nil // recursion cannot happen for DAG specs, but is not a disagreement
 		}
-		rep := vet.Report(prog)
-		for _, d := range rep.Diags {
+		if err := abi.Verified(u.Rep.Diags); err != nil {
+			// abi.LinkStrict's verdict, read off the unit's report.
+			return verdict{fmt.Sprintf("%s: link: %v", mode, err)}, nil
+		}
+		if err := u.Prog.Validate(); err != nil {
+			return verdict{fmt.Sprintf("%s: isa: %v", mode, err)}, nil
+		}
+		var v verdict
+		for _, d := range u.Rep.Diags {
 			if d.Sev >= vet.SevWarning {
-				violations = append(violations, fmt.Sprintf("%s: %s", mode, d))
+				v = append(v, fmt.Sprintf("%s: %s", mode, d))
 			}
 		}
-		res, perr := san.PerfDiffWorkload(ctx, w, mode, h.regret)
-		if perr != nil {
+		res, err := u.PerfDiff(ctx, h.regret)
+		if err != nil {
 			if ctx.Err() != nil {
-				return nil, fmt.Errorf("%s: %w", mode, perr)
+				return nil, err
 			}
 			// The dynamic half refusing a program the static half
 			// accepted is itself a verdict disagreement.
-			violations = append(violations, fmt.Sprintf("%s: differential: %v", mode, perr))
-			continue
+			return append(v, fmt.Sprintf("%s: differential: %v", mode, err)), nil
 		}
-		for _, v := range res.Violations {
-			violations = append(violations, fmt.Sprintf("%s: %s", mode, v))
+		for _, x := range res.Violations {
+			v = append(v, fmt.Sprintf("%s: %s", mode, x))
 		}
+		return v, nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
+	violations = append(violations, slices.Concat(perf...)...)
 	if h.backends {
 		lat, lerr := checkBackends(s)
 		if lerr != nil {
@@ -162,22 +170,32 @@ func (h *harness) run(s *spec.Spec) (violations []string, err error) {
 		violations = append(violations, lat...)
 	}
 	if h.optDiff {
-		for _, mode := range abi.Modes {
-			res, derr := san.OptDiffWorkload(ctx, w, mode)
-			if derr != nil {
+		opts, _, err := san.Drive(one, func(w *workloads.Workload, mode abi.Mode) (verdict, error) {
+			res, err := san.OptDiffWorkload(ctx, w, mode)
+			if err != nil {
 				if ctx.Err() != nil {
-					return nil, fmt.Errorf("opt/%s: %w", mode, derr)
+					return nil, err
 				}
-				violations = append(violations, fmt.Sprintf("opt/%s: %v", mode, derr))
-				continue
+				return verdict{fmt.Sprintf("opt/%s: %v", mode, err)}, nil
 			}
+			var v verdict
 			for _, f := range res.Failures {
-				violations = append(violations, fmt.Sprintf("opt/%s: %s", mode, f))
+				v = append(v, fmt.Sprintf("opt/%s: %s", mode, f))
 			}
+			return v, nil
+		}, nil)
+		if err != nil {
+			return nil, err
 		}
+		violations = append(violations, slices.Concat(opts...)...)
 	}
 	return violations, nil
 }
+
+// verdict is one ABI mode's disagreements for a spec.
+type verdict []string
+
+func (v verdict) OK() bool { return len(v) == 0 }
 
 // fails is the minimizer predicate: does the spec still disagree?
 func (h *harness) fails(s *spec.Spec) bool {

@@ -126,25 +126,25 @@ func runSanitized(ctx context.Context, w *workloads.Workload, cfg carsgo.Config,
 		fmt.Fprintln(os.Stderr, "carsim:", err)
 		os.Exit(1)
 	}
-	s, rep, err := san.RunProgram(ctx, prog, cfg, w.Setup)
+	res, err := san.NewUnit(w, carsgo.Mode(cfg), cfg, prog).Diff(ctx)
+	if err == nil && res.Skipped {
+		err = fmt.Errorf("%s on %s: %s", w.Name, cfg.Name, res.Reason)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carsim:", err)
 		os.Exit(1)
 	}
-	diags := s.Diags()
-	violations := san.Check(rep, s, prog.CARS)
-	for _, d := range diags {
+	for _, d := range res.Diags {
 		fmt.Printf("sanitizer: %s [%s pc=%d]\n", d, d.Func, d.PC)
 	}
-	for _, v := range violations {
+	for _, v := range res.Violations {
 		fmt.Printf("dominance: %s\n", v)
 	}
-	if len(diags) > 0 || len(violations) > 0 {
+	if !res.OK() {
 		os.Exit(1)
 	}
-	obs := s.Observations()
 	fmt.Printf("%s on %s: sanitizer silent, static bounds dominate (%d functions, %d kernels observed)\n",
-		w.Name, cfg.Name, len(obs.Funcs), len(obs.Kernels))
+		w.Name, cfg.Name, len(res.Obs.Funcs), len(res.Obs.Kernels))
 }
 
 // printOccupancy prints, for every distinct launch shape of the
@@ -157,26 +157,22 @@ func printOccupancy(out io.Writer, w *workloads.Workload, cfg carsgo.Config, lto
 	if err != nil {
 		return err
 	}
-	gpu, err := carsgo.NewGPU(cfg, prog)
+	u := san.NewUnit(w, carsgo.Mode(cfg), cfg, prog)
+	shapes, err := u.Shapes()
 	if err != nil {
 		return err
 	}
-	launches, err := w.Setup(gpu)
-	if err != nil {
-		return err
-	}
-	rep := vet.Report(prog)
 	seen := map[vet.LaunchShape]bool{}
-	for _, shape := range san.Shapes(launches) {
+	for _, shape := range shapes {
 		if seen[shape] {
 			continue
 		}
 		seen[shape] = true
-		if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), []vet.LaunchShape{shape}); err != nil {
+		if err := vet.AnalyzePerf(u.Rep, u.Prog, san.MachineParamsFor(cfg), []vet.LaunchShape{shape}); err != nil {
 			return err
 		}
 		fmt.Fprintln(out, shapeHeader(shape))
-		for _, o := range rep.Kernel(shape.Kernel).Perf.Occupancy {
+		for _, o := range u.Rep.Kernel(shape.Kernel).Perf.Occupancy {
 			partial := ""
 			if o.Partial {
 				partial = ", partial"

@@ -27,12 +27,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"carsgo/internal/abi"
 	"carsgo/internal/asm"
 	"carsgo/internal/opt"
 	"carsgo/internal/san"
@@ -64,14 +64,19 @@ func main() {
 		if *run != "" {
 			names = strings.Split(*run, ",")
 		}
-		os.Exit(runDiff(ctx, names, nil, *jsonOut, *certDir))
+		list, err := san.Select(names, workloads.All())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "carsopt:", err)
+			os.Exit(2)
+		}
+		os.Exit(runDiff(ctx, list, outWriter(*jsonOut), *jsonOut, *certDir))
 	case *specPath != "":
 		s, err := spec.Load(*specPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "carsopt:", err)
 			os.Exit(2)
 		}
-		os.Exit(runDiff(ctx, nil, []*workloads.Workload{workloads.FromSpec(s)}, *jsonOut, *certDir))
+		os.Exit(runDiff(ctx, []*workloads.Workload{workloads.FromSpec(s)}, io.Discard, *jsonOut, *certDir))
 	case flag.NArg() > 0:
 		os.Exit(runStatic(flag.Args(), *jsonOut, *emit))
 	default:
@@ -80,33 +85,13 @@ func main() {
 	}
 }
 
-// runDiff runs the optimize→simulate differential over either the
-// named registry workloads or an explicit list (spec mode).
-func runDiff(ctx context.Context, names []string, list []*workloads.Workload, jsonOut bool, certDir string) int {
+// runDiff runs the optimize→simulate differential over list, printing
+// each result's line to out.
+func runDiff(ctx context.Context, list []*workloads.Workload, out io.Writer, jsonOut bool, certDir string) int {
 	if opt.Weakened() {
 		fmt.Fprintln(os.Stderr, "carsopt: NOTE: this build carries the optweaken planted rewrite; failures are expected")
 	}
-	var results []*san.OptDiffResult
-	var ok bool
-	var err error
-	if list == nil {
-		results, ok, err = san.OptDiffWorkloads(ctx, names, outWriter(jsonOut))
-	} else {
-		ok = true
-		for _, w := range list {
-			for _, mode := range abi.Modes {
-				res, derr := san.OptDiffWorkload(ctx, w, mode)
-				if derr != nil {
-					err = derr
-					break
-				}
-				results = append(results, res)
-				if !res.OK() {
-					ok = false
-				}
-			}
-		}
-	}
+	results, ok, err := san.OptDiffWorkloads(ctx, list, out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carsopt:", err)
 		return 2
@@ -235,12 +220,12 @@ func runSelftest(ctx context.Context, certDir string) int {
 		return 2
 	}
 	for _, w := range workloads.All() {
-		for _, mode := range abi.Modes {
-			res, err := san.OptDiffWorkload(ctx, w, mode)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "carsopt:", err)
-				return 2
-			}
+		results, _, err := san.OptDiffWorkloads(ctx, []*workloads.Workload{w}, io.Discard)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "carsopt:", err)
+			return 2
+		}
+		for _, res := range results {
 			if res.Skipped || res.OK() {
 				continue
 			}

@@ -91,13 +91,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,9 +105,7 @@ import (
 	"carsgo/internal/asm"
 	"carsgo/internal/binfmt"
 	"carsgo/internal/isa"
-	"carsgo/internal/kir"
 	"carsgo/internal/san"
-	"carsgo/internal/sim"
 	"carsgo/internal/spec"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
@@ -227,7 +225,12 @@ func runPerfDiff(names []string, regret float64) int {
 	if jsonOut {
 		out = io.Discard
 	}
-	results, ok, err := san.PerfDiffWorkloads(rootCtx, names, regret, out)
+	list, err := san.Select(names, slices.Concat(workloads.All(), workloads.PerfCases()))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "carsvet:", err)
+		return 2
+	}
+	results, ok, err := san.PerfDiffWorkloads(rootCtx, list, regret, out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carsvet:", err)
 		return 2
@@ -248,7 +251,7 @@ func runPerfDiff(names []string, regret float64) int {
 // no files are given, otherwise each file under a smoke launch.
 func runDiff(paths []string) int {
 	if len(paths) == 0 {
-		_, ok, err := san.DiffWorkloads(rootCtx, nil, os.Stdout)
+		_, ok, err := san.DiffWorkloads(rootCtx, workloads.All(), os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "carsvet:", err)
 			return 2
@@ -289,49 +292,33 @@ func diffFile(path string) bool {
 		return false
 	}
 	clean := true
+	w := san.Smoke(path, m)
 	for _, mode := range abi.Modes {
-		prog, err := abi.Link(mode, m)
+		tag := fmt.Sprintf("%s [%s]", path, mode)
+		u, err := san.Link(w, mode)
 		if err != nil {
-			if errors.Is(err, abi.ErrRecursive) {
-				fmt.Printf("skip %s [%s] (recursive call graph)\n", path, mode)
-				continue
-			}
-			fmt.Printf("%s [%s]: link: %v\n", path, mode, err)
+			fmt.Printf("%s: link: %v\n", tag, err)
 			clean = false
 			continue
 		}
-		rep := vet.Report(prog)
-		cfg := san.ConfigFor(mode)
-		cfg.GlobalMemWords = 1 << 16 // a smoke launch touches almost nothing
-		g, err := sim.New(cfg, prog)
+		res, err := u.Diff(rootCtx)
 		if err != nil {
-			fmt.Printf("%s [%s]: %v\n", path, mode, err)
+			fmt.Printf("%s: run: %v\n", tag, err)
 			clean = false
 			continue
 		}
-		s := san.New(prog)
-		g.San = s
-		launch, err := san.SmokeLaunch(prog)
-		if err != nil {
-			fmt.Printf("%s [%s]: %v\n", path, mode, err)
-			clean = false
+		if res.Skipped {
+			fmt.Printf("skip %s [%s] (%s)\n", path, mode, res.Reason)
 			continue
 		}
-		if _, err := g.RunContext(rootCtx, launch); err != nil {
-			fmt.Printf("%s [%s]: run: %v\n", path, mode, err)
-			clean = false
-			continue
+		for _, d := range res.Diags {
+			fmt.Printf("%s: sanitizer: %s [%s pc=%d]\n", tag, d, d.Func, d.PC)
 		}
-		diags := s.Diags()
-		violations := san.Check(rep, s, prog.CARS)
-		for _, d := range diags {
-			fmt.Printf("%s [%s]: sanitizer: %s [%s pc=%d]\n", path, mode, d, d.Func, d.PC)
+		for _, v := range res.Violations {
+			fmt.Printf("%s: dominance: %s\n", tag, v)
 		}
-		for _, v := range violations {
-			fmt.Printf("%s [%s]: dominance: %s\n", path, mode, v)
-		}
-		if len(diags) == 0 && len(violations) == 0 {
-			fmt.Printf("ok   %s [%s]\n", path, mode)
+		if res.OK() {
+			fmt.Printf("ok   %s\n", tag)
 		} else {
 			clean = false
 		}
@@ -385,38 +372,15 @@ func emit(label, mode string, prog *isa.Program, rep *vet.ProgramReport, linkErr
 	return dirty
 }
 
-// attachPerf runs the static perf analysis for one linked unit against
-// the given launch geometry, attaching cost bounds, occupancy rows,
-// and advice to rep's kernel reports (where -json picks them up).
-func attachPerf(tag string, prog *isa.Program, rep *vet.ProgramReport, mode abi.Mode,
-	setup func(*sim.GPU) ([]isa.Launch, error)) bool {
-	cfg := san.ConfigFor(mode)
-	g, err := sim.New(cfg, prog)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "carsvet: %s: %v\n", tag, err)
-		return true
-	}
-	launches, err := setup(g)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "carsvet: %s: %v\n", tag, err)
-		return true
-	}
-	if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), san.Shapes(launches)); err != nil {
+// attachPerf plans one linked unit: cost bounds, occupancy rows, and
+// advice for its launch geometry land on the unit's kernel reports
+// (where -json picks them up).
+func attachPerf(tag string, u *san.Unit) bool {
+	if _, err := u.Plan(); err != nil {
 		fmt.Fprintf(os.Stderr, "carsvet: %s: %v\n", tag, err)
 		return true
 	}
 	return false
-}
-
-// smokeSetup adapts a file's smoke launch to the setup signature.
-func smokeSetup(prog *isa.Program) func(*sim.GPU) ([]isa.Launch, error) {
-	return func(*sim.GPU) ([]isa.Launch, error) {
-		l, err := san.SmokeLaunch(prog)
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Launch{l}, nil
-	}
 }
 
 // perfReport prints the static performance analysis (-perf) for every
@@ -569,16 +533,16 @@ func vetFile(path string, modes []abi.Mode) bool {
 			fmt.Printf("%s: %v\n", path, err)
 			return true
 		}
-		rep := vet.Report(prog)
+		m := abi.Baseline
+		if prog.CARS {
+			m = abi.CARS
+		}
+		u := san.NewUnit(san.Smoke(path), m, san.ConfigFor(m), prog)
 		dirty := false
 		if perfOut {
-			m := abi.Baseline
-			if prog.CARS {
-				m = abi.CARS
-			}
-			dirty = attachPerf(path, prog, rep, m, smokeSetup(prog))
+			dirty = attachPerf(path, u)
 		}
-		return emit(path, "", prog, rep, nil) || dirty
+		return emit(path, "", prog, u.Rep, nil) || dirty
 	}
 
 	m, err := asm.ParseString(string(raw))
@@ -586,7 +550,7 @@ func vetFile(path string, modes []abi.Mode) bool {
 		fmt.Printf("%s: %v\n", path, err)
 		return true
 	}
-	return vetModules(path, []*kir.Module{m}, modes, nil)
+	return vetModules(path, san.Smoke(path, m), modes)
 }
 
 // isSpec sniffs a workload-spec document: JSON object syntax, which no
@@ -606,37 +570,30 @@ func vetSpec(path string, raw []byte, modes []abi.Mode) bool {
 		fmt.Printf("%s: %v\n", path, err)
 		return true
 	}
-	w := workloads.FromSpec(s)
-	return vetModules(path, s.Modules(), modes, w.Setup)
+	return vetModules(path, workloads.FromSpec(s), modes)
 }
 
 // vetModules runs the shared pre-ABI + per-mode vet pipeline over a
-// unit's compilation units. setup supplies the launch geometry for
-// -perf (nil falls back to a smoke launch).
-func vetModules(path string, mods []*kir.Module, modes []abi.Mode,
-	setup func(*sim.GPU) ([]isa.Launch, error)) bool {
+// workload's compilation units, labelled path; the workload's own
+// launches give -perf its geometry (a file's is the smoke launch).
+func vetModules(path string, w *workloads.Workload, modes []abi.Mode) bool {
+	mods := w.Modules()
 	dirty := emitPreABI(path+" [pre-abi]", vet.Modules(mods...))
 	var perfReps []*vet.ProgramReport
 	for _, mode := range modes {
-		prog, err := abi.Link(mode, mods...)
+		u, err := san.Link(w, mode, mods...)
 		if err != nil {
-			if errors.Is(err, abi.ErrRecursive) && mode == abi.SharedSpill {
-				// The shared-spill ABI legitimately rejects recursion.
-				continue
-			}
 			dirty = emit(path, mode.String(), nil, nil, err) || dirty
 			continue
 		}
-		rep := vet.Report(prog)
-		if perfOut {
-			su := setup
-			if su == nil {
-				su = smokeSetup(prog)
-			}
-			dirty = attachPerf(fmt.Sprintf("%s [%s]", path, mode), prog, rep, mode, su) || dirty
-			perfReps = append(perfReps, rep)
+		if u.Skip != "" {
+			continue // the shared-spill ABI legitimately rejects recursion
 		}
-		dirty = emit(path, mode.String(), prog, rep, nil) || dirty
+		if perfOut {
+			dirty = attachPerf(fmt.Sprintf("%s [%s]", path, mode), u) || dirty
+			perfReps = append(perfReps, u.Rep)
+		}
+		dirty = emit(path, mode.String(), u.Prog, u.Rep, nil) || dirty
 	}
 	if len(perfReps) > 0 {
 		crossReport(path, perfReps)
@@ -647,7 +604,7 @@ func vetModules(path string, mods []*kir.Module, modes []abi.Mode,
 func vetWorkloads(modes []abi.Mode) bool {
 	dirty := false
 	for _, w := range workloads.All() {
-		dirty = vetModules(w.Name, w.Modules(), modes, w.Setup) || dirty
+		dirty = vetModules(w.Name, w, modes) || dirty
 	}
 	if !dirty && !jsonOut {
 		fmt.Printf("%d workloads vet clean\n", len(workloads.All()))

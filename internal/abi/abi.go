@@ -226,10 +226,19 @@ func LinkStrict(mode Mode, modules ...*kir.Module) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := vet.ErrorOrNil(vet.Program(prog)); err != nil {
-		return nil, fmt.Errorf("abi: program failed verification: %w", err)
+	if err := Verified(vet.Program(prog)); err != nil {
+		return nil, err
 	}
 	return prog, nil
+}
+
+// Verified is LinkStrict's gate over a linked program's vet
+// diagnostics: an error listing every error-severity one.
+func Verified(diags []vet.Diagnostic) error {
+	if err := vet.ErrorOrNil(diags); err != nil {
+		return fmt.Errorf("abi: program failed verification: %w", err)
+	}
+	return nil
 }
 
 // sizeSmemSpill computes the worst-case per-warp shared-memory spill

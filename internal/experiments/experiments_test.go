@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 
 	"carsgo"
 	"carsgo/internal/config"
+	"carsgo/internal/serve/jobq"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -115,6 +118,32 @@ func TestDefineConfigRefusesReusedName(t *testing.T) {
 	}
 	if len(r.results) != 1 || len(r.errs) != 0 {
 		t.Errorf("a clashing config ran: %d results, %d errors", len(r.results), len(r.errs))
+	}
+}
+
+// TestPanicIsNotMemoised plants a simulation that panics: the runner
+// must not memoise the panic, so each fetch of the request executes it
+// again, and each returns the *jobq.PanicError, never a nil result.
+func TestPanicIsNotMemoised(t *testing.T) {
+	r := NewRunner(1)
+	runs := 0
+	r.exec = func(context.Context, request) (*carsgo.Result, error) {
+		runs++
+		panic("simulator bug")
+	}
+	q := request{cfgName: r.baseName(), workload: "MST"}
+	for i := 1; i <= 2; i++ {
+		res, err := r.fetch(q)
+		var pe *jobq.PanicError
+		if !errors.As(err, &pe) || res != nil {
+			t.Fatalf("fetch %d = %v, %v; want a *jobq.PanicError and no result", i, res, err)
+		}
+		if runs != i {
+			t.Fatalf("after fetch %d the request ran %d time(s)", i, runs)
+		}
+	}
+	if len(r.errs) != 0 || len(r.results) != 0 {
+		t.Errorf("a panic was memoised: %d errors, %d results", len(r.errs), len(r.results))
 	}
 }
 

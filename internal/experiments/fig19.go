@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"carsgo/internal/abi"
 	"carsgo/internal/cars"
 	"carsgo/internal/config"
-	"carsgo/internal/isa"
 	"carsgo/internal/san"
-	"carsgo/internal/sim"
 	"carsgo/internal/stats"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
@@ -25,65 +22,40 @@ type latticeAdvice struct {
 	pick    string // cross-backend recommendation, "backend/level"
 }
 
-// adviseLattice links one workload under both spill-capable ABI modes,
-// runs the static backend lattice (vet.AnalyzePerf), and merges the
-// columns with vet.CrossBackendAdvice. Launch geometry comes from the
-// workload's own setup on an unstarted simulator — no kernel runs.
-// smem reports whether the shared-spill column can be measured: the
-// shared-spill ABI accepts the workload (a recursive one cannot
-// compile there) and every launch's frame fits in shared memory (an
-// over-committed launch admits zero blocks, and the san differential
-// skips it the same way).
+// adviseLattice plans one workload under both spill-capable ABI modes
+// (san.Unit.Plan: the static backend lattice for the workload's own
+// launch geometry, read off an unstarted simulator — no kernel runs),
+// and merges the columns with vet.CrossBackendAdvice. smem reports
+// whether the shared-spill column can be measured: the shared-spill
+// ABI accepts the workload (a recursive one cannot compile there) and
+// every launch's block fits in shared memory (an over-committed launch
+// admits zero blocks). A unit's Skip records both, as the san
+// differential skips them.
 func adviseLattice(w *workloads.Workload) (adv latticeAdvice, smem bool, err error) {
-	adv, smem = latticeAdvice{window: -1}, true
-	var reps []*vet.ProgramReport
+	adv = latticeAdvice{window: -1}
+	carsU, err := san.Link(w, abi.CARS)
+	if err != nil {
+		return adv, false, err
+	}
+	shapes, err := carsU.Plan()
+	if err != nil {
+		return adv, false, err
+	}
 	var kernel string
-	analyze := func(cfg sim.Config, prog *isa.Program) (*vet.ProgramReport, error) {
-		g, err := sim.New(cfg, prog)
-		if err != nil {
-			return nil, err
-		}
-		launches, err := w.Setup(g)
-		if err != nil {
-			return nil, err
-		}
-		if kernel == "" && len(launches) > 0 {
-			kernel = launches[0].Kernel
-		}
-		for _, l := range launches {
-			shape := cars.Shape{Dim: l.Dim, SharedBytes: l.SharedBytes, SpillPerThread: prog.SmemSpillPerThread}
-			if shape.BlockSmem() > cfg.SharedMemBytes {
-				smem = false
-			}
-		}
-		rep := vet.Report(prog)
-		if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), san.Shapes(launches)); err != nil {
-			return nil, err
-		}
-		return rep, nil
+	if len(shapes) > 0 {
+		kernel = shapes[0].Kernel
 	}
-	prog, err := abi.Link(abi.CARS, w.Modules()...)
+	reps := []*vet.ProgramReport{carsU.Rep}
+	smemU, err := san.Link(w, abi.SharedSpill)
 	if err != nil {
 		return adv, false, err
 	}
-	carsRep, err := analyze(config.WithCARS(config.V100()), prog)
-	if err != nil {
-		return adv, false, err
-	}
-	reps = append(reps, carsRep)
-	prog, err = abi.Link(abi.SharedSpill, w.Modules()...)
-	switch {
-	case errors.Is(err, abi.ErrRecursive):
-		smem = false
-	case err != nil:
-		return adv, false, err
-	default:
-		smemRep, err := analyze(config.WithSharedSpill(config.V100()), prog)
-		if err != nil {
+	if smemU.Prog != nil {
+		if _, err := smemU.Plan(); err != nil {
 			return adv, false, err
 		}
-		reps = append(reps, smemRep)
-		if kr := smemRep.Kernel(kernel); kr != nil && kr.Perf != nil {
+		reps = append(reps, smemU.Rep)
+		if kr := smemU.Rep.Kernel(kernel); kr != nil && kr.Perf != nil {
 			for _, bp := range kr.Perf.Backends {
 				if bp.Backend != cars.BackendRFCache.String() || bp.Advice == nil {
 					continue
@@ -100,7 +72,7 @@ func adviseLattice(w *workloads.Workload) (adv latticeAdvice, smem bool, err err
 			adv.pick = ca.Backend + "/" + ca.Level
 		}
 	}
-	return adv, smem, nil
+	return adv, carsU.Skip == "" && smemU.Skip == "", nil
 }
 
 // Fig19 regenerates the cross-backend lattice comparison (DESIGN.md

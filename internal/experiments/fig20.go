@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
 	"carsgo/internal/abi"
 	"carsgo/internal/san"
@@ -21,42 +23,31 @@ func (r *Runner) Fig20() (*Table, error) {
 		Title:   "Certificate-carrying optimizer: simulated cycles, original vs optimized",
 		Columns: []string{"Workload", "Certs", "Baseline", "CARS", "SmemSpill"},
 	}
-	ctx := r.context()
-	cell := func(res *san.OptDiffResult) (string, error) {
-		if res.Skipped {
-			return "-", nil
-		}
-		if !res.OK() {
-			return "", fmt.Errorf("%s/%s: optimize→simulate differential failed: %v",
-				res.Workload, res.Mode, res.Failures)
-		}
-		delta := 0.0
-		if res.CyclesOrig > 0 {
-			delta = 100 * float64(res.CyclesOpt-res.CyclesOrig) / float64(res.CyclesOrig)
-		}
-		return fmt.Sprintf("%d→%d (%+.1f%%)", res.CyclesOrig, res.CyclesOpt, delta), nil
+	out := io.Discard
+	if r.Log != nil {
+		out = r.Log
 	}
-	for _, n := range allNames() {
-		w, err := workloads.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{n, ""}
-		certs := 0
-		for _, mode := range abi.Modes {
-			r.logf("fig20: %s %s", n, mode)
-			res, err := san.OptDiffWorkload(ctx, w, mode)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", n, mode, err)
+	results, _, err := san.OptDiffWorkloads(r.context(), workloads.All(), out)
+	if err != nil {
+		return nil, err
+	}
+	for modes := range slices.Chunk(results, len(abi.Modes)) {
+		row := []string{modes[0].Workload, fmt.Sprintf("%d", len(modes[len(modes)-1].Certs))}
+		for _, res := range modes {
+			if !res.OK() {
+				return nil, fmt.Errorf("%s/%s: optimize→simulate differential failed: %v",
+					res.Workload, res.Mode, res.Failures)
 			}
-			c, err := cell(res)
-			if err != nil {
-				return nil, err
+			cell := "-"
+			if !res.Skipped {
+				delta := 0.0
+				if res.CyclesOrig > 0 {
+					delta = 100 * float64(res.CyclesOpt-res.CyclesOrig) / float64(res.CyclesOrig)
+				}
+				cell = fmt.Sprintf("%d→%d (%+.1f%%)", res.CyclesOrig, res.CyclesOpt, delta)
 			}
-			row = append(row, c)
-			certs = len(res.Certs)
+			row = append(row, cell)
 		}
-		row[1] = fmt.Sprintf("%d", certs)
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"carsgo"
-	"carsgo/internal/abi"
 	"carsgo/internal/cars"
 	"carsgo/internal/config"
 	"carsgo/internal/sim"
@@ -18,11 +17,7 @@ import (
 // configuration: every launch of that kernel, in the workload's launch
 // order, and no other.
 func runKernel(ctx context.Context, cfg sim.Config, w *workloads.Workload, kernel string) (*carsgo.Result, error) {
-	mode := abi.Baseline
-	if cfg.CARSEnabled {
-		mode = abi.CARS
-	}
-	prog, err := abi.Link(mode, w.Modules()...)
+	prog, err := carsgo.Link(cfg, w.Modules(), false)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,9 @@ type Runner struct {
 	// carsexp -timeout flag); nil means no deadline.
 	Ctx context.Context
 
-	pool    *jobq.Pool
+	pool *jobq.Pool
+	// exec runs one request; tests plant a failing one.
+	exec    func(context.Context, request) (*carsgo.Result, error)
 	mu      sync.Mutex
 	results map[request]*carsgo.Result
 	errs    map[request]error
@@ -142,7 +144,7 @@ func NewRunner(workers int) *Runner {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Runner{
+	r := &Runner{
 		Workers: workers,
 		pool:    jobq.New(workers, workers),
 		results: map[request]*carsgo.Result{},
@@ -150,6 +152,8 @@ func NewRunner(workers int) *Runner {
 		configs: map[string]sim.Config{},
 		clashes: map[string]error{},
 	}
+	r.exec = r.execute
+	return r
 }
 
 // context returns the runner's base context.
@@ -181,8 +185,11 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// prefetch runs all missing requests in parallel.
-func (r *Runner) prefetch(reqs []request) {
+// prefetch runs all missing requests in parallel. Results and
+// simulation errors are memoised for the runner's lifetime. A panic (a
+// *jobq.PanicError) or a refused admission is not: prefetch returns it
+// by request, and the request runs again when it is next asked for.
+func (r *Runner) prefetch(reqs []request) map[request]error {
 	var missing []request
 	r.mu.Lock()
 	seen := map[request]bool{}
@@ -194,8 +201,9 @@ func (r *Runner) prefetch(reqs []request) {
 		missing = append(missing, q)
 	}
 	r.mu.Unlock()
+	failed := map[request]error{}
 	if len(missing) == 0 {
-		return
+		return failed
 	}
 	ctx := r.context()
 	type task struct {
@@ -206,7 +214,7 @@ func (r *Runner) prefetch(reqs []request) {
 	for _, q := range missing {
 		q := q
 		t, err := r.pool.SubmitWait(ctx, func(ctx context.Context) (any, error) {
-			res, err := r.execute(ctx, q)
+			res, err := r.exec(ctx, q)
 			r.mu.Lock()
 			if err != nil {
 				r.errs[q] = err
@@ -217,23 +225,20 @@ func (r *Runner) prefetch(reqs []request) {
 			return nil, nil
 		})
 		if err != nil {
-			// Admission failed (cancelled context): record and move on.
-			r.mu.Lock()
-			r.errs[q] = err
-			r.mu.Unlock()
+			// Admission failed (cancelled context): move on.
+			failed[q] = err
 			continue
 		}
 		tasks = append(tasks, task{q, t})
 	}
 	for _, tk := range tasks {
 		// The job itself records its outcome; the task fails only when
-		// the simulation panicked (a *jobq.PanicError).
+		// the simulation panicked.
 		if _, err := tk.t.Wait(context.Background()); err != nil {
-			r.mu.Lock()
-			r.errs[tk.q] = err
-			r.mu.Unlock()
+			failed[tk.q] = err
 		}
 	}
+	return failed
 }
 
 func (r *Runner) execute(ctx context.Context, q request) (*carsgo.Result, error) {
@@ -278,13 +283,18 @@ func (r *Runner) fetch(q request) (*carsgo.Result, error) {
 		return nil, err
 	}
 	r.mu.Unlock()
-	r.prefetch([]request{q})
+	if err := r.prefetch([]request{q})[q]; err != nil {
+		return nil, err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.errs[q]; err != nil {
 		return nil, err
 	}
-	return r.results[q], nil
+	if res := r.results[q]; res != nil {
+		return res, nil
+	}
+	return nil, fmt.Errorf("experiments: %s %s: no result", q.cfgName, q.label())
 }
 
 // Standard configuration names used across experiments.

@@ -44,12 +44,6 @@ type L1 struct {
 	// cfg.MSHRs entries; past its length lie released entries, whose
 	// waiter slices the next allocations reuse.
 	mshrs []l1MSHR
-
-	// MSHRStalls counts loads refused for want of an MSHR entry. The
-	// LSU retries a refused load on its SM's next tick, and an SM whose
-	// LSU head waits for an MSHR sleeps until a load completes, so this
-	// counts refusals, not cycles.
-	MSHRStalls uint64
 }
 
 // NewL1 builds an L1 front-end.
@@ -85,7 +79,6 @@ func (l *L1) Load(now int64, lineAddr uint64, sectorMask uint8, class AccessClas
 	mi := -1
 	if sectors, present := l.cache.Probe(lineAddr); !present || sectorMask&^sectors != 0 {
 		if mi = l.findMSHR(lineAddr); mi < 0 && len(l.mshrs) >= l.cfg.MSHRs {
-			l.MSHRStalls++
 			return false
 		}
 	}

@@ -2,7 +2,6 @@ package san
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -54,50 +53,6 @@ func ConfigFor(mode abi.Mode) sim.Config {
 	default:
 		return config.V100()
 	}
-}
-
-// RunProgram executes the given launches on a fresh GPU with a shadow
-// sanitizer attached and returns the sanitizer plus the vet report it
-// was checked against. setup runs after GPU construction and before
-// the launches (device-memory initialisation); it may be nil.
-func RunProgram(ctx context.Context, prog *isa.Program, cfg sim.Config,
-	setup func(g *sim.GPU) ([]isa.Launch, error)) (*Sanitizer, *vet.ProgramReport, error) {
-	rep := vet.Report(prog)
-	for _, d := range rep.Diags {
-		if d.Sev >= vet.SevError {
-			return nil, rep, fmt.Errorf("san: program does not vet: %s", d)
-		}
-	}
-	return runVetted(ctx, prog, cfg, rep, setup)
-}
-
-// RunProgramUnvetted is RunProgram without the vet gate: the program
-// runs even when the static verifier reports errors. The negative
-// differential harness needs this — its workloads are broken on
-// purpose, and the point is to watch the sanitizer catch them.
-func RunProgramUnvetted(ctx context.Context, prog *isa.Program, cfg sim.Config,
-	setup func(g *sim.GPU) ([]isa.Launch, error)) (*Sanitizer, *vet.ProgramReport, error) {
-	return runVetted(ctx, prog, cfg, vet.Report(prog), setup)
-}
-
-func runVetted(ctx context.Context, prog *isa.Program, cfg sim.Config, rep *vet.ProgramReport,
-	setup func(g *sim.GPU) ([]isa.Launch, error)) (*Sanitizer, *vet.ProgramReport, error) {
-	g, err := sim.New(cfg, prog)
-	if err != nil {
-		return nil, rep, err
-	}
-	s := New(prog)
-	g.San = s
-	launches, err := setup(g)
-	if err != nil {
-		return nil, rep, err
-	}
-	for _, l := range launches {
-		if _, err := g.RunContext(ctx, l); err != nil {
-			return nil, rep, fmt.Errorf("san: launch %s: %w", l.Kernel, err)
-		}
-	}
-	return s, rep, nil
 }
 
 // Check compares the sanitizer's dynamic observations against vet's
@@ -177,172 +132,130 @@ func costDom(out *[]string, who, metric string, b vet.CostBound, dyn uint64) {
 	}
 }
 
-// RunWorkload runs one built-in workload under one ABI mode with the
-// sanitizer attached and checks the differential invariant.
-func RunWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) (*DiffResult, error) {
-	res := &DiffResult{Workload: w.Name, Mode: mode.String()}
-	prog, err := abi.Link(mode, w.Modules()...)
+// Diff runs the unit under the sanitizer and checks that vet's static
+// bounds dominate what it observed. It does not gate on vet: a file
+// run through carsvet -diff may be broken on purpose.
+func (u *Unit) Diff(ctx context.Context) (*DiffResult, error) {
+	res := &DiffResult{Workload: u.W.Name, Mode: u.Mode.String()}
+	r, err := u.Run(ctx, u.Cfg)
 	if err != nil {
-		if errors.Is(err, abi.ErrRecursive) {
-			// Recursive workloads cannot compile under the shared-spill
-			// ABI; the rejection is the expected behaviour.
-			res.Skipped = true
-			res.Reason = "recursive call graph"
-			return res, nil
-		}
 		return nil, err
 	}
-	s, rep, err := RunProgram(ctx, prog, ConfigFor(mode), w.Setup)
-	if err != nil {
-		if errors.Is(err, sim.ErrNoFit) {
-			// The static shared-spill frame is too large for the target
-			// SM. The program is rejected by capacity, not by the ABI.
-			res.Skipped = true
-			res.Reason = "shared-spill frame exceeds shared memory"
-			return res, nil
-		}
-		return nil, err
+	if r == nil {
+		res.Skipped, res.Reason = true, u.Skip
+		return res, nil
 	}
-	res.Diags = s.Diags()
-	res.Obs = s.Observations()
-	res.Violations = Check(rep, s, prog.CARS)
+	res.Diags = r.San.Diags()
+	res.Obs = r.San.Observations()
+	res.Violations = Check(u.Rep, r.San, u.Prog.CARS)
 	return res, nil
 }
 
-// DiffWorkloads runs the differential harness over the named workloads
-// (all of them when names is empty) in every linkable ABI mode,
-// reporting progress to out (which may be io.Discard). It returns the
-// per-run results and whether every run upheld the invariant.
-func DiffWorkloads(ctx context.Context, names []string, out io.Writer) ([]*DiffResult, bool, error) {
-	var list []*workloads.Workload
-	if len(names) == 0 {
-		list = workloads.All()
-	} else {
-		for _, n := range names {
-			w, err := workloads.ByName(n)
-			if err != nil {
-				return nil, false, err
-			}
-			list = append(list, w)
-		}
+// details lists a failed result's sanitizer diagnostics and dominance
+// violations, one line each.
+func (r *DiffResult) details() []string {
+	var out []string
+	for _, d := range r.Diags {
+		out = append(out, fmt.Sprintf("%s [%s pc=%d]", d, d.Func, d.PC))
 	}
-	var results []*DiffResult
-	ok := true
-	for _, w := range list {
-		for _, mode := range abi.Modes {
-			res, err := RunWorkload(ctx, w, mode)
-			if err != nil {
-				return results, false, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
-			}
-			results = append(results, res)
-			switch {
-			case res.Skipped:
-				fmt.Fprintf(out, "skip %-14s %-9s (%s)\n", w.Name, res.Mode, res.Reason)
-			case res.OK():
-				fmt.Fprintf(out, "ok   %-14s %-9s\n", w.Name, res.Mode)
-			default:
-				ok = false
-				fmt.Fprintf(out, "FAIL %-14s %-9s\n", w.Name, res.Mode)
-				for _, d := range res.Diags {
-					fmt.Fprintf(out, "     %s [%s pc=%d]\n", d, d.Func, d.PC)
-				}
-				for _, v := range res.Violations {
-					fmt.Fprintf(out, "     dominance: %s\n", v)
-				}
-			}
-		}
+	for _, v := range r.Violations {
+		out = append(out, "dominance: "+v)
 	}
-	return results, ok, nil
+	return out
+}
+
+// DiffWorkloads runs the differential harness over list in every ABI
+// mode, vet-gated, printing each result's line to out (which may be
+// io.Discard). It returns the results and whether every run upheld the
+// invariant.
+func DiffWorkloads(ctx context.Context, list []*workloads.Workload, out io.Writer) ([]*DiffResult, bool, error) {
+	return Drive(list, func(w *workloads.Workload, mode abi.Mode) (*DiffResult, error) {
+		u, err := Link(w, mode)
+		if err != nil {
+			return nil, err
+		}
+		if err := u.Vetted(); err != nil {
+			return nil, err
+		}
+		return u.Diff(ctx)
+	}, func(res *DiffResult) {
+		line(out, 14, res.Workload, res.Mode, res.Reason, res.OK(), "", res.details()...)
+	})
 }
 
 // DiffNegatives runs the deliberately-broken workloads
-// (workloads.Negatives) in every linkable ABI mode and checks both
-// directions of the differential: each expected defect must be flagged
-// by the static verifier AND observed by the sanitizer, while the
-// clean counterparts must pass both sides. It returns per-run results
-// and whether every expectation held.
+// (workloads.Negatives) in every ABI mode, without the vet gate, and
+// checks both directions of the differential: each expected defect
+// must be flagged by the static verifier AND observed by the
+// sanitizer, while the clean counterparts must pass both sides. It
+// returns per-run results and whether every expectation held.
 func DiffNegatives(ctx context.Context, out io.Writer) ([]*DiffResult, bool, error) {
-	var results []*DiffResult
-	ok := true
-	for _, w := range workloads.Negatives() {
-		for _, mode := range abi.Modes {
-			res := &DiffResult{Workload: w.Name, Mode: mode.String()}
-			prog, err := abi.Link(mode, w.Modules()...)
-			if err != nil {
-				return results, false, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
+	return Drive(workloads.Negatives(), func(w *workloads.Workload, mode abi.Mode) (*DiffResult, error) {
+		u, err := Link(w, mode)
+		if err != nil {
+			return nil, err
+		}
+		res, err := u.Diff(ctx)
+		if err != nil || res.Skipped {
+			return res, err
+		}
+		dominance := res.Violations
+		res.Violations = nil
+		staticUnsafeBarrier, staticRacy := false, false
+		for _, kr := range u.Rep.Kernels {
+			if !kr.BarrierSafe {
+				staticUnsafeBarrier = true
 			}
-			s, rep, err := RunProgramUnvetted(ctx, prog, ConfigFor(mode), w.Setup)
-			if err != nil {
-				return results, false, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
-			}
-			res.Diags = s.Diags()
-			res.Obs = s.Observations()
-
-			staticUnsafeBarrier, staticRacy := false, false
-			for _, kr := range rep.Kernels {
-				if !kr.BarrierSafe {
-					staticUnsafeBarrier = true
-				}
-				if !kr.RaceFree {
-					staticRacy = true
-				}
-			}
-			var dynBarrier, dynRace uint64
-			for _, ko := range res.Obs.Kernels {
-				dynBarrier += ko.BarrierDivergences
-				dynRace += ko.SharedRaces
-			}
-			expect := func(cond bool, format string, args ...any) {
-				if !cond {
-					res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-				}
-			}
-			if w.Expect.SharedRace {
-				expect(staticRacy, "expected the static verifier to report a shared-memory race")
-				expect(dynRace > 0, "expected the sanitizer to observe a shared-memory race")
-			} else {
-				expect(!staticRacy, "clean workload reported statically racy")
-				expect(dynRace == 0, "clean workload raced dynamically (%d event(s))", dynRace)
-			}
-			if w.Expect.BarrierDivergence {
-				expect(staticUnsafeBarrier, "expected the static verifier to report barrier divergence")
-				expect(dynBarrier > 0, "expected the sanitizer to observe a divergent barrier arrival")
-			} else {
-				expect(!staticUnsafeBarrier, "clean workload reported statically barrier-unsafe")
-				expect(dynBarrier == 0, "clean workload diverged at a barrier dynamically (%d event(s))", dynBarrier)
-			}
-			// Expected sanitizer diagnostics are not failures here; the
-			// clean counterparts must still be diagnostic-free.
-			clean := !w.Expect.SharedRace && !w.Expect.BarrierDivergence
-			if clean {
-				res.Violations = append(res.Violations, Check(rep, s, prog.CARS)...)
-				if len(res.Diags) > 0 {
-					ok = false
-				}
-			} else {
-				res.Diags = nil // reported via the expectations above
-			}
-			if len(res.Violations) > 0 {
-				ok = false
-			}
-			results = append(results, res)
-			status := "ok  "
-			if len(res.Violations) > 0 || (clean && len(res.Diags) > 0) {
-				status = "FAIL"
-			}
-			fmt.Fprintf(out, "%s %-18s %-9s\n", status, w.Name, res.Mode)
-			for _, v := range res.Violations {
-				fmt.Fprintf(out, "     expectation: %s\n", v)
+			if !kr.RaceFree {
+				staticRacy = true
 			}
 		}
-	}
-	return results, ok, nil
+		var dynBarrier, dynRace uint64
+		for _, ko := range res.Obs.Kernels {
+			dynBarrier += ko.BarrierDivergences
+			dynRace += ko.SharedRaces
+		}
+		expect := func(cond bool, format string, args ...any) {
+			if !cond {
+				res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
+			}
+		}
+		if w.Expect.SharedRace {
+			expect(staticRacy, "expected the static verifier to report a shared-memory race")
+			expect(dynRace > 0, "expected the sanitizer to observe a shared-memory race")
+		} else {
+			expect(!staticRacy, "clean workload reported statically racy")
+			expect(dynRace == 0, "clean workload raced dynamically (%d event(s))", dynRace)
+		}
+		if w.Expect.BarrierDivergence {
+			expect(staticUnsafeBarrier, "expected the static verifier to report barrier divergence")
+			expect(dynBarrier > 0, "expected the sanitizer to observe a divergent barrier arrival")
+		} else {
+			expect(!staticUnsafeBarrier, "clean workload reported statically barrier-unsafe")
+			expect(dynBarrier == 0, "clean workload diverged at a barrier dynamically (%d event(s))", dynBarrier)
+		}
+		// Expected sanitizer diagnostics are not failures here; the
+		// clean counterparts must still be diagnostic-free and keep
+		// their dominance.
+		if !w.Expect.SharedRace && !w.Expect.BarrierDivergence {
+			res.Violations = append(res.Violations, dominance...)
+		} else {
+			res.Diags = nil // reported via the expectations above
+		}
+		return res, nil
+	}, func(res *DiffResult) {
+		var details []string
+		for _, v := range res.Violations {
+			details = append(details, "expectation: "+v)
+		}
+		line(out, 18, res.Workload, res.Mode, "", res.OK(), "", details...)
+	})
 }
 
 // SmokeLaunch builds a minimal launch for a program's first kernel
 // (alphabetically): one block of 64 threads with zeroed parameters.
-// It gives file-based inputs to carsvet -diff and the sanitizer tests
-// something to execute without a workload-specific setup.
+// It is the setup of a Smoke workload, so file-based inputs to carsvet
+// -diff and -perf have something to execute.
 func SmokeLaunch(prog *isa.Program) (isa.Launch, error) {
 	var kernels []string
 	for name := range prog.Kernels {

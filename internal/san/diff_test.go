@@ -4,13 +4,13 @@ import (
 	"context"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"carsgo/internal/abi"
 	"carsgo/internal/asm"
 	"carsgo/internal/config"
-	"carsgo/internal/sim"
 	"carsgo/internal/workloads"
 )
 
@@ -27,7 +27,11 @@ func TestDiffWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy differential sweep")
 	}
-	results, ok, err := DiffWorkloads(context.Background(), diffSubset, io.Discard)
+	list, err := Select(diffSubset, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, ok, err := DiffWorkloads(context.Background(), list, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,11 @@ func TestDiffTrapsExercised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWorkload(context.Background(), w, abi.CARS)
+	u, err := Link(w, abi.CARS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := u.Diff(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +108,10 @@ func TestDiffTrapsExercised(t *testing.T) {
 	}
 }
 
-// runFile links an assembly file and runs it under the sanitizer with
-// a smoke launch, without the vet gate (the point is to watch broken
-// programs misbehave dynamically).
-func runFile(t *testing.T, path string, mode abi.Mode) *Sanitizer {
+// runFile runs an assembly file's unit under the smoke launch, without
+// the vet gate (the point is to watch broken programs misbehave
+// dynamically).
+func runFile(t *testing.T, path string, mode abi.Mode) *DiffResult {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -113,26 +121,15 @@ func runFile(t *testing.T, path string, mode abi.Mode) *Sanitizer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := abi.Link(mode, mod)
+	u, err := Link(Smoke(filepath.Base(path), mod), mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ConfigFor(mode)
-	cfg.GlobalMemWords = 1 << 16 // a smoke launch touches almost nothing
-	g, err := sim.New(cfg, prog)
+	res, err := u.Diff(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(prog)
-	g.San = s
-	launch, err := SmokeLaunch(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(launch); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return res
 }
 
 // TestBrokenFlagged: the deliberately ABI-violating demo program must
@@ -151,8 +148,7 @@ func TestBrokenFlagged(t *testing.T) {
 		// caller's register, caught by the return snapshot.
 		{abi.Baseline, []Kind{KindUninitRead, KindABIClobber}},
 	} {
-		s := runFile(t, path, tc.mode)
-		diags := s.Diags()
+		diags := runFile(t, path, tc.mode).Diags
 		for _, want := range tc.want {
 			found := false
 			for _, d := range diags {
@@ -172,8 +168,7 @@ func TestBrokenFlagged(t *testing.T) {
 func TestCleanDemoSilent(t *testing.T) {
 	const path = "../../examples/vetdemo/clean.carsasm"
 	for _, mode := range abi.Modes {
-		s := runFile(t, path, mode)
-		for _, d := range s.Diags() {
+		for _, d := range runFile(t, path, mode).Diags {
 			t.Errorf("%s: clean.carsasm: %s", mode, d)
 		}
 	}

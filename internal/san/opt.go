@@ -9,7 +9,6 @@ import (
 	"carsgo/internal/abi"
 	"carsgo/internal/kir"
 	"carsgo/internal/opt"
-	"carsgo/internal/sim"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
 )
@@ -56,96 +55,65 @@ func (r *OptDiffResult) OK() bool {
 	return r.Skipped || len(r.Failures) == 0
 }
 
-// optRun holds one side's execution artifacts.
-type optRun struct {
-	rep    *vet.ProgramReport
-	out    []uint32
-	cycles int64
-	instr  uint64
-	san    *Sanitizer
-	cars   bool
-}
-
-// runSide links, vets, and runs one module set, collecting the output
-// region and the sanitizer observations.
-func runSide(ctx context.Context, w *workloads.Workload, mode abi.Mode, mods []*kir.Module) (*optRun, error) {
-	prog, err := abi.Link(mode, mods...)
-	if err != nil {
-		return nil, err
-	}
-	cfg := ConfigFor(mode)
-	rep := vet.Report(prog)
-	for _, d := range rep.Diags {
-		if d.Sev >= vet.SevError {
-			return nil, fmt.Errorf("program does not vet: %s", d)
-		}
-	}
-	g, err := sim.New(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	s := New(prog)
-	g.San = s
-	launches, err := w.Setup(g)
-	if err != nil {
-		return nil, err
-	}
-	r := &optRun{rep: rep, san: s, cars: prog.CARS}
-	for _, l := range launches {
-		st, err := g.RunContext(ctx, l)
-		if err != nil {
-			return nil, fmt.Errorf("launch %s: %w", l.Kernel, err)
-		}
-		r.cycles += st.Cycles
-		r.instr += st.TotalInstructions()
-	}
-	r.out = w.Output(g)
-	return r, nil
-}
-
 // OptDiffWorkload runs the optimize→simulate differential for one
-// workload under one ABI mode.
+// workload under one ABI mode: the original modules and the optimized
+// ones are each a unit of the workload, vet-gated and run.
 func OptDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) (*OptDiffResult, error) {
 	res := &OptDiffResult{Workload: w.Name, Mode: mode.String()}
 	mods := w.Modules()
 	optMods, certs, err := opt.OptimizeAll(mods...)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+		return nil, err
 	}
 	res.Certs = certs
 
-	orig, err := runSide(ctx, w, mode, mods)
-	if err != nil {
-		if errors.Is(err, abi.ErrRecursive) {
-			res.Skipped, res.Reason = true, "recursive call graph"
-			return res, nil
+	side := func(mods []*kir.Module) (*Unit, *Run, error) {
+		u, err := Link(w, mode, mods...)
+		if err != nil {
+			return nil, nil, err
 		}
-		if errors.Is(err, sim.ErrNoFit) {
-			res.Skipped, res.Reason = true, "shared-spill frame exceeds shared memory"
-			return res, nil
+		if err := u.Vetted(); err != nil {
+			return nil, nil, err
 		}
-		return nil, fmt.Errorf("%s/%s original: %w", w.Name, mode, err)
+		r, err := u.Run(ctx, u.Cfg)
+		return u, r, err
 	}
-	optd, err := runSide(ctx, w, mode, optMods)
+	orig, origRun, err := side(mods)
+	if err != nil {
+		return nil, fmt.Errorf("original: %w", err)
+	}
+	if origRun == nil {
+		res.Skipped, res.Reason = true, orig.Skip
+		return res, nil
+	}
+	optd, optRun, err := side(optMods)
+	if err == nil && optRun == nil {
+		err = errors.New(optd.Skip)
+	}
 	if err != nil {
 		// The original ran; the optimized program failing to link or
 		// run at all is itself an oracle failure.
 		res.Failures = append(res.Failures, fmt.Sprintf("optimized program failed: %v", err))
 		return res, nil
 	}
-	res.CyclesOrig, res.CyclesOpt = orig.cycles, optd.cycles
-	res.InstrOrig, res.InstrOpt = orig.instr, optd.instr
+	res.CyclesOrig, res.CyclesOpt = origRun.Cycles(), optRun.Cycles()
+	for _, st := range origRun.Stats {
+		res.InstrOrig += st.TotalInstructions()
+	}
+	for _, st := range optRun.Stats {
+		res.InstrOpt += st.TotalInstructions()
+	}
 
 	// Clause 1: bit-identical outputs.
-	if len(orig.out) != len(optd.out) {
+	if len(origRun.Output) != len(optRun.Output) {
 		res.Failures = append(res.Failures,
-			fmt.Sprintf("output region size differs: %d vs %d words", len(orig.out), len(optd.out)))
+			fmt.Sprintf("output region size differs: %d vs %d words", len(origRun.Output), len(optRun.Output)))
 	} else {
-		for i := range orig.out {
-			if orig.out[i] != optd.out[i] {
+		for i := range origRun.Output {
+			if origRun.Output[i] != optRun.Output[i] {
 				res.Failures = append(res.Failures,
 					fmt.Sprintf("output word %d differs: %#x (original) vs %#x (optimized)",
-						i, orig.out[i], optd.out[i]))
+						i, origRun.Output[i], optRun.Output[i]))
 				break
 			}
 		}
@@ -153,15 +121,15 @@ func OptDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) 
 
 	// Clause 2: the optimized program is clean under its own recomputed
 	// report — sanitizer silent, dominance intact.
-	for _, d := range optd.san.Diags() {
+	for _, d := range optRun.San.Diags() {
 		res.Failures = append(res.Failures, fmt.Sprintf("optimized sanitizer: %s", d))
 	}
-	for _, v := range Check(optd.rep, optd.san, optd.cars) {
+	for _, v := range Check(optd.Rep, optRun.San, optd.Prog.CARS) {
 		res.Failures = append(res.Failures, fmt.Sprintf("optimized dominance: %s", v))
 	}
 
 	// Clause 3: the static report must not degrade.
-	res.Failures = append(res.Failures, vetNonDegrading(orig.rep, optd.rep)...)
+	res.Failures = append(res.Failures, vetNonDegrading(orig.Rep, optd.Rep)...)
 
 	return res, nil
 }
@@ -226,47 +194,17 @@ func boundMono(out *[]string, what string, orig, optd vet.CostBound) {
 	}
 }
 
-// OptDiffWorkloads runs the optimize→simulate differential over the
-// named workloads (all of them when names is empty) in every ABI mode.
-func OptDiffWorkloads(ctx context.Context, names []string, out io.Writer) ([]*OptDiffResult, bool, error) {
-	var list []*workloads.Workload
-	if len(names) == 0 {
-		list = workloads.All()
-	} else {
-		for _, n := range names {
-			w, err := workloads.ByName(n)
-			if err != nil {
-				return nil, false, err
-			}
-			list = append(list, w)
+// OptDiffWorkloads runs the optimize→simulate differential over list
+// in every ABI mode, printing each result's line to out.
+func OptDiffWorkloads(ctx context.Context, list []*workloads.Workload, out io.Writer) ([]*OptDiffResult, bool, error) {
+	return Drive(list, func(w *workloads.Workload, mode abi.Mode) (*OptDiffResult, error) {
+		return OptDiffWorkload(ctx, w, mode)
+	}, func(res *OptDiffResult) {
+		details := append([]string(nil), res.Failures...)
+		for _, c := range res.Certs {
+			details = append(details, fmt.Sprintf("applied: %s", c))
 		}
-	}
-	var results []*OptDiffResult
-	ok := true
-	for _, w := range list {
-		for _, mode := range abi.Modes {
-			res, err := OptDiffWorkload(ctx, w, mode)
-			if err != nil {
-				return results, false, err
-			}
-			results = append(results, res)
-			switch {
-			case res.Skipped:
-				fmt.Fprintf(out, "skip %-14s %-9s (%s)\n", w.Name, res.Mode, res.Reason)
-			case res.OK():
-				fmt.Fprintf(out, "ok   %-14s %-9s %3d cert(s)  cycles %d→%d\n",
-					w.Name, res.Mode, len(res.Certs), res.CyclesOrig, res.CyclesOpt)
-			default:
-				ok = false
-				fmt.Fprintf(out, "FAIL %-14s %-9s\n", w.Name, res.Mode)
-				for _, f := range res.Failures {
-					fmt.Fprintf(out, "     %s\n", f)
-				}
-				for _, c := range res.Certs {
-					fmt.Fprintf(out, "     applied: %s\n", c)
-				}
-			}
-		}
-	}
-	return results, ok, nil
+		line(out, 14, res.Workload, res.Mode, res.Reason, res.OK(),
+			fmt.Sprintf(" %3d cert(s)  cycles %d→%d", len(res.Certs), res.CyclesOrig, res.CyclesOpt), details...)
+	})
 }

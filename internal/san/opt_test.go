@@ -20,8 +20,11 @@ func TestOptDiffSubset(t *testing.T) {
 	if opt.Weakened() {
 		t.Skip("optweaken build: the oracle is supposed to fail; see TestOptWeakenedCaught")
 	}
-	results, ok, err := san.OptDiffWorkloads(context.Background(),
-		[]string{"FIB", "NBD", "LULESH"}, io.Discard)
+	list, err := san.Select([]string{"FIB", "NBD", "LULESH"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, ok, err := san.OptDiffWorkloads(context.Background(), list, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

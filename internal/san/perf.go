@@ -11,7 +11,6 @@ import (
 	"carsgo/internal/config"
 	"carsgo/internal/isa"
 	"carsgo/internal/sim"
-	"carsgo/internal/stats"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
 )
@@ -106,140 +105,90 @@ func Shapes(launches []isa.Launch) []vet.LaunchShape {
 	return out
 }
 
-// runMeasured is runVetted plus measurement: it returns the launches
-// the setup produced and the per-launch kernel statistics alongside
-// the sanitizer.
-func runMeasured(ctx context.Context, prog *isa.Program, cfg sim.Config,
-	setup func(g *sim.GPU) ([]isa.Launch, error)) (*Sanitizer, []isa.Launch, []*stats.Kernel, error) {
-	g, err := sim.New(cfg, prog)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s := New(prog)
-	g.San = s
-	launches, err := setup(g)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var sts []*stats.Kernel
-	for _, l := range launches {
-		st, err := g.RunContext(ctx, l)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("san: launch %s: %w", l.Kernel, err)
-		}
-		sts = append(sts, st)
-	}
-	return s, launches, sts, nil
-}
-
 // peaks returns the opening-wave resident-warp counts of one measured
 // run: the simulator's own statistic and the sanitizer's independently-
 // tracked admit/exit bookkeeping for the given kernel.
-func peaks(s *Sanitizer, sts []*stats.Kernel, kernel string) (sim, san int) {
-	for _, st := range sts {
+func peaks(r *Run, kernel string) (sim, san int) {
+	for _, st := range r.Stats {
 		if st.ResidentWarps > sim {
 			sim = st.ResidentWarps
 		}
 	}
-	for _, ko := range s.Observations().Kernels {
-		if ko.Kernel == kernel {
-			san = ko.ResidentWarps
-		}
+	if ko := kernelObsFor(r.San, kernel); ko != nil {
+		san = ko.ResidentWarps
 	}
 	return sim, san
 }
 
-func sumCycles(sts []*stats.Kernel) int64 {
-	var total int64
-	for _, st := range sts {
-		total += st.Cycles
-	}
-	return total
-}
-
-// PerfDiffWorkload runs the perf differential for one workload under
-// one ABI mode.
-func PerfDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode, regret float64) (*PerfResult, error) {
-	res := &PerfResult{Workload: w.Name, Mode: mode.String()}
-	prog, err := abi.Link(mode, w.Modules()...)
-	if err != nil {
-		if errors.Is(err, abi.ErrRecursive) {
-			res.Skipped, res.Reason = true, "recursive call graph"
-			return res, nil
-		}
+// PerfDiff runs the perf differential on the unit, vet-gated: it plans
+// the unit, runs it once under its own machine, and walks the forced
+// ladder of every design point a single-kernel unit has.
+func (u *Unit) PerfDiff(ctx context.Context, regret float64) (*PerfResult, error) {
+	res := &PerfResult{Workload: u.W.Name, Mode: u.Mode.String()}
+	if err := u.Vetted(); err != nil {
 		return nil, err
 	}
-	rep := vet.Report(prog)
-	for _, d := range rep.Diags {
-		if d.Sev >= vet.SevError {
-			return nil, fmt.Errorf("san: program does not vet: %s", d)
-		}
-	}
-	cfg := ConfigFor(mode)
-	s, launches, sts, err := runMeasured(ctx, prog, cfg, w.Setup)
+	shapes, err := u.Plan()
 	if err != nil {
-		if errors.Is(err, sim.ErrNoFit) {
-			res.Skipped, res.Reason = true, "shared-spill frame exceeds shared memory"
-			return res, nil
-		}
 		return nil, err
 	}
-	for _, d := range s.Diags() {
+	r, err := u.Run(ctx, u.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	if r == nil {
+		res.Skipped, res.Reason = true, u.Skip
+		return res, nil
+	}
+	for _, d := range r.San.Diags() {
 		res.Violations = append(res.Violations, fmt.Sprintf("sanitizer: %s", d))
-	}
-
-	m := MachineParamsFor(cfg)
-	shapes := Shapes(launches)
-	if err := vet.AnalyzePerf(rep, prog, m, shapes); err != nil {
-		return nil, err
 	}
 	// Dominance: finite static cost bounds must cover the dynamic
 	// counters of the primary run (plus the pre-existing -diff rows).
-	res.Violations = append(res.Violations, Check(rep, s, prog.CARS)...)
+	res.Violations = append(res.Violations, Check(u.Rep, r.San, u.Prog.CARS)...)
 
 	// The level study pins one kernel per workload; a workload that
 	// launches several distinct kernels (PTA's two-phase pipeline) still
 	// gets the dominance check above, but its ladder would conflate the
 	// kernels' occupancy figures — reduce scope rather than fail.
-	kernel := launches[0].Kernel
-	for _, l := range launches {
+	kernel := r.Launches[0].Kernel
+	for _, l := range r.Launches {
 		if l.Kernel != kernel {
 			res.Reason = fmt.Sprintf("multi-kernel launch (%s, %s): dominance only, level study skipped", kernel, l.Kernel)
 			return res, nil
 		}
 	}
 	res.Kernel = kernel
-	kr := rep.Kernel(kernel)
+	kr := u.Rep.Kernel(kernel)
 	if kr == nil || kr.Perf == nil || len(kr.Perf.Occupancy) == 0 {
 		res.Violations = append(res.Violations, fmt.Sprintf("%s: no static occupancy rows", kernel))
 		return res, nil
 	}
 
-	if !prog.CARS {
+	m := MachineParamsFor(u.Cfg)
+	if !u.Prog.CARS {
 		// Non-CARS: a single "base" design point, already measured by
 		// the primary run. Exactness is unconditional.
 		row := kr.Perf.Occupancy[0]
-		simPeak, sanPeak := peaks(s, sts, kernel)
-		res.Levels = []LevelRun{{
-			Level: row.Level, StaticWarps: row.ResidentWarps,
-			SimWarps: simPeak, SanWarps: sanPeak, Cycles: sumCycles(sts),
-		}}
-		exactWarps(res, row.Level, row.ResidentWarps, simPeak, sanPeak)
-		smemParity(res, row.Level, s, sts, kernel)
-		if mode == abi.SharedSpill && prog.SmemSpillPerThread > 0 {
+		base := LevelRun{Level: row.Level, StaticWarps: row.ResidentWarps, Cycles: r.Cycles()}
+		base.SimWarps, base.SanWarps = peaks(r, kernel)
+		res.Levels = []LevelRun{base}
+		exactWarps(res, row.Level, row.ResidentWarps, base.SimWarps, base.SanWarps)
+		smemParity(res, row.Level, r, kernel)
+		if u.Mode == abi.SharedSpill && u.Prog.SmemSpillPerThread > 0 {
 			// Zero-spill programs link under SharedSpill without a
 			// frame: no lattice to study, the base row says it all.
-			if err := backendStudy(ctx, res, w, prog, rep, kr, m, shapes[0], s, sts, regret); err != nil {
+			if err := u.backendStudy(ctx, res, kr, m, shapes[0], r, regret); err != nil {
 				return nil, err
 			}
 		}
 		return res, nil
 	}
 
-	smemParity(res, "adaptive", s, sts, kernel)
+	smemParity(res, "adaptive", r, kernel)
 	// CARS: pin the simulator to each ladder level in turn and hold the
 	// model to exactness at every design point.
-	plan, err := m.PlanFor(prog, shapes[0])
+	plan, err := m.PlanFor(u.Prog, shapes[0])
 	if err != nil {
 		return nil, err
 	}
@@ -249,26 +198,15 @@ func PerfDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode,
 				kernel, len(plan.Levels), len(kr.Perf.Occupancy)))
 		return res, nil
 	}
+	rungs := make([]rung, len(plan.Levels))
 	for i, lvl := range plan.Levels {
-		fcfg := config.WithCARSPolicy(config.V100(), cars.ForcedPolicy(lvl))
-		fs, _, fsts, err := runMeasured(ctx, prog, fcfg, w.Setup)
-		if err != nil {
-			return nil, fmt.Errorf("forced %s: %w", lvl.Name(), err)
-		}
-		for _, d := range fs.Diags() {
-			res.Violations = append(res.Violations, fmt.Sprintf("forced %s: sanitizer: %s", lvl.Name(), d))
-		}
-		for _, v := range Check(rep, fs, true) {
-			res.Violations = append(res.Violations, fmt.Sprintf("forced %s: %s", lvl.Name(), v))
-		}
 		row := kr.Perf.Occupancy[i]
-		simPeak, sanPeak := peaks(fs, fsts, kernel)
-		res.Levels = append(res.Levels, LevelRun{
-			Level: row.Level, StackSlots: lvl.StackSlots, StaticWarps: row.ResidentWarps,
-			SimWarps: simPeak, SanWarps: sanPeak, Cycles: sumCycles(fsts),
-		})
-		exactWarps(res, row.Level, row.ResidentWarps, simPeak, sanPeak)
-		smemParity(res, "forced "+lvl.Name(), fs, fsts, kernel)
+		rungs[i] = rung{label: "forced " + lvl.Name(), exact: row.Level,
+			cfg: config.WithCARSPolicy(config.V100(), cars.ForcedPolicy(lvl)),
+			row: LevelRun{Level: row.Level, StackSlots: lvl.StackSlots, StaticWarps: row.ResidentWarps}}
+	}
+	if res.Levels, err = u.ladder(ctx, res, kernel, rungs); err != nil {
+		return nil, err
 	}
 
 	// Advisor regret: the recommended level, measured in cycles, may
@@ -279,22 +217,8 @@ func PerfDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode,
 		return res, nil
 	}
 	res.Advised = adv.Level
-	best := res.Levels[0].Cycles
-	for _, lr := range res.Levels[1:] {
-		if lr.Cycles < best {
-			best = lr.Cycles
-		}
-	}
-	advised := res.Levels[adv.LevelIndex].Cycles
-	if best > 0 {
-		res.Regret = float64(advised)/float64(best) - 1
-	}
-	if res.Regret > regret {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("advisor picked %s (%d cycles) but the best level runs in %d cycles: regret %.2f exceeds %.2f",
-				adv.Level, advised, best, res.Regret, regret))
-	}
-	if w.PerfExpect.AvoidHigh {
+	res.Regret = gateRegret(res, "", "level", adv, res.Levels, regret)
+	if u.W.PerfExpect.AvoidHigh {
 		highRow := kr.Perf.Occupancy[len(kr.Perf.Occupancy)-1]
 		advRow := kr.Perf.Occupancy[adv.LevelIndex]
 		if adv.Level == "High" {
@@ -315,6 +239,74 @@ func PerfDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode,
 	return res, nil
 }
 
+// rung is one forced design point of a ladder: the machine it runs on
+// and the static half of its level row.
+type rung struct {
+	label string // prefixes the rung's violations
+	exact string // names the rung in exactness violations
+	cfg   sim.Config
+	row   LevelRun
+	// resid holds the residual traffic bounds of an RF-cache window.
+	resid *vet.BackendLevel
+}
+
+// ladder runs the unit on every rung of a forced ladder, holds each run
+// to dominance, occupancy exactness, counter parity and any residual
+// bound, and returns the measured levels.
+func (u *Unit) ladder(ctx context.Context, res *PerfResult, kernel string, rungs []rung) ([]LevelRun, error) {
+	levels := make([]LevelRun, 0, len(rungs))
+	for _, g := range rungs {
+		r, err := u.Run(ctx, g.cfg)
+		if err == nil && r == nil {
+			err = errors.New(u.Skip)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", g.label, err)
+		}
+		for _, d := range r.San.Diags() {
+			res.Violations = append(res.Violations, fmt.Sprintf("%s: sanitizer: %s", g.label, d))
+		}
+		for _, v := range Check(u.Rep, r.San, u.Prog.CARS) {
+			res.Violations = append(res.Violations, fmt.Sprintf("%s: %s", g.label, v))
+		}
+		lr := g.row
+		lr.SimWarps, lr.SanWarps = peaks(r, kernel)
+		lr.Cycles = r.Cycles()
+		levels = append(levels, lr)
+		exactWarps(res, g.exact, lr.StaticWarps, lr.SimWarps, lr.SanWarps)
+		smemParity(res, g.label, r, kernel)
+		if g.resid != nil {
+			residDom(res, g.label, *g.resid, kernelObsFor(r.San, kernel))
+		}
+	}
+	return levels, nil
+}
+
+// overshoot is the measured regret of levels[advised] over the best of
+// levels: cycles(advised)/min(cycles) - 1, zero when advised wins.
+func overshoot(levels []LevelRun, advised int) (best int64, r float64) {
+	best = levels[0].Cycles
+	for _, lr := range levels[1:] {
+		best = min(best, lr.Cycles)
+	}
+	if best > 0 {
+		r = float64(levels[advised].Cycles)/float64(best) - 1
+	}
+	return best, r
+}
+
+// gateRegret returns the advised level's regret within its ladder and
+// records a violation when it exceeds the threshold.
+func gateRegret(res *PerfResult, ladder, unit string, adv *vet.Advice, levels []LevelRun, threshold float64) float64 {
+	best, r := overshoot(levels, adv.LevelIndex)
+	if r > threshold {
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("%sadvisor picked %s (%d cycles) but the best %s runs in %d cycles: regret %.2f exceeds %.2f",
+				ladder, adv.Level, levels[adv.LevelIndex].Cycles, unit, best, r, threshold))
+	}
+	return r
+}
+
 // kernelObsFor returns the sanitizer's per-kernel observation row, or
 // nil when the kernel never started a warp.
 func kernelObsFor(s *Sanitizer, kernel string) *KernelObs {
@@ -330,13 +322,13 @@ func kernelObsFor(s *Sanitizer, kernel string) *KernelObs {
 // smemParity holds the simulator's and the sanitizer's independently-
 // accumulated shared-memory transaction and RF-cache hit counters to
 // exact agreement for one measured run of a single kernel.
-func smemParity(res *PerfResult, label string, s *Sanitizer, sts []*stats.Kernel, kernel string) {
+func smemParity(res *PerfResult, label string, r *Run, kernel string) {
 	var simTxns, simHits uint64
-	for _, st := range sts {
+	for _, st := range r.Stats {
 		simTxns += st.SmemTxns
 		simHits += st.RFCacheHits
 	}
-	ko := kernelObsFor(s, kernel)
+	ko := kernelObsFor(r.San, kernel)
 	var sanTxns, sanHits uint64
 	if ko != nil {
 		sanTxns, sanHits = ko.SmemTxns, ko.RFCacheHits
@@ -384,15 +376,14 @@ func residDom(res *PerfResult, label string, bl vet.BackendLevel, ko *KernelObs)
 }
 
 // backendStudy runs the shared-spill mode's half of the lattice
-// differential: the smem backend (the primary run, one design point)
+// differential: the smem backend (the primary run r, one design point)
 // and the RF-cache window ladder, each window pinned in the simulator
 // and held to dominance, occupancy exactness, counter parity, and —
 // within the rfcache ladder — the advisor regret gate. The cross-
 // backend advisor's pick is measured against the best cell and
 // recorded (not gated) as CrossRegret.
-func backendStudy(ctx context.Context, res *PerfResult, w *workloads.Workload, prog *isa.Program,
-	rep *vet.ProgramReport, kr *vet.KernelReport, m vet.MachineParams, shape vet.LaunchShape,
-	s *Sanitizer, sts []*stats.Kernel, regret float64) error {
+func (u *Unit) backendStudy(ctx context.Context, res *PerfResult, kr *vet.KernelReport, m vet.MachineParams,
+	shape vet.LaunchShape, r *Run, regret float64) error {
 
 	smemBP := backendPerf(kr, cars.BackendSmemSpill.String())
 	rfcBP := backendPerf(kr, cars.BackendRFCache.String())
@@ -407,12 +398,12 @@ func backendStudy(ctx context.Context, res *PerfResult, w *workloads.Workload, p
 	if adv := smemBP.Advice; adv != nil {
 		smemRun.Advised = adv.Level
 	}
-	residDom(res, "smem base", smemBP.Levels[0], kernelObsFor(s, kr.Kernel))
+	residDom(res, "smem base", smemBP.Levels[0], kernelObsFor(r.San, kr.Kernel))
 	res.Backends = append(res.Backends, smemRun)
 
 	// RF-cache backend: force every window of the very ladder vet
 	// modelled and hold each cell to the full invariant set.
-	plan, err := m.WindowPlanFor(prog, shape)
+	plan, err := m.WindowPlanFor(u.Prog, shape)
 	if err != nil {
 		return err
 	}
@@ -422,47 +413,21 @@ func backendStudy(ctx context.Context, res *PerfResult, w *workloads.Workload, p
 				kr.Kernel, len(plan.Levels), len(rfcBP.Levels)))
 		return nil
 	}
-	rfcRun := BackendRun{Backend: rfcBP.Backend}
+	rungs := make([]rung, len(plan.Levels))
 	for i, lvl := range plan.Levels {
+		bl := &rfcBP.Levels[i]
 		label := "rfcache " + lvl.Name()
-		fcfg := config.WithRFCache(config.V100(), lvl.StackSlots)
-		fs, _, fsts, err := runMeasured(ctx, prog, fcfg, w.Setup)
-		if err != nil {
-			return fmt.Errorf("forced %s: %w", label, err)
-		}
-		for _, d := range fs.Diags() {
-			res.Violations = append(res.Violations, fmt.Sprintf("%s: sanitizer: %s", label, d))
-		}
-		for _, v := range Check(rep, fs, false) {
-			res.Violations = append(res.Violations, fmt.Sprintf("%s: %s", label, v))
-		}
-		bl := rfcBP.Levels[i]
-		simPeak, sanPeak := peaks(fs, fsts, kr.Kernel)
-		rfcRun.Levels = append(rfcRun.Levels, LevelRun{
-			Level: bl.Level, StackSlots: lvl.StackSlots, StaticWarps: bl.ResidentWarps,
-			SimWarps: simPeak, SanWarps: sanPeak, Cycles: sumCycles(fsts),
-		})
-		exactWarps(res, label, bl.ResidentWarps, simPeak, sanPeak)
-		smemParity(res, label, fs, fsts, kr.Kernel)
-		residDom(res, label, bl, kernelObsFor(fs, kr.Kernel))
+		rungs[i] = rung{label: label, exact: label,
+			cfg: config.WithRFCache(config.V100(), lvl.StackSlots),
+			row: LevelRun{Level: bl.Level, StackSlots: lvl.StackSlots, StaticWarps: bl.ResidentWarps}, resid: bl}
+	}
+	rfcRun := BackendRun{Backend: rfcBP.Backend}
+	if rfcRun.Levels, err = u.ladder(ctx, res, kr.Kernel, rungs); err != nil {
+		return err
 	}
 	if adv := rfcBP.Advice; adv != nil && adv.LevelIndex < len(rfcRun.Levels) {
 		rfcRun.Advised = adv.Level
-		best := rfcRun.Levels[0].Cycles
-		for _, lr := range rfcRun.Levels[1:] {
-			if lr.Cycles < best {
-				best = lr.Cycles
-			}
-		}
-		advised := rfcRun.Levels[adv.LevelIndex].Cycles
-		if best > 0 {
-			rfcRun.Regret = float64(advised)/float64(best) - 1
-		}
-		if rfcRun.Regret > regret {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("rfcache advisor picked %s (%d cycles) but the best window runs in %d cycles: regret %.2f exceeds %.2f",
-					adv.Level, advised, best, rfcRun.Regret, regret))
-		}
+		rfcRun.Regret = gateRegret(res, "rfcache ", "window", adv, rfcRun.Levels, regret)
 	}
 	res.Backends = append(res.Backends, rfcRun)
 
@@ -470,23 +435,19 @@ func backendStudy(ctx context.Context, res *PerfResult, w *workloads.Workload, p
 	// recorded: the smem-mode lattice cannot include the cars cells
 	// (a different ABI program), so the cross pick is only held up
 	// against the cells measured here.
-	for _, ca := range vet.CrossBackendAdvice(rep) {
+	for _, ca := range vet.CrossBackendAdvice(u.Rep) {
 		if ca.Kernel != kr.Kernel {
 			continue
 		}
 		res.CrossBackend = ca.Backend + "/" + ca.Level
-		cells := map[string]int64{smemBP.Backend + "/" + smemBP.Levels[0].Level: res.Levels[0].Cycles}
+		cells := []LevelRun{{Level: smemBP.Backend + "/" + smemBP.Levels[0].Level, Cycles: res.Levels[0].Cycles}}
 		for _, lr := range rfcRun.Levels {
-			cells[rfcBP.Backend+"/"+lr.Level] = lr.Cycles
+			cells = append(cells, LevelRun{Level: rfcBP.Backend + "/" + lr.Level, Cycles: lr.Cycles})
 		}
-		best := int64(-1)
-		for _, c := range cells {
-			if best < 0 || c < best {
-				best = c
+		for i, c := range cells {
+			if c.Level == res.CrossBackend {
+				_, res.CrossRegret = overshoot(cells, i)
 			}
-		}
-		if advised, ok := cells[res.CrossBackend]; ok && best > 0 {
-			res.CrossRegret = float64(advised)/float64(best) - 1
 		}
 	}
 	return nil
@@ -505,48 +466,23 @@ func exactWarps(res *PerfResult, level string, static, simPeak, sanPeak int) {
 	}
 }
 
-// PerfDiffWorkloads runs the perf differential over the named
-// workloads (all of Table I plus the perf-registry cases when names is
-// empty) in every linkable ABI mode. It returns the per-run results
-// and whether every run upheld the invariants.
-func PerfDiffWorkloads(ctx context.Context, names []string, regret float64, out io.Writer) ([]*PerfResult, bool, error) {
-	var list []*workloads.Workload
-	if len(names) == 0 {
-		list = append(list, workloads.All()...)
-		list = append(list, workloads.PerfCases()...)
-	} else {
-		for _, n := range names {
-			w, err := workloads.ByName(n)
-			if err != nil {
-				return nil, false, err
-			}
-			list = append(list, w)
+// PerfDiffWorkloads runs the perf differential over list in every ABI
+// mode, printing each result's line to out. It returns the results and
+// whether every run upheld the invariants.
+func PerfDiffWorkloads(ctx context.Context, list []*workloads.Workload, regret float64, out io.Writer) ([]*PerfResult, bool, error) {
+	return Drive(list, func(w *workloads.Workload, mode abi.Mode) (*PerfResult, error) {
+		u, err := Link(w, mode)
+		if err != nil {
+			return nil, err
 		}
-	}
-	var results []*PerfResult
-	ok := true
-	for _, w := range list {
-		for _, mode := range abi.Modes {
-			res, err := PerfDiffWorkload(ctx, w, mode, regret)
-			if err != nil {
-				return results, false, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
-			}
-			results = append(results, res)
-			switch {
-			case res.Skipped:
-				fmt.Fprintf(out, "skip %-16s %-9s (%s)\n", w.Name, res.Mode, res.Reason)
-			case res.OK():
-				fmt.Fprintf(out, "ok   %-16s %-9s %s\n", w.Name, res.Mode, perfSummary(res))
-			default:
-				ok = false
-				fmt.Fprintf(out, "FAIL %-16s %-9s\n", w.Name, res.Mode)
-				for _, v := range res.Violations {
-					fmt.Fprintf(out, "     %s\n", v)
-				}
-			}
+		return u.PerfDiff(ctx, regret)
+	}, func(res *PerfResult) {
+		skip := ""
+		if res.Skipped {
+			skip = res.Reason
 		}
-	}
-	return results, ok, nil
+		line(out, 16, res.Workload, res.Mode, skip, res.OK(), " "+perfSummary(res), res.Violations...)
+	})
 }
 
 func perfSummary(res *PerfResult) string {

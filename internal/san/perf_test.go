@@ -8,6 +8,16 @@ import (
 	"carsgo/internal/workloads"
 )
 
+// perfDiff links one workload under one mode and runs the perf
+// differential at the default regret threshold.
+func perfDiff(w *workloads.Workload, mode abi.Mode) (*PerfResult, error) {
+	u, err := Link(w, mode)
+	if err != nil {
+		return nil, err
+	}
+	return u.PerfDiff(context.Background(), DefaultRegret)
+}
+
 // TestPerfDiffShallowCall exercises the full differential on the
 // cheapest registry case: dominance, per-level occupancy exactness,
 // and the advisor regret bound must all hold in every ABI mode.
@@ -17,7 +27,7 @@ func TestPerfDiffShallowCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range abi.Modes {
-		res, err := PerfDiffWorkload(context.Background(), w, mode, DefaultRegret)
+		res, err := perfDiff(w, mode)
 		if err != nil {
 			t.Fatalf("[%s] %v", mode, err)
 		}
@@ -58,7 +68,7 @@ func TestPerfDiffDeepCallAvoidsHigh(t *testing.T) {
 	if !w.PerfExpect.AvoidHigh {
 		t.Fatal("PERF_DeepCall must carry the AvoidHigh expectation")
 	}
-	res, err := PerfDiffWorkload(context.Background(), w, abi.CARS, DefaultRegret)
+	res, err := perfDiff(w, abi.CARS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestPerfDiffMultiKernelReducesScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PerfDiffWorkload(context.Background(), w, abi.Baseline, DefaultRegret)
+	res, err := perfDiff(w, abi.Baseline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,8 +248,9 @@ type warpShadow struct {
 	startMask uint32
 }
 
-// Sanitizer implements sim.Monitor. Attach with gpu.San = san.New(prog)
-// before Run; it is not safe for concurrent GPUs (use one per GPU).
+// Sanitizer implements sim.Monitor. Unit.Run attaches a fresh one to
+// each GPU it runs (gpu.San = san.New(prog)); it is not safe for
+// concurrent GPUs (use one per GPU).
 type Sanitizer struct {
 	prog *isa.Program
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"carsgo"
-	"carsgo/internal/abi"
 	"carsgo/internal/cars"
 	"carsgo/internal/config"
 	"carsgo/internal/serve/cache"
@@ -312,38 +311,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.serveSync(w, r, p, rerr)
 }
 
-// vetJob links the workload for the configuration's ABI mode and runs
-// the full static verifier, returning the machine-readable report.
-// Unlike the simulator path, a program with vet errors is the useful
-// answer here, so linking is non-strict.
+// vetJob links the workload for the configuration and runs the full
+// static verifier, returning the machine-readable report. Unlike the
+// simulator path, a program with vet errors is the useful answer here,
+// so it links without Compile's vet gate.
 func vetJob(cfg carsgo.Config, lto bool, wl *workloads.Workload) func(ctx context.Context) (any, error) {
 	return func(_ context.Context) (any, error) {
-		var rep *vet.ProgramReport
-		if lto {
-			flat, err := abi.InlineAllBudget(128, wl.Modules()...)
-			if err != nil {
-				return nil, err
-			}
-			prog, err := abi.Link(abi.Baseline, flat)
-			if err != nil {
-				return nil, err
-			}
-			rep = vet.Report(prog)
-		} else {
-			mode := abi.Baseline
-			switch {
-			case cfg.CARSEnabled:
-				mode = abi.CARS
-			case cfg.SharedSpillABI:
-				mode = abi.SharedSpill
-			}
-			prog, err := abi.Link(mode, wl.Modules()...)
-			if err != nil {
-				return nil, err
-			}
-			rep = vet.Report(prog)
+		prog, err := carsgo.Link(cfg, wl.Modules(), lto)
+		if err != nil {
+			return nil, err
 		}
-		return json.Marshal(rep)
+		return json.Marshal(vet.Report(prog))
 	}
 }
 

@@ -3,13 +3,28 @@ package sim
 import (
 	"errors"
 	"fmt"
+
+	"carsgo/internal/cars"
+	"carsgo/internal/isa"
 )
 
 // ErrNoFit reports a launch whose single block can never be admitted:
 // its shared-memory demand, the shared-spill frame included, exceeds
-// one SM's capacity. RunContext returns it wrapped from launch
-// validation, before any cycle runs.
+// one SM's capacity. Fit returns it wrapped; RunContext returns Fit's
+// error from launch validation, before any cycle runs.
 var ErrNoFit = errors.New("launch exceeds shared-memory capacity")
+
+// Fit returns the occupancy shape of one block of launch on an SM of
+// cfg running prog, or an error wrapping ErrNoFit when its shared
+// memory, the shared-spill frame included, exceeds the SM's.
+func Fit(cfg Config, prog *isa.Program, launch isa.Launch) (cars.Shape, error) {
+	shape := cars.Shape{Dim: launch.Dim, SharedBytes: launch.SharedBytes, SpillPerThread: prog.SmemSpillPerThread}
+	if smem := shape.BlockSmem(); !cfg.UnlimitedSmem && smem > cfg.SharedMemBytes {
+		return shape, fmt.Errorf("sim: kernel %s: %w (block needs %dB, SM has %dB)",
+			launch.Kernel, ErrNoFit, smem, cfg.SharedMemBytes)
+	}
+	return shape, nil
+}
 
 // CancelError is the structured error RunContext returns when a
 // launch's context is cancelled or its deadline expires mid-

@@ -168,11 +168,9 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 		return nil, fmt.Errorf("sim: block of %d threads exceeds the architectural limit of %d",
 			launch.Dim.Block, isa.MaxBlockThreads)
 	}
-	shape := cars.Shape{Dim: launch.Dim, SharedBytes: launch.SharedBytes, SpillPerThread: g.Prog.SmemSpillPerThread}
-	smem := shape.BlockSmem()
-	if !g.Cfg.UnlimitedSmem && smem > g.Cfg.SharedMemBytes {
-		return nil, fmt.Errorf("sim: kernel %s: %w (block needs %dB, SM has %dB)",
-			launch.Kernel, ErrNoFit, smem, g.Cfg.SharedMemBytes)
+	shape, err := Fit(g.Cfg, g.Prog, launch)
+	if err != nil {
+		return nil, err
 	}
 	if g.San != nil && g.Cfg.WindowedStacks {
 		// Windowed stacks skip the PUSH/POP micro-ops and rename whole
@@ -183,7 +181,7 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 
 	g.launch = &launch
 	g.kernelFunc = kf
-	g.blockSmem = smem
+	g.blockSmem = shape.BlockSmem()
 	g.kernelStats = &stats.Kernel{Name: launch.Kernel, CARSLevels: map[string]int{}}
 	g.nextBlock, g.blocksDone = 0, 0
 	g.totalBlocks = launch.Dim.Grid

@@ -134,7 +134,12 @@ func TestGeneratedSpecsDifferentialClean(t *testing.T) {
 				t.Errorf("seed %d %s: linked diagnostics: %v", seed, mode, rep.Diags)
 				continue
 			}
-			res, err := san.PerfDiffWorkload(context.Background(), w, mode, 1e9)
+			u, err := san.Link(w, mode)
+			if err != nil {
+				t.Errorf("seed %d %s: link: %v", seed, mode, err)
+				continue
+			}
+			res, err := u.PerfDiff(context.Background(), 1e9)
 			if err != nil {
 				t.Errorf("seed %d %s: differential: %v", seed, mode, err)
 				continue

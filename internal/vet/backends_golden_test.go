@@ -8,7 +8,6 @@ import (
 
 	"carsgo/internal/abi"
 	"carsgo/internal/san"
-	"carsgo/internal/sim"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
 )
@@ -58,27 +57,17 @@ func TestGoldenBackendLattice(t *testing.T) {
 	var b strings.Builder
 	var reps []*vet.ProgramReport
 	for _, mode := range abi.Modes {
-		prog, err := abi.Link(mode, w.Modules()...)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
 		// The workload's own launch geometry, off an unstarted sim.
-		cfg := san.ConfigFor(mode)
-		g, err := sim.New(cfg, prog)
+		u, err := san.Link(w, mode)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		launches, err := w.Setup(g)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		rep := vet.Report(prog)
-		if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), san.Shapes(launches)); err != nil {
+		if _, err := u.Plan(); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		fmt.Fprintf(&b, "== CFD [%s]\n", mode)
-		renderBackendLattice(&b, rep)
-		reps = append(reps, rep)
+		renderBackendLattice(&b, u.Rep)
+		reps = append(reps, u.Rep)
 	}
 	for _, ca := range vet.CrossBackendAdvice(reps...) {
 		fmt.Fprintf(&b, "cross %s -> %s/%s reason=%q\n", ca.Kernel, ca.Backend, ca.Level, ca.Reason)

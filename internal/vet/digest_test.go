@@ -4,33 +4,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"carsgo/internal/abi"
 	"carsgo/internal/asm"
-	"carsgo/internal/isa"
-	"carsgo/internal/kir"
 	"carsgo/internal/san"
-	"carsgo/internal/sim"
 	"carsgo/internal/vet"
 	"carsgo/internal/workloads"
 )
 
 const digestsPath = "testdata/digests.golden"
-
-// digestUnit is one vetted unit of the digest golden: its pre-ABI
-// modules and the launch geometry -perf analyses it under (nil setup:
-// san.SmokeLaunch, as carsvet uses for assembly files).
-type digestUnit struct {
-	name  string
-	mods  []*kir.Module
-	setup func(*sim.GPU) ([]isa.Launch, error)
-}
 
 // jsonDigest is the hex sha256 of v's JSON encoding.
 func jsonDigest(t *testing.T, v any) string {
@@ -45,14 +33,15 @@ func jsonDigest(t *testing.T, v any) string {
 
 // digestLine renders one unit's line: the digest of vet.Modules, of
 // vet.ModuleFacts for every module, and of the report of each ABI mode
-// that links, analysed as carsvet -json -perf does (AnalyzePerf on the
-// mode's machine with the unit's launch shapes, then the cross-backend
-// advice over every mode's report).
-func digestLine(t *testing.T, u digestUnit) string {
+// that links, analysed as carsvet -json -perf does (the mode's san
+// unit planned for the workload's launch shapes — a file's smoke
+// launch — then the cross-backend advice over every mode's report).
+func digestLine(t *testing.T, w *workloads.Workload) string {
 	t.Helper()
-	fields := []string{u.name, "modules=" + jsonDigest(t, vet.Modules(u.mods...))}
-	facts := make([]map[string]*vet.FuncFacts, len(u.mods))
-	for i, m := range u.mods {
+	mods := w.Modules()
+	fields := []string{w.Name, "modules=" + jsonDigest(t, vet.Modules(mods...))}
+	facts := make([]map[string]*vet.FuncFacts, len(mods))
+	for i, m := range mods {
 		facts[i] = vet.ModuleFacts(m)
 	}
 	fields = append(fields, "facts="+jsonDigest(t, facts))
@@ -60,36 +49,18 @@ func digestLine(t *testing.T, u digestUnit) string {
 	var modes []abi.Mode
 	var reps []*vet.ProgramReport
 	for _, mode := range abi.Modes {
-		prog, err := abi.Link(mode, u.mods...)
-		if errors.Is(err, abi.ErrRecursive) {
+		u, err := san.Link(w, mode, mods...)
+		if err != nil {
+			t.Fatalf("%s [%s]: %v", w.Name, mode, err)
+		}
+		if u.Skip != "" {
 			continue
 		}
-		if err != nil {
-			t.Fatalf("%s [%s]: %v", u.name, mode, err)
-		}
-		cfg := san.ConfigFor(mode)
-		var launches []isa.Launch
-		if u.setup != nil {
-			g, err := sim.New(cfg, prog)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", u.name, mode, err)
-			}
-			if launches, err = u.setup(g); err != nil {
-				t.Fatalf("%s [%s]: %v", u.name, mode, err)
-			}
-		} else {
-			l, err := san.SmokeLaunch(prog)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", u.name, mode, err)
-			}
-			launches = []isa.Launch{l}
-		}
-		rep := vet.Report(prog)
-		if err := vet.AnalyzePerf(rep, prog, san.MachineParamsFor(cfg), san.Shapes(launches)); err != nil {
-			t.Fatalf("%s [%s]: %v", u.name, mode, err)
+		if _, err := u.Plan(); err != nil {
+			t.Fatalf("%s [%s]: %v", w.Name, mode, err)
 		}
 		modes = append(modes, mode)
-		reps = append(reps, rep)
+		reps = append(reps, u.Rep)
 	}
 	vet.CrossBackendAdvice(reps...)
 	for i, rep := range reps {
@@ -100,14 +71,9 @@ func digestLine(t *testing.T, u digestUnit) string {
 
 // digestUnits lists every registry workload (Table I, the perf cases,
 // the sync negatives) and every assembly fixture in testdata.
-func digestUnits(t *testing.T) []digestUnit {
+func digestUnits(t *testing.T) []*workloads.Workload {
 	t.Helper()
-	var units []digestUnit
-	for _, set := range [][]*workloads.Workload{workloads.All(), workloads.PerfCases(), workloads.Negatives()} {
-		for _, w := range set {
-			units = append(units, digestUnit{name: w.Name, mods: w.Modules(), setup: w.Setup})
-		}
-	}
+	units := slices.Concat(workloads.All(), workloads.PerfCases(), workloads.Negatives())
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.carsasm"))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +87,7 @@ func digestUnits(t *testing.T) []digestUnit {
 		if err != nil {
 			t.Fatalf("parse %s: %v", path, err)
 		}
-		units = append(units, digestUnit{name: filepath.Base(path), mods: []*kir.Module{m}})
+		units = append(units, san.Smoke(filepath.Base(path), m))
 	}
 	return units
 }

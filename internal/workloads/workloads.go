@@ -67,7 +67,7 @@ type Workload struct {
 	Expect Expect
 
 	// PerfExpect encodes the perf differential's expectations for the
-	// perf-registry cases (san.PerfDiffWorkloads). Zero elsewhere.
+	// perf-registry cases (san.Unit.PerfDiff). Zero elsewhere.
 	PerfExpect PerfExpect
 }
 
