@@ -19,14 +19,18 @@ fmt:
 
 # Static analysis: Go's own vet, then carsvet (internal/vet) over the
 # paper's 22 workloads in every ABI mode and the assembly examples.
-# The racy demo must keep FAILING: its shared race and divergent
-# barrier are the sync/race analyses' acceptance test.
+# The racy demo must keep FAILING with exit status exactly 1 (findings,
+# not an internal error): its shared race and divergent barrier are the
+# sync/race analyses' acceptance test. go run reports every failure as
+# 1, so carsvet is built once and run as a binary.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/carsvet -workloads
-	$(GO) run ./cmd/carsvet examples/vetdemo/clean.carsasm
-	! $(GO) run ./cmd/carsvet -race examples/vetdemo/racy.carsasm
-	$(GO) run ./cmd/carsvet internal/spec/testdata/workloads
+	bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && $(GO) build -o "$$bin/carsvet" ./cmd/carsvet || exit 2; \
+	"$$bin/carsvet" -workloads || exit 1; \
+	"$$bin/carsvet" examples/vetdemo/clean.carsasm || exit 1; \
+	"$$bin/carsvet" -race examples/vetdemo/racy.carsasm; st=$$?; \
+	[ $$st -eq 1 ] || { echo "carsvet -race examples/vetdemo/racy.carsasm exited $$st, want 1"; exit 1; }; \
+	"$$bin/carsvet" internal/spec/testdata/workloads
 
 # Repo-custom analyzers (internal/lint): ten analyzers over one
 # type-checked load of the module — five checks on the simulator,

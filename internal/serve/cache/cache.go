@@ -1,9 +1,9 @@
 // Package cache is the content-addressed result cache shared by the
-// carsd daemon and the experiment runner: values are opaque byte
-// blobs addressed by a canonical SHA-256 key, held under a byte
-// budget with LRU eviction, and optionally persisted to disk in a
-// corruption-tolerant line format (a damaged entry is skipped and
-// recomputed, never a fatal error).
+// carsd daemon and the experiment runner: values are JSON documents
+// as json.Marshal writes them, addressed by a canonical SHA-256 key,
+// held under a byte budget with LRU eviction, and optionally
+// persisted to disk in a corruption-tolerant line format (a damaged
+// entry is skipped and recomputed, never a fatal error).
 //
 // Keys are derived with KeyOf from a key-spec value: the spec is
 // marshalled as canonical JSON (encoding/json sorts map keys; specs
@@ -14,6 +14,7 @@ package cache
 
 import (
 	"bufio"
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/base64"
@@ -21,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -98,7 +100,8 @@ func (c *Cache) Contains(k Key) bool {
 
 // Put stores v under k, evicting least-recently-used entries to stay
 // within the byte budget. A value larger than the whole budget is not
-// cached. The cache takes ownership of v.
+// cached. The cache takes ownership of v, which must be a json.Marshal
+// result: carsd writes stored values into its responses as they are.
 func (c *Cache) Put(k Key, v []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -178,7 +181,8 @@ func (c *Cache) Range(fn func(k Key, v []byte) bool) {
 // {"carsCache":1}; each entry line carries the key, a SHA-256 of the
 // payload, and the base64 payload. Loading is corruption-tolerant by
 // construction — any line that fails to parse, whose key is
-// malformed, or whose checksum disagrees is skipped.
+// malformed, whose checksum disagrees, or whose payload is not a JSON
+// document in json.Marshal's form is skipped.
 
 const diskVersion = 1
 
@@ -192,7 +196,11 @@ type diskEntry struct {
 	V string `json:"v"` // payload, base64
 }
 
-// SaveFile persists every entry (most-recent first) atomically.
+// SaveFile persists every entry (most-recent first) atomically and
+// durably: it writes a temp file beside path, syncs it, renames it
+// over path and syncs the directory, so a crash leaves either the old
+// file or the new one. A temp file left by an interrupted save is
+// overwritten, and LoadFile never reads it.
 func (c *Cache) SaveFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -217,14 +225,46 @@ func (c *Cache) SaveFile(path string) error {
 	if werr == nil {
 		werr = w.Flush()
 	}
+	if werr == nil {
+		werr = f.Sync()
+	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp, path)
 	}
 	if werr != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("cache: save %s: %w", path, werr)
 	}
-	return os.Rename(tmp, path)
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("cache: save %s: %w", path, err)
+	}
+	return nil
+}
+
+// syncDir makes a rename inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// marshalForm reports whether v is one JSON document exactly as
+// json.Marshal writes it: valid, compact, and with <, >, &, U+2028
+// and U+2029 escaped. Those are the bytes json.Encoder would write
+// for v as a json.RawMessage, so carsd can send them unchanged.
+func marshalForm(v []byte) bool {
+	var compact bytes.Buffer
+	return json.Compact(&compact, v) == nil && bytes.Equal(compact.Bytes(), v) &&
+		!bytes.ContainsAny(v, "<>&\u2028\u2029")
 }
 
 // LoadFile merges entries from a prior SaveFile into the cache,
@@ -262,7 +302,7 @@ func (c *Cache) LoadFile(path string) (loaded, skipped int, err error) {
 			continue
 		}
 		sum := sha256.Sum256(v)
-		if hex.EncodeToString(sum[:]) != e.S {
+		if hex.EncodeToString(sum[:]) != e.S || !marshalForm(v) {
 			skipped++
 			continue
 		}

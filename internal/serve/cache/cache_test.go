@@ -2,6 +2,10 @@ package cache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,7 +120,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "c.cache")
 	c := New(0)
 	for i := 0; i < 5; i++ {
-		c.Put(key(fmt.Sprint(i)), bytes.Repeat([]byte{byte(i)}, i+1))
+		// JSON numbers 1, 22, 333, …: LoadFile admits only JSON.
+		c.Put(key(fmt.Sprint(i)), bytes.Repeat([]byte{'1' + byte(i)}, i+1))
 	}
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -128,7 +133,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		v, ok := c2.Get(key(fmt.Sprint(i)))
-		if !ok || len(v) != i+1 || v[0] != byte(i) {
+		if !ok || len(v) != i+1 || v[0] != '1'+byte(i) {
 			t.Fatalf("entry %d = %v, %v", i, v, ok)
 		}
 	}
@@ -149,8 +154,8 @@ func TestLoadCorruptLines(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.cache")
 	c := New(0)
-	c.Put(key("good1"), []byte("one"))
-	c.Put(key("good2"), []byte("two"))
+	c.Put(key("good1"), []byte(`"one"`))
+	c.Put(key("good2"), []byte(`"two"`))
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +209,7 @@ func TestLoadRespectsBudget(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.cache")
 	c := New(0)
 	for i := 0; i < 10; i++ {
-		c.Put(key(fmt.Sprint(i)), make([]byte, 10))
+		c.Put(key(fmt.Sprint(i)), []byte("1234567890"))
 	}
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -213,8 +218,99 @@ func TestLoadRespectsBudget(t *testing.T) {
 	if _, _, err := small.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if small.Bytes() > 35 {
-		t.Fatalf("budget exceeded after load: %d", small.Bytes())
+	if small.Bytes() > 35 || small.Len() != 3 {
+		t.Fatalf("after load: %d bytes in %d entries, want 3 entries within 35 bytes", small.Bytes(), small.Len())
+	}
+}
+
+// entryLine is one disk entry line holding v under k with a correct
+// checksum.
+func entryLine(t *testing.T, k Key, v []byte) string {
+	t.Helper()
+	sum := sha256.Sum256(v)
+	line, err := json.Marshal(diskEntry{K: k.String(), S: hex.EncodeToString(sum[:]), V: base64.StdEncoding.EncodeToString(v)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(line)
+}
+
+// TestLoadSkipsNonMarshalPayloads: an entry whose checksum holds but
+// whose payload is not a JSON document as json.Marshal writes it is
+// damage, since carsd would send those bytes unchanged as a response's
+// result. Each such entry is skipped and its key misses; a payload in
+// json.Marshal's form beside them loads.
+func TestLoadSkipsNonMarshalPayloads(t *testing.T) {
+	good, err := json.Marshal(map[string]string{"s": "<a & b>\u2028"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]string{
+		"not json":     "not json",
+		"empty":        "",
+		"two values":   "1 2",
+		"not compact":  `{"a": 1}`,
+		"padded":       " 1",
+		"raw <":        `"<"`,
+		"raw &":        `"&"`,
+		"raw >":        `">"`,
+		"raw U+2028":   "\"\u2028\"",
+		"raw U+2029":   "\"\u2029\"",
+		"unterminated": `{"a":1`,
+	}
+	lines := []string{`{"carsCache":1}`, entryLine(t, key("good"), good)}
+	for name, v := range bad {
+		lines = append(lines, entryLine(t, key(name), []byte(v)))
+	}
+	path := filepath.Join(t.TempDir(), "c.cache")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(0)
+	loaded, skipped, err := c.LoadFile(path)
+	if err != nil || loaded != 1 || skipped != len(bad) {
+		t.Fatalf("load = %d, %d, %v; want 1, %d, nil", loaded, skipped, err, len(bad))
+	}
+	if v, ok := c.Get(key("good")); !ok || !bytes.Equal(v, good) {
+		t.Fatalf("good entry = %q, %v", v, ok)
+	}
+	for name := range bad {
+		if _, ok := c.Get(key(name)); ok {
+			t.Errorf("%s payload loaded", name)
+		}
+	}
+}
+
+// TestSaveReplacesStaleTemp: a temp file left by an interrupted save
+// is never read by LoadFile, and the next SaveFile replaces it.
+func TestSaveReplacesStaleTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.cache")
+	c := New(0)
+	c.Put(key("a"), []byte(`"a"`))
+	if err := c.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	stale := `{"carsCache":1}` + "\n" + entryLine(t, key("stale"), []byte(`"stale"`)) + "\n" + `{"k":"torn`
+	if err := os.WriteFile(path+".tmp", []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := New(0)
+	loaded, skipped, err := c2.LoadFile(path)
+	if err != nil || loaded != 1 || skipped != 0 || c2.Contains(key("stale")) {
+		t.Fatalf("load beside a stale temp file = %d, %d, %v (stale loaded: %v)", loaded, skipped, err, c2.Contains(key("stale")))
+	}
+	c2.Put(key("b"), []byte(`"b"`))
+	if err := c2.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file after save: %v", err)
+	}
+	c3 := New(0)
+	loaded, skipped, err = c3.LoadFile(path)
+	if err != nil || loaded != 2 || skipped != 0 || !c3.Contains(key("a")) || !c3.Contains(key("b")) {
+		t.Fatalf("load after save = %d, %d, %v", loaded, skipped, err)
 	}
 }
 

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -57,7 +59,9 @@ type ExperimentRequest struct {
 // Response is the success envelope shared by the three endpoints:
 // the content-address of the result, whether it came from the cache,
 // whether a collapsed duplicate shared another caller's execution,
-// and the endpoint-specific payload.
+// and the endpoint-specific payload. The server writes it by hand
+// (respond), so a field added here must be added there too;
+// TestRespondMatchesEncoder holds both to the same bytes.
 type Response struct {
 	Key    string          `json:"key"`
 	Cached bool            `json:"cached"`
@@ -259,10 +263,36 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (s *Server) respond(w http.ResponseWriter, key cache.Key, data []byte, cached, shared bool) {
-	writeJSON(w, http.StatusOK, Response{
-		Key: key.String(), Cached: cached, Shared: shared, Result: json.RawMessage(data),
-	})
+// respond writes the success envelope every endpoint answers with —
+// sync and async, miss, hit and collapsed duplicate — around a stored
+// result without re-encoding it: a head that ends in `"result":`, the
+// result's bytes as stored, and `}` plus the newline json.Encoder
+// ends with. The body equals json.NewEncoder(w).Encode(Response{…}):
+// the encoder compacts and HTML-escapes a json.RawMessage, and every
+// stored result is already in that form, since each comes from
+// json.Marshal or from cache.LoadFile, which admits only that form.
+// Only the head is built; the result goes out from the cache's own
+// slice, so a hit allocates nothing in proportion to its size.
+func respond(w http.ResponseWriter, key cache.Key, data []byte, cached, shared bool) {
+	var buf [len(`{"key":"`) + 2*len(key) + len(`","cached":false,"shared":true,"result":`)]byte
+	head := append(buf[:0], `{"key":"`...)
+	head = hex.AppendEncode(head, key[:])
+	head = append(head, `","cached":`...)
+	head = strconv.AppendBool(head, cached)
+	if shared {
+		head = append(head, `,"shared":true`...)
+	}
+	head = append(head, `,"result":`...)
+	const tail = "}\n"
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(data)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client has gone; there is no one left
+	// to answer.
+	w.Write(head)
+	w.Write(data)
+	io.WriteString(w, tail)
 }
 
 // simulateJob builds the pool job for a simulate request. Execution
@@ -299,7 +329,7 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, p prepared, r
 		s.writeExecError(w, err)
 		return
 	}
-	s.respond(w, p.key, data, cached, shared)
+	respond(w, p.key, data, cached, shared)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {

@@ -238,5 +238,5 @@ func (s *Server) handleJobFetch(w http.ResponseWriter, r *http.Request) {
 		s.writeExecError(w, err)
 		return
 	}
-	s.respond(w, key, data, cached, false)
+	respond(w, key, data, cached, false)
 }
