@@ -46,13 +46,22 @@ lint:
 
 # Pre-push gate: formatting, compile everything, both vet layers, the
 # analyzer suite, the short test matrix, the optimizer soundness gate,
-# and last the benchmark module's tests. perfbench is its own module,
-# so ./... skips it; its smoke test checks every sweep result and
-# every toolchain vet report against perfbench/oracle.json, so a
-# refactor that moves one simulated cycle or one byte of vet JSON
-# fails here, not only in the benchmark. CI runs exactly this first.
+# and last the benchmark module. perfbench is its own module, so ./...
+# skips it. Its tests check every sweep result against
+# perfbench/oracle.json, but only some of the pooled toolchain specs:
+# spec 0 and what two short runs reach. So a 10-second toolchain run
+# follows; its last line must say "correct":true with at least 512
+# specs attempted, which covers all 512 pooled specs and so every
+# vet/ and opt/ digest in the oracle. A refactor that moves one
+# simulated cycle or one byte of vet JSON fails here, not only in the
+# benchmark. CI runs exactly this first.
 check: fmt build vet lint test-short opt
 	$(GO) -C perfbench test ./...
+	@last=$$(bash perfbench/run.sh --workload toolchain --seed 1 --seconds 10 --trace 0 | tail -n 1); \
+	echo "$$last"; \
+	n=$$(printf '%s' "$$last" | sed -n 's/.*"attempted":\([0-9]*\).*/\1/p'); \
+	case "$$last" in *'"correct":true'*) ;; *) echo "toolchain run is not correct"; exit 1;; esac; \
+	[ "$${n:-0}" -ge 512 ] || { echo "toolchain run attempted $${n:-0} specs, want at least 512"; exit 1; }
 
 # Certificate-carrying optimizer soundness gate (cmd/carsopt,
 # internal/opt): every registry workload and every checked-in spec is

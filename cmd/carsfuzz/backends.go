@@ -19,24 +19,36 @@ import (
 // cross-backend winner actually carrying the maximal score among its
 // kernel's candidate rows. The dynamic half of each backend is already
 // exercised by the perf differential (san.Unit.PerfDiff); this stage catches the static half
-// disagreeing with itself, which no simulator run can see.
+// disagreeing with itself, which no simulator run can see. It checks
+// the units the main harness linked, every linkable mode's, planned by
+// PerfDiff or, where a verdict stopped the harness first, here.
 
-// latticeReports plans a spec's workload under every linkable ABI mode,
-// attaching the backend lattice for the workload's own launch
-// geometry.
-func latticeReports(w *workloads.Workload) ([]*vet.ProgramReport, error) {
+// plannedReports plans each unit, for the workload's own launch
+// geometry, and returns the reports with their backend lattices. A
+// unit PerfDiff planned is not analysed again.
+func plannedReports(units []*san.Unit) ([]*vet.ProgramReport, error) {
 	var reps []*vet.ProgramReport
-	for _, mode := range abi.Modes {
-		u, err := san.Link(w, mode)
-		if err != nil || u.Skip != "" {
-			continue // link verdicts are the main harness's business
-		}
+	for _, u := range units {
 		if _, err := u.Plan(); err != nil {
 			return nil, err
 		}
 		reps = append(reps, u.Rep)
 	}
 	return reps, nil
+}
+
+// latticeReports links a spec's workload under every linkable ABI mode
+// and plans it: the backends selftest's own units.
+func latticeReports(w *workloads.Workload) ([]*vet.ProgramReport, error) {
+	var units []*san.Unit
+	for _, mode := range abi.Modes {
+		u, err := san.Link(w, mode)
+		if err != nil || u.Skip != "" {
+			continue // link verdicts are the main harness's business
+		}
+		units = append(units, u)
+	}
+	return plannedReports(units)
 }
 
 // checkBackendLattice returns every structural-invariant violation in
@@ -88,9 +100,9 @@ func checkBackendLattice(reps []*vet.ProgramReport) []string {
 	return out
 }
 
-// checkBackends runs the lattice cross-check for one spec.
-func checkBackends(s *spec.Spec) ([]string, error) {
-	reps, err := latticeReports(workloads.FromSpec(s))
+// checkBackends runs the lattice cross-check over one spec's units.
+func checkBackends(units []*san.Unit) ([]string, error) {
+	reps, err := plannedReports(units)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@
 //
 // With -opt each spec is additionally pushed through the
 // certificate-carrying optimizer (internal/opt) and the
-// optimize→simulate differential (san.OptDiffWorkload): the optimized
+// optimize→simulate differential (san.OptDiff): the optimized
 // program must produce bit-identical outputs with a clean sanitizer
 // and a non-degrading vet report in every ABI mode, or the spec is a
 // reproducer for a lying licensing fact.
@@ -67,7 +67,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "per-spec progress")
 		selftest  = flag.Bool("selftest", false, "assert a -tags vetweaken build is caught within the budget")
 		backends  = flag.Bool("backends", true, "cross-check the static spill-backend lattice (vet's per-backend rows and cross advice) per spec")
-		optDiff   = flag.Bool("opt", false, "also push each spec through the certificate-carrying optimizer and require the optimized program to simulate bit-identically (san.OptDiffWorkload)")
+		optDiff   = flag.Bool("opt", false, "also push each spec through the certificate-carrying optimizer and require the optimized program to simulate bit-identically (san.OptDiff)")
 		backSelf  = flag.Bool("backends-selftest", false, "assert the lattice cross-check catches planted forced mismatches, then exit")
 		emitSeeds = flag.String("emit-seeds", "", "write go-fuzz corpus seeds from generated specs to this directory and exit")
 	)
@@ -123,6 +123,7 @@ func (h *harness) run(s *spec.Spec) (violations []string, err error) {
 	}
 	w := workloads.FromSpec(s)
 	one := []*workloads.Workload{w}
+	var units []*san.Unit // every mode that linked, for the lattice check
 	perf, _, err := san.Drive(one, func(w *workloads.Workload, mode abi.Mode) (verdict, error) {
 		u, err := san.Link(w, mode, mods...)
 		if err != nil {
@@ -131,6 +132,7 @@ func (h *harness) run(s *spec.Spec) (violations []string, err error) {
 		if u.Skip != "" {
 			return nil, nil // recursion cannot happen for DAG specs, but is not a disagreement
 		}
+		units = append(units, u)
 		if err := abi.Verified(u.Rep.Diags); err != nil {
 			// abi.LinkStrict's verdict, read off the unit's report.
 			return verdict{fmt.Sprintf("%s: link: %v", mode, err)}, nil
@@ -163,15 +165,19 @@ func (h *harness) run(s *spec.Spec) (violations []string, err error) {
 	}
 	violations = append(violations, slices.Concat(perf...)...)
 	if h.backends {
-		lat, lerr := checkBackends(s)
+		lat, lerr := checkBackends(units)
 		if lerr != nil {
 			return nil, lerr
 		}
 		violations = append(violations, lat...)
 	}
 	if h.optDiff {
+		d, derr := san.NewOptDiff(w)
 		opts, _, err := san.Drive(one, func(w *workloads.Workload, mode abi.Mode) (verdict, error) {
-			res, err := san.OptDiffWorkload(ctx, w, mode)
+			if derr != nil {
+				return verdict{fmt.Sprintf("opt/%s: %v", mode, derr)}, nil
+			}
+			res, err := d.Run(ctx, mode)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, err

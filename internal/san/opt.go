@@ -55,18 +55,31 @@ func (r *OptDiffResult) OK() bool {
 	return r.Skipped || len(r.Failures) == 0
 }
 
-// OptDiffWorkload runs the optimize→simulate differential for one
-// workload under one ABI mode: the original modules and the optimized
-// ones are each a unit of the workload, vet-gated and run.
-func OptDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) (*OptDiffResult, error) {
-	res := &OptDiffResult{Workload: w.Name, Mode: mode.String()}
-	mods := w.Modules()
-	optMods, certs, err := opt.OptimizeAll(mods...)
-	if err != nil {
+// OptDiff is one workload's optimize→simulate differential: its
+// modules and their optimized set, optimized once (the optimizer does
+// not depend on the ABI mode) and shared by every mode's run.
+type OptDiff struct {
+	w             *workloads.Workload
+	mods, optMods []*kir.Module
+	certs         []opt.Certificate
+}
+
+// NewOptDiff optimizes w's modules.
+func NewOptDiff(w *workloads.Workload) (*OptDiff, error) {
+	d := &OptDiff{w: w, mods: w.Modules()}
+	var err error
+	if d.optMods, d.certs, err = opt.OptimizeAll(d.mods...); err != nil {
 		return nil, err
 	}
-	res.Certs = certs
+	return d, nil
+}
 
+// Run runs the differential under one ABI mode: the original modules
+// and the optimized ones are each a unit of the workload, vet-gated
+// and run.
+func (d *OptDiff) Run(ctx context.Context, mode abi.Mode) (*OptDiffResult, error) {
+	w := d.w
+	res := &OptDiffResult{Workload: w.Name, Mode: mode.String(), Certs: d.certs}
 	side := func(mods []*kir.Module) (*Unit, *Run, error) {
 		u, err := Link(w, mode, mods...)
 		if err != nil {
@@ -78,7 +91,7 @@ func OptDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) 
 		r, err := u.Run(ctx, u.Cfg)
 		return u, r, err
 	}
-	orig, origRun, err := side(mods)
+	orig, origRun, err := side(d.mods)
 	if err != nil {
 		return nil, fmt.Errorf("original: %w", err)
 	}
@@ -86,7 +99,7 @@ func OptDiffWorkload(ctx context.Context, w *workloads.Workload, mode abi.Mode) 
 		res.Skipped, res.Reason = true, orig.Skip
 		return res, nil
 	}
-	optd, optRun, err := side(optMods)
+	optd, optRun, err := side(d.optMods)
 	if err == nil && optRun == nil {
 		err = errors.New(optd.Skip)
 	}
@@ -195,10 +208,18 @@ func boundMono(out *[]string, what string, orig, optd vet.CostBound) {
 }
 
 // OptDiffWorkloads runs the optimize→simulate differential over list
-// in every ABI mode, printing each result's line to out.
+// in every ABI mode, optimizing each workload once, and prints each
+// result's line to out.
 func OptDiffWorkloads(ctx context.Context, list []*workloads.Workload, out io.Writer) ([]*OptDiffResult, bool, error) {
+	var d *OptDiff
 	return Drive(list, func(w *workloads.Workload, mode abi.Mode) (*OptDiffResult, error) {
-		return OptDiffWorkload(ctx, w, mode)
+		if d == nil || d.w != w { // Drive runs a workload's modes in a row
+			var err error
+			if d, err = NewOptDiff(w); err != nil {
+				return nil, err
+			}
+		}
+		return d.Run(ctx, mode)
 	}, func(res *OptDiffResult) {
 		details := append([]string(nil), res.Failures...)
 		for _, c := range res.Certs {

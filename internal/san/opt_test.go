@@ -51,9 +51,12 @@ func TestOptDiffSpec(t *testing.T) {
 	if opt.Weakened() {
 		t.Skip("optweaken build")
 	}
-	s := spec.Generate(7)
+	d, err := san.NewOptDiff(workloads.FromSpec(spec.Generate(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, mode := range abi.Modes {
-		res, err := san.OptDiffWorkload(context.Background(), workloads.FromSpec(s), mode)
+		res, err := d.Run(context.Background(), mode)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -77,7 +80,11 @@ func TestOptWeakenedCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := san.OptDiffWorkload(context.Background(), w, abi.Baseline)
+		d, err := san.NewOptDiff(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Run(context.Background(), abi.Baseline)
 		if err != nil {
 			t.Fatal(err)
 		}

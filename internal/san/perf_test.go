@@ -106,3 +106,37 @@ func TestPerfDiffMultiKernelReducesScope(t *testing.T) {
 			res.Reason, len(res.Levels))
 	}
 }
+
+// TestPlanOnce: a unit's perf analysis runs once, so carsfuzz's lattice
+// check can plan every unit after PerfDiff planned some of them. A
+// second Plan must return the same shapes and leave the report as the
+// first left it, here with its occupancy rows cleared in between.
+func TestPlanOnce(t *testing.T) {
+	w, err := workloads.ByName("PERF_ShallowCall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := Link(w, abi.CARS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := u.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kr := u.Rep.Kernel(first[0].Kernel)
+	if kr == nil || kr.Perf == nil || len(kr.Perf.Occupancy) == 0 {
+		t.Fatalf("first Plan attached no occupancy rows: %+v", kr)
+	}
+	kr.Perf.Occupancy = nil
+	again, err := u.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(first) || again[0] != first[0] {
+		t.Errorf("second Plan returned shapes %+v, want %+v", again, first)
+	}
+	if kr.Perf.Occupancy != nil {
+		t.Error("second Plan ran the perf analysis again")
+	}
+}

@@ -45,6 +45,10 @@ type Unit struct {
 	// block needs more shared memory than an SM has (Plan or Run finds
 	// it, by sim.Fit).
 	Skip string
+
+	// shapes are the launch shapes of the unit's one successful Plan.
+	shapes  []vet.LaunchShape
+	planned bool
 }
 
 // Link links w's modules under mode for ConfigFor(mode), or mods in
@@ -137,13 +141,21 @@ func (u *Unit) fit(cfg sim.Config, launches []isa.Launch) {
 // Plan attaches vet's perf analysis (cost bounds, occupancy rows,
 // advice, the backend lattice) to the unit's report for its own launch
 // shapes, and returns them. A unit whose block cannot fit is analysed
-// all the same: the static model still describes it.
+// all the same: the static model still describes it. The analysis
+// runs once: after one Plan succeeds, later calls return its shapes.
 func (u *Unit) Plan() ([]vet.LaunchShape, error) {
+	if u.planned {
+		return u.shapes, nil
+	}
 	shapes, err := u.Shapes()
 	if err != nil || u.Prog == nil {
 		return nil, err
 	}
-	return shapes, vet.AnalyzePerf(u.Rep, u.Prog, MachineParamsFor(u.Cfg), shapes)
+	if err := vet.AnalyzePerf(u.Rep, u.Prog, MachineParamsFor(u.Cfg), shapes); err != nil {
+		return shapes, err
+	}
+	u.shapes, u.planned = shapes, true
+	return shapes, nil
 }
 
 // Run is one execution of a unit.

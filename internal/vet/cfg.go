@@ -201,70 +201,6 @@ func (s *regset) forEach(fn func(r uint8)) {
 	}
 }
 
-func allRegs() regset {
-	var s regset
-	for i := range s {
-		s[i] = ^uint64(0)
-	}
-	return s
-}
-
-// forwardMust runs a forward all-paths ("must") dataflow to fixpoint:
-// a block's in-state is the intersection of its predecessors'
-// out-states, and transfer applies one instruction's effect. It
-// returns the in-state of every block; unreachable blocks keep the
-// top element (all registers set) so they never weaken a join.
-func (c *cfg) forwardMust(entry regset, transfer func(i int, s *regset)) []regset {
-	nb := len(c.blocks)
-	in := make([]regset, nb)
-	out := make([]regset, nb)
-	for bi := range in {
-		in[bi] = allRegs()
-		out[bi] = allRegs()
-	}
-	if nb == 0 {
-		return in
-	}
-	in[0] = entry
-
-	inWork := make([]bool, nb)
-	var work []int
-	for bi := 0; bi < nb; bi++ {
-		if c.reach[bi] {
-			work = append(work, bi)
-			inWork[bi] = true
-		}
-	}
-	for len(work) > 0 {
-		bi := work[0]
-		work = work[1:]
-		inWork[bi] = false
-		b := &c.blocks[bi]
-
-		if bi != 0 {
-			st := allRegs()
-			for _, p := range b.preds {
-				st.intersect(&out[p])
-			}
-			in[bi] = st
-		}
-		st := in[bi]
-		for i := b.start; i < b.end; i++ {
-			transfer(i, &st)
-		}
-		if st != out[bi] {
-			out[bi] = st
-			for _, s := range b.succs {
-				if !inWork[s] {
-					inWork[s] = true
-					work = append(work, s)
-				}
-			}
-		}
-	}
-	return in
-}
-
 // backwardMay runs a backward any-path ("may") dataflow to fixpoint:
 // a block's out-state is the union of its successors' in-states, and
 // transfer applies one instruction's effect bottom-up. Blocks that

@@ -48,9 +48,9 @@ type funcVet struct {
 	window  int // registers the abstract interpreters track (regWindow)
 	diags   []Diagnostic
 	summary funcSummary
-	// ranges is the range analysis's store, shared with the other
+	// arena holds the dataflow states (solve.go), shared with the other
 	// functions vetted alongside this one; nil allocates a fresh one.
-	ranges *rangeScratch
+	arena *arena
 }
 
 func (v *funcVet) diag(sev Severity, idx int, check Check, format string, args ...any) {
@@ -67,6 +67,9 @@ func (v *funcVet) run() {
 	}
 	v.cfg = buildCFG(v.code)
 	v.window = regWindow(v.code, v.calleeSaved)
+	if v.arena == nil {
+		v.arena = &arena{}
+	}
 	v.indexCalls()
 	v.checkStructure()
 	v.checkUninitReads()
@@ -197,34 +200,25 @@ func (v *funcVet) checkUninitReads() {
 			s.add(in.Dst)
 		}
 	}
-	in := v.cfg.forwardMust(entry, transfer)
-
 	var buf [3]uint8
-	for bi := range v.cfg.blocks {
-		if !v.cfg.reach[bi] {
-			continue
-		}
-		b := &v.cfg.blocks[bi]
-		st := in[bi]
-		for i := b.start; i < b.end; i++ {
-			ins := &v.code[i]
-			for _, r := range ins.Reads(buf[:0]) {
-				if ins.Spill && ins.Op.IsStore() && r == ins.SrcC {
-					continue
-				}
-				if st.has(r) {
-					continue
-				}
-				sev := SevWarning
-				if !v.isKernel && r >= isa.FirstCalleeSaved {
-					sev = SevError
-				}
-				v.diag(sev, i, CheckUninitRead,
-					"%s reads R%d, which is not defined on every path here", ins.Op, r)
+	sv := v.must(entry, transfer)
+	sv.replay(func(i int, st *regset) {
+		ins := &v.code[i]
+		for _, r := range ins.Reads(buf[:0]) {
+			if ins.Spill && ins.Op.IsStore() && r == ins.SrcC {
+				continue
 			}
-			transfer(i, &st)
+			if st.has(r) {
+				continue
+			}
+			sev := SevWarning
+			if !v.isKernel && r >= isa.FirstCalleeSaved {
+				sev = SevError
+			}
+			v.diag(sev, i, CheckUninitRead,
+				"%s reads R%d, which is not defined on every path here", ins.Op, r)
 		}
-	}
+	})
 }
 
 // checkPreserved verifies callee-saved discipline for device
@@ -249,27 +243,19 @@ func (v *funcVet) checkPreserved() {
 			s.removeRange(isa.FirstCalleeSaved, int(in.Imm))
 		}
 	}
-	in := v.cfg.forwardMust(entry, transfer)
-	for bi := range v.cfg.blocks {
-		if !v.cfg.reach[bi] {
-			continue
-		}
-		b := &v.cfg.blocks[bi]
-		st := in[bi]
-		for i := b.start; i < b.end; i++ {
-			ins := &v.code[i]
-			if ins.WritesReg() && ins.Dst >= isa.FirstCalleeSaved &&
-				!(ins.Spill && ins.Op.IsLoad()) && !st.has(ins.Dst) {
-				what := "spilled or pushed"
-				if v.preABI != nil {
-					what = fmt.Sprintf("inside the declared callee-saved window (CalleeSaved=%d)", v.calleeSaved)
-				}
-				v.diag(SevError, i, CheckCalleeSaved,
-					"clobbers caller's R%d: written before being %s", ins.Dst, what)
+	sv := v.must(entry, transfer)
+	sv.replay(func(i int, st *regset) {
+		ins := &v.code[i]
+		if ins.WritesReg() && ins.Dst >= isa.FirstCalleeSaved &&
+			!(ins.Spill && ins.Op.IsLoad()) && !st.has(ins.Dst) {
+			what := "spilled or pushed"
+			if v.preABI != nil {
+				what = fmt.Sprintf("inside the declared callee-saved window (CalleeSaved=%d)", v.calleeSaved)
 			}
-			transfer(i, &st)
+			v.diag(SevError, i, CheckCalleeSaved,
+				"clobbers caller's R%d: written before being %s", ins.Dst, what)
 		}
-	}
+	})
 }
 
 // checkSpills verifies baseline / shared-spill pairing: every spill
@@ -344,25 +330,17 @@ func (v *funcVet) checkSpills() {
 			s.remove(in.Dst)
 		}
 	}
-	in := v.cfg.forwardMust(regset{}, transfer)
-	for bi := range v.cfg.blocks {
-		if !v.cfg.reach[bi] {
-			continue
+	sv := v.must(regset{}, transfer)
+	sv.replay(func(i int, st *regset) {
+		if v.code[i].Op == isa.OpRet {
+			lost := mustFill
+			lost.subtract(st)
+			lost.forEach(func(r uint8) {
+				v.diag(SevError, i, CheckCalleeSaved,
+					"R%d is spilled and clobbered but not restored on this return path", r)
+			})
 		}
-		b := &v.cfg.blocks[bi]
-		st := in[bi]
-		for i := b.start; i < b.end; i++ {
-			if v.code[i].Op == isa.OpRet {
-				lost := mustFill
-				lost.subtract(&st)
-				lost.forEach(func(r uint8) {
-					v.diag(SevError, i, CheckCalleeSaved,
-						"R%d is spilled and clobbered but not restored on this return path", r)
-				})
-			}
-			transfer(i, &st)
-		}
-	}
+	})
 }
 
 // checkStack verifies CARS stack discipline: push/pop balance on

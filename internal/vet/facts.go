@@ -101,7 +101,7 @@ func (ff *FuncFacts) Fact(name string, index int, detail string) Fact {
 // individually but the optimizer refuses to proceed on one.
 func ModuleFacts(m *kir.Module) map[string]*FuncFacts {
 	out := map[string]*FuncFacts{}
-	ranges := &rangeScratch{}
+	a := &arena{}
 	for _, f := range m.Funcs {
 		v := &funcVet{
 			name:        f.Name,
@@ -109,7 +109,7 @@ func ModuleFacts(m *kir.Module) map[string]*FuncFacts {
 			isKernel:    f.IsKernel,
 			calleeSaved: f.CalleeSaved,
 			preABI:      f,
-			ranges:      ranges,
+			arena:       a,
 		}
 		v.run()
 		ff := &FuncFacts{Func: f.Name}

@@ -56,6 +56,12 @@ func FuzzUniformity(f *testing.F) {
 	f.Add(".kernel k\nS2R R8, SR_TID\nANDI R9, R8, 1023\nSHLI R9, R9, 2\nSTS [R9], R8\nBAR.SYNC\nLDS R10, [R9]\nEXIT\n")
 	// Uniform barrier in a loop, with the counter in shared memory.
 	f.Add(".kernel k\nMOVI R9, 0\nMOVI R10, 0\nloop:\nSTS [R9], R10\nBAR.SYNC\nIADDI R10, R10, 1\nSETPI.LT P0, R10, 4\n@P0 BRA loop\nEXIT\n")
+	// A loop headed by instruction 0 whose back edge makes the branch
+	// around its barrier divergent.
+	f.Add(loopAtEntry)
+	// A uniform loop, a divergent diamond, then a branch on the loop's
+	// value around a barrier.
+	f.Add(loopThenDiamond)
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := asm.ParseString(src)
 		if err != nil {

@@ -14,9 +14,9 @@ import (
 // locally — its defining comparison, which refines the compared
 // register's interval on the two edges of a predicated branch.
 //
-// The analysis is a forward worklist fixpoint over the per-function
-// CFG with widening after a fixed number of joins per block, so it
-// terminates on any input. Every transfer function over-approximates
+// The analysis runs on vet's forward solver (solve.go) over the
+// per-function CFG, with widening after a fixed number of joins per
+// block, so it terminates on any input. Every transfer function over-approximates
 // the simulator's uint32 lane semantics interpreted as int32 (the
 // SETP comparisons are signed): any operation whose result could wrap
 // outside int32 goes to the full interval, never to a wrong narrow
@@ -220,36 +220,13 @@ func (a pfact) join(b pfact) pfact {
 const frefNone = -1
 
 // rstate is the abstract machine state at one program point: one
-// interval per register of the function's window (regWindow), the
-// interval every register past the window holds, and the predicate
-// facts. States of one function share a window width.
-type rstate struct {
-	regs  []ival
-	rest  ival
-	preds [8]pfact
-	// frefs tracks which MovFuncIdx name each register of the window
-	// definitely holds. It is empty when nothing is tracked: in linked
-	// programs, in pre-ABI modules without funcrefs, and in the zero
-	// state of a block the fixpoint never reached.
-	frefs []int16
-}
+// interval per register of the function's window, the predicate facts
+// and, in pre-ABI modules with funcrefs, which MovFuncIdx name each
+// register of the window definitely holds (solve.go).
+type rstate = winState[ival, pfact]
 
-// reg reads register r, which may lie past the window (NoReg operands).
-func (s *rstate) reg(r uint8) ival {
-	if int(r) < len(s.regs) {
-		return s.regs[r]
-	}
-	return s.rest
-}
-
-// set makes s a copy of o. s's frefs capacity must hold the window.
-func (s *rstate) set(o *rstate) {
-	copy(s.regs, o.regs)
-	s.rest, s.preds = o.rest, o.preds
-	s.frefs = append(s.frefs[:0], o.frefs...)
-}
-
-func (s *rstate) join(o *rstate) (changed bool) {
+// joinRanges joins o into s and reports whether s changed.
+func joinRanges(s, o *rstate) (changed bool) {
 	oregs := o.regs[:len(s.regs)]
 	for r, v := range s.regs {
 		if j := v.join(oregs[r]); j != v {
@@ -277,9 +254,9 @@ func (s *rstate) join(o *rstate) (changed bool) {
 	return changed
 }
 
-// widen snaps every interval that grew since prev to the lattice
-// bounds, guaranteeing fixpoint termination.
-func (s *rstate) widen(prev *rstate) {
+// widenRanges snaps every interval of s that grew since prev to the
+// lattice bounds, guaranteeing fixpoint termination.
+func widenRanges(s, prev *rstate) {
 	pregs := prev.regs[:len(s.regs)]
 	for r := range s.regs {
 		s.regs[r] = widenIval(s.regs[r], pregs[r])
@@ -326,23 +303,28 @@ type funcRanges struct {
 	blockMult []int64
 }
 
-// rangeAnalysis runs the interval fixpoint for one function. Every
-// state it holds is carved from the funcVet's rangeScratch when run
-// starts.
+// rangeAnalysis is the interval lattice over one function (solve.go).
+// Every state it holds is carved from the funcVet's arena.
 type rangeAnalysis struct {
 	v         *funcVet
 	li        *loopInfo
-	in        []rstate // converged per-block in-states
-	entry     []rstate // per loop header: join over non-body predecessors
-	hasEntry  []bool
 	frefNames []string
 	frefIdx   map[string]int16
 
-	// Scratch: the state a block is replayed in, the per-edge states
-	// edgeStates hands out, and a join's previous state for widening.
-	cur, prev rstate
-	edge      [2]rstate
-	outs      [2]*rstate
+	// cons holds the defining comparisons of the block being solved;
+	// edges consumes and clears it.
+	cons [8]pcon
+	// joins counts, per block, the joins that changed its in-state.
+	joins []int
+	// loopEntry is, per loop header, the join of the edge states
+	// entering it from outside the loop (nil until one does); spare
+	// holds the states not yet handed out.
+	loopEntry []*rstate
+	spare     []rstate
+	// The two edge states edges hands out, and a join's previous
+	// state for widening.
+	edge [2]rstate
+	prev rstate
 }
 
 // pcon is a block-local defining comparison for one predicate: while
@@ -358,76 +340,29 @@ type pcon struct {
 // analyzeRanges is the funcVet entry point: it runs the fixpoint,
 // emits the diagnostics, and stores the funcRanges summary.
 func (v *funcVet) analyzeRanges(li *loopInfo) {
-	ra := &rangeAnalysis{v: v, li: li}
-	ra.run()
-	v.summary.rng = ra.facts()
-	v.summary.blockStarts = make([]int, len(v.cfg.blocks))
+	nb, nh := len(v.cfg.blocks), len(li.headers)
+	var refs *[]int16
+	if v.preABI != nil && len(v.preABI.FuncRefs) > 0 {
+		refs = &v.arena.refs
+	}
+	// The solver's nb+1 states, the two edge states, the widening's
+	// previous state and one loop-entry state per header.
+	states := v.arena.ranges.windows(nb+4+nh, v.window, refs)
+	ra := &rangeAnalysis{v: v, li: li, joins: make([]int, nb), spare: states[nb+4:]}
+	ra.edge[0], ra.edge[1], ra.prev = states[nb+1], states[nb+2], states[nb+3]
+	if nh > 0 {
+		ra.loopEntry = make([]*rstate, nb)
+	}
+	sv := solve[rstate](v.arena, v.cfg, ra, states[:nb+1])
+	v.summary.rng = ra.facts(&sv)
+	v.summary.blockStarts = make([]int, nb)
 	for bi := range v.cfg.blocks {
 		v.summary.blockStarts[bi] = v.cfg.blocks[bi].start
 	}
 }
 
-// rangeScratch is the backing store the range analysis carves its
-// states from. One is shared by every function of a Report (or a
-// module set) and grows to the widest function among them; each
-// function's analysis overwrites the previous one's states.
-type rangeScratch struct {
-	regs   []ival
-	refs   []int16
-	states []rstate
-}
-
-// zeroed returns s resized to n zero elements, reallocating only when
-// its capacity falls short.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// carve lays out the analysis's states in the scratch store: nb
-// per-block in-states, one entry state per loop header, and the
-// scratch states. All start as the zero state.
-func (ra *rangeAnalysis) carve(nb int) {
-	sc := ra.v.ranges
-	if sc == nil {
-		sc = &rangeScratch{}
-	}
-	n := ra.v.window
-	count := nb + len(ra.li.headers) + 4
-	sc.regs = zeroed(sc.regs, count*n)
-	regs := sc.regs
-	var refs []int16
-	if ra.v.preABI != nil && len(ra.v.preABI.FuncRefs) > 0 {
-		sc.refs = zeroed(sc.refs, count*n)
-		refs = sc.refs
-	}
-	next := func() rstate {
-		st := rstate{regs: regs[:n:n]}
-		regs = regs[n:]
-		if refs != nil {
-			st.frefs = refs[:0:n]
-			refs = refs[n:]
-		}
-		return st
-	}
-	sc.states = zeroed(sc.states, 2*nb)
-	ra.in, ra.entry = sc.states[:nb:nb], sc.states[nb:]
-	for bi := range ra.in {
-		ra.in[bi] = next()
-	}
-	for h := range ra.li.headers {
-		ra.entry[h] = next()
-	}
-	ra.cur, ra.prev = next(), next()
-	ra.edge[0], ra.edge[1] = next(), next()
-}
-
-// entryState writes the state at function entry into st.
-func (ra *rangeAnalysis) entryState(st *rstate) {
+// entry writes the state at function entry into st.
+func (ra *rangeAnalysis) entry(st *rstate) {
 	v := ra.v
 	for r := range st.regs {
 		st.regs[r] = topIval()
@@ -442,10 +377,32 @@ func (ra *rangeAnalysis) entryState(st *rstate) {
 		}
 		st.rest = constIval(0)
 	}
+	st.preds = [8]pfact{}
 	st.frefs = st.frefs[:cap(st.frefs)]
 	for r := range st.frefs {
 		st.frefs[r] = frefNone
 	}
+}
+
+func (ra *rangeAnalysis) set(dst, src *rstate)       { dst.set(src) }
+func (ra *rangeAnalysis) load(st, in *rstate, _ int) { st.set(in) }
+
+// join joins an edge state into a block's in-state; past
+// rangeWidenAfter changed joins it widens against the state before the
+// join.
+func (ra *rangeAnalysis) join(dst, src *rstate, to int) bool {
+	widen := ra.joins[to] >= rangeWidenAfter
+	if widen {
+		ra.prev.set(dst)
+	}
+	if !joinRanges(dst, src) {
+		return false
+	}
+	ra.joins[to]++
+	if widen {
+		widenRanges(dst, &ra.prev)
+	}
+	return true
 }
 
 func (ra *rangeAnalysis) frefID(name string) int16 {
@@ -589,16 +546,21 @@ func refine(v ival, cmp isa.CmpKind, rhs ival, cond bool) ival {
 	return v
 }
 
-// transfer applies one instruction to the state. cons tracks the
-// block-local defining comparisons; pass nil to skip that bookkeeping.
-func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
+// transfer applies instructions from up to to-1 to st.
+func (ra *rangeAnalysis) transfer(st *rstate, from, to int) {
+	for i := from; i < to; i++ {
+		ra.step(st, i)
+	}
+}
+
+// step applies one instruction to the state and tracks the
+// block-local defining comparisons in ra.cons.
+func (ra *rangeAnalysis) step(st *rstate, i int) {
 	v := ra.v
 	in := &v.code[i]
+	cons := &ra.cons
 
 	invalidate := func(r uint8) {
-		if cons == nil {
-			return
-		}
 		for p := range cons {
 			if cons[p].valid && cons[p].reg == r {
 				cons[p].valid = false
@@ -624,18 +586,14 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 	switch in.Op {
 	case isa.OpCall, isa.OpCallI:
 		clobberRange(st, 0, isa.FirstCalleeSaved)
-		if cons != nil {
-			for r := 0; r < isa.FirstCalleeSaved; r++ {
-				invalidate(uint8(r))
-			}
+		for r := 0; r < isa.FirstCalleeSaved; r++ {
+			invalidate(uint8(r))
 		}
 		return
 	case isa.OpPush, isa.OpPop:
 		clobberRange(st, isa.FirstCalleeSaved, int(in.Imm))
-		if cons != nil {
-			for k := 0; k < int(in.Imm); k++ {
-				invalidate(uint8(isa.FirstCalleeSaved + k))
-			}
+		for k := 0; k < int(in.Imm); k++ {
+			invalidate(uint8(isa.FirstCalleeSaved + k))
 		}
 		return
 	case isa.OpSetP:
@@ -645,17 +603,13 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 		p := in.PDst & 7
 		if guarded {
 			st.preds[p] = st.preds[p].join(f)
-			if cons != nil {
-				cons[p].valid = false
-			}
+			cons[p].valid = false
 			return
 		}
 		st.preds[p] = f
-		if cons != nil {
-			cons[p] = pcon{valid: true, reg: in.SrcA, cmp: in.Cmp, rhs: b}
-			if in.SrcB != isa.NoReg && in.SrcB == in.SrcA {
-				cons[p].valid = false // self-comparison carries no refinement
-			}
+		cons[p] = pcon{valid: true, reg: in.SrcA, cmp: in.Cmp, rhs: b}
+		if in.SrcB != isa.NoReg && in.SrcB == in.SrcA {
+			cons[p].valid = false // self-comparison carries no refinement
 		}
 		return
 	}
@@ -752,194 +706,113 @@ func (ra *rangeAnalysis) transfer(i int, st *rstate, cons *[8]pcon) {
 	invalidate(in.Dst)
 }
 
-// edgeStates walks block bi from its in-state and returns the per-
-// successor out-states, nil marking an edge the analysis proved
-// infeasible. The successor order matches cfg construction: for a
-// predicated BRA, succs[0] is the fall-through and succs[1] the taken
-// edge. The states are scratch, valid until the next call.
-func (ra *rangeAnalysis) edgeStates(bi int) []*rstate {
+// edges returns the states along block bi's successor edges given st
+// after its last instruction. A predicated BRA's two edges are refined
+// by the branch condition and the block's defining comparison, nil
+// marking an edge the analysis proved infeasible; any other block fans
+// st out unchanged. The successor order matches cfg construction: for
+// a predicated BRA, succs[0] is the fall-through and succs[1] the
+// taken edge. Each feasible edge entering a loop header from outside
+// the loop is also joined into the header's loop-entry state, which
+// the trip-count derivation needs uncontaminated by back-edge states.
+func (ra *rangeAnalysis) edges(bi int, st *rstate) [2]*rstate {
 	v := ra.v
 	b := &v.cfg.blocks[bi]
-	st := &ra.cur
-	st.set(&ra.in[bi])
-	var cons [8]pcon
-	for i := b.start; i < b.end-1; i++ {
-		ra.transfer(i, st, &cons)
-	}
-	last := &v.code[b.end-1]
-	out := ra.outs[:len(b.succs)]
-	if last.Op != isa.OpBra || last.Pred == isa.NoPred || len(b.succs) != 2 {
-		// Single (or no) distinguishable edge: apply the final transfer
-		// and fan the state out unchanged.
-		ra.transfer(b.end-1, st, &cons)
-		for i := range out {
-			out[i] = st
-		}
-		return out
-	}
-
-	p := last.Pred & 7
-	f := st.preds[p]
-	con := cons[p]
-	// Branch taken ⟺ predicate == !PNeg.
-	want := !last.PNeg
-
-	mk := func(es *rstate, cond bool) *rstate {
-		if f.known && f.val != cond {
-			return nil // edge statically dead
-		}
-		es.set(st)
-		es.preds[p] = pfact{known: true, val: cond}
-		if con.valid {
-			r := refine(es.regs[con.reg], con.cmp, con.rhs, cond)
-			if r.empty() {
-				return nil
+	cons := ra.cons
+	ra.cons = [8]pcon{}
+	out := [2]*rstate{st, st}
+	if last := &v.code[b.end-1]; last.Op == isa.OpBra && last.Pred != isa.NoPred && len(b.succs) == 2 {
+		p := last.Pred & 7
+		f, con := st.preds[p], cons[p]
+		// Branch taken ⟺ predicate == !PNeg.
+		mk := func(es *rstate, cond bool) *rstate {
+			if f.known && f.val != cond {
+				return nil // edge statically dead
 			}
-			es.regs[con.reg] = r
+			es.set(st)
+			es.preds[p] = pfact{known: true, val: cond}
+			if con.valid {
+				r := refine(es.regs[con.reg], con.cmp, con.rhs, cond)
+				if r.empty() {
+					return nil
+				}
+				es.regs[con.reg] = r
+			}
+			return es
 		}
-		return es
+		out = [2]*rstate{mk(&ra.edge[0], last.PNeg), mk(&ra.edge[1], !last.PNeg)}
 	}
-	// succs[0] = fall-through (branch not taken: predicate == PNeg),
-	// succs[1] = taken.
-	out[0], out[1] = mk(&ra.edge[0], !want), mk(&ra.edge[1], want)
+	for si, s := range b.succs {
+		if lp := ra.li.headers[s]; out[si] != nil && lp != nil && !lp.body[bi] {
+			if e := ra.loopEntry[s]; e != nil {
+				joinRanges(e, out[si])
+			} else {
+				e, ra.spare = &ra.spare[0], ra.spare[1:]
+				e.set(out[si])
+				ra.loopEntry[s] = e
+			}
+		}
+	}
 	return out
 }
 
-// run executes the fixpoint and stores the converged in-states.
-func (ra *rangeAnalysis) run() {
-	v := ra.v
-	nb := len(v.cfg.blocks)
-	ra.carve(nb)
-	ra.hasEntry = make([]bool, nb)
-	hasIn := make([]bool, nb)
-	joins := make([]int, nb)
-
-	ra.entryState(&ra.in[0])
-	hasIn[0] = true
-
-	inWork := make([]bool, nb)
-	work := []int{0}
-	inWork[0] = true
-	for head := 0; head < len(work); head++ {
-		bi := work[head]
-		inWork[bi] = false
-		outs := ra.edgeStates(bi)
-		b := &v.cfg.blocks[bi]
-		for si, es := range outs {
-			if es == nil {
-				continue
-			}
-			s := b.succs[si]
-			// Track the loop-entry state separately: the join over
-			// edges from outside the loop body, which the trip-count
-			// derivation needs uncontaminated by back-edge states.
-			if lp := ra.li.headers[s]; lp != nil && !lp.body[bi] {
-				if !ra.hasEntry[s] {
-					ra.entry[s].set(es)
-					ra.hasEntry[s] = true
-				} else {
-					ra.entry[s].join(es)
-				}
-			}
-			changed := false
-			if !hasIn[s] {
-				ra.in[s].set(es)
-				hasIn[s] = true
-				changed = true
-			} else {
-				// Widening compares against the state before this join;
-				// only a join past the threshold needs it.
-				widen := joins[s] >= rangeWidenAfter
-				if widen {
-					ra.prev.set(&ra.in[s])
-				}
-				if ra.in[s].join(es) {
-					joins[s]++
-					if widen {
-						ra.in[s].widen(&ra.prev)
-					}
-					changed = true
-				}
-			}
-			if changed && !inWork[s] {
-				inWork[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-}
-
-// stateAt replays the converged block state up to (not including)
-// instruction i of block bi, in the scratch state.
-func (ra *rangeAnalysis) stateAt(bi, i int) *rstate {
-	st := &ra.cur
-	st.set(&ra.in[bi])
-	var cons [8]pcon
-	for j := ra.v.cfg.blocks[bi].start; j < i; j++ {
-		ra.transfer(j, st, &cons)
-	}
-	return st
-}
-
-// facts walks the converged state once more and produces the
+// facts replays the converged states once and produces the
 // diagnostics and the funcRanges summary.
-func (ra *rangeAnalysis) facts() *funcRanges {
+func (ra *rangeAnalysis) facts(sv *solver[rstate]) *funcRanges {
 	v := ra.v
-	li := ra.li
-	fr := &funcRanges{trips: map[int]int64{}, loops: li.loops}
-
-	for bi := range v.cfg.blocks {
-		if !v.cfg.reach[bi] {
-			continue
-		}
-		b := &v.cfg.blocks[bi]
-		st := &ra.cur
-		st.set(&ra.in[bi])
-		var cons [8]pcon
-		for i := b.start; i < b.end; i++ {
-			in := &v.code[i]
-			switch in.Op {
-			case isa.OpBra:
-				if in.Pred != isa.NoPred {
-					f := st.preds[in.Pred&7]
-					want := !in.PNeg
-					if f.known {
-						if f.val == want {
-							fr.deadBranches = append(fr.deadBranches, branchFact{index: i, always: true})
-							v.diag(SevInfo, i, CheckDeadBranch,
-								"branch condition always holds: the fall-through edge is statically dead")
-						} else {
-							fr.deadBranches = append(fr.deadBranches, branchFact{index: i, always: false})
-							v.diag(SevInfo, i, CheckDeadBranch,
-								"branch condition never holds: the branch is statically dead")
-						}
+	fr := &funcRanges{trips: map[int]int64{}, loops: ra.li.loops}
+	loops := ra.countedLoops()
+	sv.replay(func(i int, st *rstate) {
+		in := &v.code[i]
+		switch in.Op {
+		case isa.OpBra:
+			if in.Pred != isa.NoPred {
+				f := st.preds[in.Pred&7]
+				want := !in.PNeg
+				if f.known {
+					if f.val == want {
+						fr.deadBranches = append(fr.deadBranches, branchFact{index: i, always: true})
+						v.diag(SevInfo, i, CheckDeadBranch,
+							"branch condition always holds: the fall-through edge is statically dead")
+					} else {
+						fr.deadBranches = append(fr.deadBranches, branchFact{index: i, always: false})
+						v.diag(SevInfo, i, CheckDeadBranch,
+							"branch condition never holds: the branch is statically dead")
 					}
-				}
-			case isa.OpLdL, isa.OpStL, isa.OpLdS, isa.OpStS:
-				addr := addIval(st.reg(in.SrcA), constIval(int64(in.Imm)))
-				if addr.hi < 0 {
-					kind := "local"
-					if in.Op == isa.OpLdS || in.Op == isa.OpStS {
-						kind = "shared"
-					}
-					v.diag(SevError, i, CheckOOB,
-						"%s accesses %s memory at a provably negative address [%d,%d]",
-						in.Op, kind, addr.lo, addr.hi)
-				}
-			case isa.OpCallI:
-				if t, ok := ra.selectorTarget(st, in); ok {
-					fr.indirect = append(fr.indirect, indirectFact{
-						index: i, ordinal: v.summary.site(i).ordinal, target: t,
-					})
-					v.diag(SevInfo, i, CheckIndirect,
-						"indirect call selector provably resolves to %s: the site is devirtualizable", t)
 				}
 			}
-			ra.transfer(i, st, &cons)
+		case isa.OpLdL, isa.OpStL, isa.OpLdS, isa.OpStS:
+			addr := addIval(st.reg(in.SrcA), constIval(int64(in.Imm)))
+			if addr.hi < 0 {
+				kind := "local"
+				if in.Op == isa.OpLdS || in.Op == isa.OpStS {
+					kind = "shared"
+				}
+				v.diag(SevError, i, CheckOOB,
+					"%s accesses %s memory at a provably negative address [%d,%d]",
+					in.Op, kind, addr.lo, addr.hi)
+			}
+		case isa.OpCallI:
+			if t, ok := ra.selectorTarget(st, in); ok {
+				fr.indirect = append(fr.indirect, indirectFact{
+					index: i, ordinal: v.summary.site(i).ordinal, target: t,
+				})
+				v.diag(SevInfo, i, CheckIndirect,
+					"indirect call selector provably resolves to %s: the site is devirtualizable", t)
+			}
+		case isa.OpSetP:
+			for k := range loops {
+				if cl := &loops[k]; cl.setp == i && !cl.limitKnown {
+					cl.limitHi, cl.limitKnown = st.regs[in.SrcB].hi, true
+				}
+			}
+		}
+	})
+	for _, cl := range loops {
+		if trips := cl.trips(); trips > 0 {
+			fr.trips[cl.header] = trips
 		}
 	}
-
-	ra.deriveTrips(fr)
 	ra.blockMultipliers(fr)
 	return fr
 }
@@ -965,13 +838,37 @@ func (ra *rangeAnalysis) selectorTarget(st *rstate, in *isa.Instruction) (string
 	return "", false
 }
 
-// deriveTrips extracts concrete trip-count bounds for the builder's
-// counted-loop shape (see the package comment for the soundness
-// argument).
-func (ra *rangeAnalysis) deriveTrips(fr *funcRanges) {
+// countedLoop is an entered loop in the builder's counted shape (see
+// the package comment for the soundness argument). Its body executes
+// at most max(1, limitHi − entryLo) times per entry.
+type countedLoop struct {
+	header, setp int   // header block; the latch's SETP.LT cnt, limit
+	entryLo      int64 // cnt's lower bound at loop entry
+	// limitHi bounds the limit operand at the SETP: an immediate's
+	// value, or what the replay reads off a register; a register limit
+	// whose SETP the fixpoint never reached stays unknown.
+	limitHi    int64
+	limitKnown bool
+}
+
+// trips is the loop's derived trip bound, or 0 when none is usable.
+func (cl *countedLoop) trips() int64 {
+	if !cl.limitKnown || cl.limitHi >= maxTrip {
+		return 0
+	}
+	if trips := max64(1, cl.limitHi-cl.entryLo); trips < maxTrip {
+		return trips
+	}
+	return 0
+}
+
+// countedLoops finds the loops in the builder's counted shape that the
+// fixpoint entered.
+func (ra *rangeAnalysis) countedLoops() []countedLoop {
 	v := ra.v
+	var out []countedLoop
 	for h, lp := range ra.li.headers {
-		if len(lp.latches) != 1 || !ra.hasEntry[h] {
+		if len(lp.latches) != 1 || ra.loopEntry[h] == nil {
 			continue
 		}
 		u := lp.latches[0]
@@ -1018,9 +915,9 @@ func (ra *rangeAnalysis) deriveTrips(fr *funcRanges) {
 		}
 		// The limit operand must be loop-invariant with a finite upper
 		// bound at the comparison.
-		var limitHi int64
+		cl := countedLoop{header: h, setp: setp}
 		if sp.SrcB == isa.NoReg {
-			limitHi = int64(sp.Imm)
+			cl.limitHi, cl.limitKnown = int64(sp.Imm), true
 		} else {
 			invariant := true
 			for bb := range lp.body {
@@ -1034,11 +931,6 @@ func (ra *rangeAnalysis) deriveTrips(fr *funcRanges) {
 			if !invariant {
 				continue
 			}
-			at := ra.stateAt(u, setp)
-			limitHi = at.regs[sp.SrcB].hi
-		}
-		if limitHi >= maxTrip {
-			continue
 		}
 		// Every write to cnt inside the loop must be an unpredicated
 		// constant positive increment whose block dominates the latch —
@@ -1072,16 +964,11 @@ func (ra *rangeAnalysis) deriveTrips(fr *funcRanges) {
 		if !ok || incs == 0 {
 			continue
 		}
-		entryLo := ra.entry[h].regs[cnt].lo
-		if entryLo <= i32Min {
-			continue
+		if cl.entryLo = ra.loopEntry[h].regs[cnt].lo; cl.entryLo > i32Min {
+			out = append(out, cl)
 		}
-		trips := max64(1, limitHi-entryLo)
-		if trips >= maxTrip {
-			continue
-		}
-		fr.trips[h] = trips
 	}
+	return out
 }
 
 // writesRegister reports whether executing in may change register r,

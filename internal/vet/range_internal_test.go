@@ -178,6 +178,45 @@ func TestRangeOOBNegativeAddress(t *testing.T) {
 	if hasCheck(v2.diags, CheckOOB) {
 		t.Error("in-bounds store reported as OOB")
 	}
+
+	// A shared load at [R12-4] behind a branch on R9 == 0. With R9 = 1
+	// the fixpoint proves the branch dead and never reaches the load,
+	// so the load's state is not the all-zero one of an unreached
+	// block: vet is silent. With R9 = 0 and R12 = 0 the load runs and
+	// is out of bounds.
+	guarded := func(r9 int32, r12 bool) []isa.Instruction {
+		in := func(op isa.Op, dst, srcA uint8, imm int32) isa.Instruction {
+			return isa.Instruction{Op: op, Dst: dst, SrcA: srcA, SrcB: isa.NoReg, SrcC: isa.NoReg, Pred: isa.NoPred, Imm: imm}
+		}
+		code := []isa.Instruction{in(isa.OpMovI, 9, isa.NoReg, r9)}
+		if r12 {
+			code = append(code, in(isa.OpMovI, 12, isa.NoReg, 0))
+		}
+		setp := in(isa.OpSetP, isa.NoReg, 9, 0)
+		setp.Cmp = isa.CmpEQ
+		bra := in(isa.OpBra, isa.NoReg, isa.NoReg, 0)
+		bra.Pred, bra.Target, bra.Target2 = 0, len(code)+3, len(code)+2
+		return append(code, setp, bra, in(isa.OpExit, isa.NoReg, isa.NoReg, 0),
+			in(isa.OpLdS, 10, 12, -4), in(isa.OpExit, isa.NoReg, isa.NoReg, 0))
+	}
+	for _, tc := range []struct {
+		name     string
+		code     []isa.Instruction
+		wantOOB  bool
+		wantDead bool
+	}{
+		{"dead block", guarded(1, false), false, true},
+		{"live block", guarded(0, true), true, false},
+	} {
+		v := &funcVet{name: "k", code: tc.code, isKernel: true, mode: modeBaseline, linked: true}
+		v.run()
+		if got := hasCheck(v.diags, CheckOOB); got != tc.wantOOB {
+			t.Errorf("%s: OOB reported = %v, want %v: %v", tc.name, got, tc.wantOOB, v.diags)
+		}
+		if got := len(v.summary.rng.deadBranches) == 1 && !v.summary.rng.deadBranches[0].always; got != tc.wantDead {
+			t.Errorf("%s: never-taken branch fact = %v, want %v", tc.name, got, tc.wantDead)
+		}
+	}
 }
 
 // TestRangeDevirtIndirect: a CALLI whose selector provably holds one

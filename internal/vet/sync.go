@@ -2,7 +2,6 @@ package vet
 
 import (
 	"fmt"
-	"slices"
 
 	"carsgo/internal/isa"
 )
@@ -221,33 +220,8 @@ func joinPred(a, b pval, div bool) pval {
 }
 
 // uState is the abstract machine state: one aval per register of the
-// function's window (regWindow), the value every register past the
-// window holds, and one pval per predicate. States of one function
-// share a window width; the zero state (all top) is the fixpoint's
-// "not yet computed".
-type uState struct {
-	regs  []aval
-	rest  aval
-	preds [8]pval
-}
-
-// reg reads register r, which may lie past the window (NoReg operands).
-func (s *uState) reg(r uint8) aval {
-	if int(r) < len(s.regs) {
-		return s.regs[r]
-	}
-	return s.rest
-}
-
-// set makes s a copy of o.
-func (s *uState) set(o *uState) {
-	copy(s.regs, o.regs)
-	s.rest, s.preds = o.rest, o.preds
-}
-
-func (s *uState) equal(o *uState) bool {
-	return s.rest == o.rest && s.preds == o.preds && slices.Equal(s.regs, o.regs)
-}
+// function's window and one pval per predicate (solve.go).
+type uState = winState[aval, pval]
 
 // joinState joins o into dst.
 func joinState(dst, o *uState, div bool) {
@@ -308,6 +282,15 @@ type syncFunc struct {
 	divCount  int
 }
 
+// syncProgram is also the uniformity lattice the solver runs over one
+// function at a time (solve.go): f is that function, and divJoin marks
+// the blocks where its paths join divergently. The divergent join is
+// not monotone (two equal values join to themselves, two different
+// uniform ones to top), so a block's in-state is rebuilt from its
+// predecessors' current out-states when it is solved instead of
+// accumulating every edge state: a stale early one would pin it to
+// top. out holds each block's out-state, done marks the blocks that
+// have one, and moved says whether the last one recorded changed.
 type syncProgram struct {
 	mode   progMode
 	spill  int // shared-spill bytes per thread (modeSmem)
@@ -315,14 +298,12 @@ type syncProgram struct {
 	funcs  []*syncFunc
 	diags  []Diagnostic
 
-	// Dataflow scratch, sized in run to the widest function and reused
-	// by every flow and walk: per-block in/out states and the state a
-	// walk replays, carved from one arena, plus the worklist.
-	arena        []aval
-	in, out      []uState
-	cur          uState
-	seen, inWork []bool
-	work         []int
+	arena   *arena
+	f       *syncFunc
+	divJoin []bool
+	out     []uState
+	done    []bool
+	moved   bool
 }
 
 func (sp *syncProgram) diag(f *syncFunc, sev Severity, idx int, check Check, format string, args ...any) {
@@ -335,9 +316,10 @@ func (sp *syncProgram) diag(f *syncFunc, sev Severity, idx int, check Check, for
 // newSyncProgram models the functions vet has run (Report: a linked
 // program's; Modules: a pre-ABI module set's, with call sites
 // resolved across the set). spill is the shared-spill frame per
-// thread of a linked shared-spill program.
-func newSyncProgram(vets []*funcVet, mode progMode, spill int, linked bool) *syncProgram {
-	sp := &syncProgram{mode: mode, spill: spill, linked: linked}
+// thread of a linked shared-spill program; a is the arena the
+// functions were vetted with.
+func newSyncProgram(vets []*funcVet, mode progMode, spill int, linked bool, a *arena) *syncProgram {
+	sp := &syncProgram{mode: mode, spill: spill, linked: linked, arena: a}
 	for _, v := range vets {
 		sp.funcs = append(sp.funcs, &syncFunc{funcVet: v})
 	}
@@ -347,19 +329,11 @@ func newSyncProgram(vets []*funcVet, mode progMode, spill int, linked bool) *syn
 // run converges the interprocedural summaries, then makes a final
 // diagnostic pass per function.
 func (sp *syncProgram) run() {
-	arena, blocks := 0, 0
 	for _, f := range sp.funcs {
-		if f.cfg == nil {
-			continue // no code: structure error reported elsewhere
+		if f.cfg != nil { // no code: structure error reported elsewhere
+			f.sum = syncSummary{analyzed: true, retUniform: true}
 		}
-		f.sum = syncSummary{analyzed: true, retUniform: true}
-		nb := len(f.cfg.blocks)
-		arena = max(arena, (2*nb+1)*f.window)
-		blocks = max(blocks, nb)
 	}
-	sp.arena = make([]aval, arena)
-	sp.in, sp.out = make([]uState, blocks), make([]uState, blocks)
-	sp.seen, sp.inWork = make([]bool, blocks), make([]bool, blocks)
 	// Optimistic start, monotone decay: retUniform only falls,
 	// hasBarrier/sharedUser only rise. Passes are bounded by the
 	// deepest call chain; the cap is a safety net for fuzz inputs.
@@ -386,8 +360,9 @@ func (sp *syncProgram) run() {
 	}
 }
 
-// entryState writes the architectural state at function entry into st.
-func (sp *syncProgram) entryState(f *syncFunc, st *uState) {
+// entry writes the architectural state at the entry of sp.f into st.
+func (sp *syncProgram) entry(st *uState) {
+	f := sp.f
 	for r := range st.regs {
 		st.regs[r] = topVal()
 	}
@@ -455,8 +430,18 @@ func regOr(st *uState, r uint8, def aval) aval {
 	return st.regs[r]
 }
 
-// transfer applies one instruction to the abstract state.
-func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
+func (sp *syncProgram) set(dst, src *uState) { dst.set(src) }
+
+// transfer applies instructions from up to to-1 of sp.f to st.
+func (sp *syncProgram) transfer(st *uState, from, to int) {
+	for i := from; i < to; i++ {
+		sp.step(st, i)
+	}
+}
+
+// step applies instruction i of sp.f to the abstract state.
+func (sp *syncProgram) step(st *uState, i int) {
+	f := sp.f
 	in := &f.code[i]
 	guarded := in.Pred != isa.NoPred && in.Op != isa.OpSel && in.Op != isa.OpBra
 	guardU := true
@@ -545,7 +530,7 @@ func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
 			st.preds[pd] = nv
 		}
 	case isa.OpCall, isa.OpCallI:
-		sp.applyCall(f, st, i)
+		sp.applyCall(st, i)
 	case isa.OpPush, isa.OpPop:
 		n := int(in.Imm)
 		for k := 0; k < n && isa.FirstCalleeSaved+k < len(st.regs); k++ {
@@ -564,8 +549,8 @@ func (sp *syncProgram) transfer(f *syncFunc, st *uState, i int) {
 // clobbered, callee-saved registers and (in shared-spill mode) the
 // spill stack pointer are preserved, R4 carries the return value, and
 // every predicate is caller-clobbered.
-func (sp *syncProgram) applyCall(f *syncFunc, st *uState, i int) {
-	site := f.summary.site(i)
+func (sp *syncProgram) applyCall(st *uState, i int) {
+	site := sp.f.summary.site(i)
 	retU := !site.unresolved
 	for _, ti := range site.callees {
 		if !sp.funcs[ti].sum.analyzed || !sp.funcs[ti].sum.retUniform {
@@ -589,107 +574,54 @@ func (sp *syncProgram) applyCall(f *syncFunc, st *uState, i int) {
 	}
 }
 
-// states carves f's per-block in- and out-states and the walk state
-// from the scratch arena, every one f.window wide and zero.
-func (sp *syncProgram) states(f *syncFunc) (in, out []uState) {
-	nb, n := len(f.cfg.blocks), f.window
-	arena := sp.arena[:(2*nb+1)*n]
-	clear(arena)
-	carve := func() uState {
-		st := uState{regs: arena[:n:n]}
-		arena = arena[n:]
-		return st
+// load rebuilds block bi's in-state as the join of the current
+// out-states of its predecessors that have one, and of the entry state
+// for block 0, divergently where divJoin marks the block, and starts st
+// from it.
+func (sp *syncProgram) load(st, in *uState, bi int) {
+	first := bi != 0
+	if !first {
+		sp.entry(in)
 	}
-	in, out = sp.in[:nb], sp.out[:nb]
-	for bi := range in {
-		in[bi], out[bi] = carve(), carve()
+	for _, p := range sp.f.cfg.blocks[bi].preds {
+		switch {
+		case !sp.done[p]:
+		case first:
+			in.set(&sp.out[p])
+			first = false
+		default:
+			joinState(in, &sp.out[p], sp.divJoin[bi])
+		}
 	}
-	sp.cur = carve()
-	return in, out
+	st.set(in)
 }
 
-// flow runs the uniformity dataflow to fixpoint given the current
-// divergent-branch classification, returning each block's in-state.
-// The states live in the scratch arena: they are valid until the next
-// flow.
-func (sp *syncProgram) flow(f *syncFunc, divJoin []bool) []uState {
-	c := f.cfg
-	nb := len(c.blocks)
-	in, out := sp.states(f)
-	seen, inWork := sp.seen[:nb], sp.inWork[:nb]
-	clear(seen)
-	clear(inWork)
-	if nb == 0 {
-		return in
+// edges records st as block bi's out-state and fans it out unchanged:
+// the uniformity pass refines no edge.
+func (sp *syncProgram) edges(bi int, st *uState) [2]*uState {
+	out := &sp.out[bi]
+	sp.moved = !sp.done[bi] || !st.equal(out)
+	if sp.moved {
+		out.set(st)
+		sp.done[bi] = true
 	}
-	sp.entryState(f, &in[0])
-	seen[0] = true
-
-	work := sp.work[:0]
-	for bi := 0; bi < nb; bi++ {
-		if c.reach[bi] {
-			work = append(work, bi)
-			inWork[bi] = true
-		}
-	}
-	st := &sp.cur
-	for head := 0; head < len(work) && head < 4*nb*nb+4096; head++ {
-		bi := work[head]
-		inWork[bi] = false
-		b := &c.blocks[bi]
-
-		if bi != 0 {
-			first := true
-			for _, p := range b.preds {
-				if !seen[p] {
-					continue
-				}
-				if first {
-					in[bi].set(&out[p])
-					first = false
-				} else {
-					joinState(&in[bi], &out[p], divJoin[bi])
-				}
-			}
-			if first {
-				continue // no evaluated predecessor yet
-			}
-			seen[bi] = true
-		}
-		st.set(&in[bi])
-		for i := b.start; i < b.end; i++ {
-			sp.transfer(f, st, i)
-		}
-		if !seen[bi] || !st.equal(&out[bi]) {
-			out[bi].set(st)
-			seen[bi] = true
-			for _, s := range b.succs {
-				if !inWork[s] {
-					inWork[s] = true
-					work = append(work, s)
-				}
-			}
-		}
-	}
-	sp.work = work[:0]
-	return in
+	return [2]*uState{out, out}
 }
 
-// walk replays the converged states through each reachable block,
-// calling visit with the state just before each instruction executes.
-func (sp *syncProgram) walk(f *syncFunc, in []uState, visit func(i int, st *uState)) {
-	st := &sp.cur
-	for bi := range f.cfg.blocks {
-		if !f.cfg.reach[bi] {
-			continue
-		}
-		b := &f.cfg.blocks[bi]
-		st.set(&in[bi])
-		for i := b.start; i < b.end; i++ {
-			visit(i, st)
-			sp.transfer(f, st, i)
-		}
-	}
+// join leaves the in-state to load, which rebuilds it, and has block
+// to solved again when the out-state along the edge changed.
+func (sp *syncProgram) join(_, _ *uState, _ int) bool { return sp.moved }
+
+// converge runs the uniformity dataflow over f to fixpoint given its
+// current divergent-branch classification.
+func (sp *syncProgram) converge(f *syncFunc) solver[uState] {
+	nb := len(f.cfg.blocks)
+	// The solver's nb+1 states, then an out-state per block.
+	states := sp.arena.affine.windows(2*nb+1, f.window, nil)
+	sp.f, sp.divJoin = f, divJoins(f.cfg, f.divBranch)
+	sp.out = states[nb+1:]
+	sp.done = reuse(&sp.arena.done, nb)
+	return solve[uState](sp.arena, f.cfg, sp, states[:nb+1])
 }
 
 // divJoins marks blocks reachable from BOTH successors of any
@@ -730,34 +662,36 @@ func divJoins(c *cfg, divBranch []bool) []bool {
 }
 
 // classify iterates the dataflow and the divergent-branch set to a
-// joint fixpoint: divergence can only grow, so it terminates.
-func (sp *syncProgram) classify(f *syncFunc) []uState {
-	c := f.cfg
+// joint fixpoint: divergence can only grow, so it terminates. A BRA
+// ends its block and leaves the predicates alone, so a block's
+// out-state holds the predicate its branch reads; a block the fixpoint
+// never solved (only when the visit bound stops it) has none.
+func (sp *syncProgram) classify(f *syncFunc) solver[uState] {
 	f.divBranch = make([]bool, len(f.code))
 	for round := 0; round <= len(f.code)+1; round++ {
-		in := sp.flow(f, divJoins(c, f.divBranch))
+		sv := sp.converge(f)
 		changed := false
-		sp.walk(f, in, func(i int, st *uState) {
+		for bi, b := range f.cfg.blocks {
+			i := b.end - 1
 			ins := &f.code[i]
-			if ins.Op == isa.OpBra && ins.Pred != isa.NoPred && !f.divBranch[i] {
-				if !st.preds[ins.Pred&7].uniform {
-					f.divBranch[i] = true
-					changed = true
-				}
+			if sp.done[bi] && ins.Op == isa.OpBra && ins.Pred != isa.NoPred && !f.divBranch[i] &&
+				!sp.out[bi].preds[ins.Pred&7].uniform {
+				f.divBranch[i] = true
+				changed = true
 			}
-		})
+		}
 		if !changed {
-			return in
+			return sv
 		}
 	}
-	return sp.flow(f, divJoins(c, f.divBranch))
+	return sp.converge(f)
 }
 
 // analyzeFunc runs the whole per-function analysis. With final=false
 // it only derives the summary candidate; with final=true it emits
 // diagnostics and records sites for the race analysis.
 func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
-	in := sp.classify(f)
+	sv := sp.classify(f)
 	sum := syncSummary{analyzed: true, retUniform: true}
 	if final {
 		f.shared, f.txs = f.shared[:0], f.txs[:0]
@@ -765,7 +699,7 @@ func (sp *syncProgram) analyzeFunc(f *syncFunc, final bool) syncSummary {
 	}
 
 	var divExit bool
-	sp.walk(f, in, func(i int, st *uState) {
+	sv.replay(func(i int, st *uState) {
 		ins := &f.code[i]
 		switch ins.Op {
 		case isa.OpBar:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"carsgo/internal/abi"
+	"carsgo/internal/asm"
 	"carsgo/internal/isa"
 	"carsgo/internal/kir"
 	"carsgo/internal/vet"
@@ -106,6 +107,60 @@ func TestSyncDivergentExitBarrier(t *testing.T) {
 	rep := vet.Report(link(t, abi.Baseline, m))
 	if !hasCheck(rep.Diags, vet.CheckBarrier, vet.SevError) {
 		t.Fatalf("divergent-exit barrier not flagged: %v", rep.Diags)
+	}
+}
+
+// loopAtEntry is a kernel whose instruction 0 heads a loop: R16
+// accumulates the lane id, so from the second iteration on the SETP at
+// the top reads a lane-varying value and the branch around BAR.SYNC
+// diverges.
+const loopAtEntry = ".kernel k\ntop:\nSETPI.EQ P0, R16, 0\n@P0 BRA skip\nBAR.SYNC\n" +
+	"skip:\nS2R R8, SR_LANEID\nIADD R16, R16, R8\nIADDI R17, R17, 1\nSETPI.LT P1, R17, 4\n@P1 BRA top\nEXIT\n"
+
+// TestSyncBackEdgeIntoEntry: the back edge into block 0 joins into its
+// in-state like any other edge, so the divergent barrier is found in
+// the pre-ABI module too, where no prologue moves the loop header off
+// instruction 0.
+func TestSyncBackEdgeIntoEntry(t *testing.T) {
+	m, err := asm.ParseString(loopAtEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := vet.Modules(m); !hasCheck(diags, vet.CheckBarrier, vet.SevError) {
+		t.Errorf("pre-ABI: no barrier-divergence error: %v", diags)
+	}
+	for _, mode := range abi.Modes {
+		if rep := vet.Report(link(t, mode, m)); !hasCheck(rep.Diags, vet.CheckBarrier, vet.SevError) {
+			t.Errorf("%s: no barrier-divergence error: %v", mode, rep.Diags)
+		}
+	}
+}
+
+// loopThenDiamond runs a uniform loop to R10 = 4, then a diamond on
+// the lane parity that leaves R10 alone, then branches around a
+// barrier on R10. The first pass through the loop sends R10 = 1 into
+// both arms before the loop header joins it to an unknown uniform
+// value, so the diamond's join would see both values if it kept every
+// edge state it was ever handed.
+const loopThenDiamond = ".kernel k\nMOVI R10, 0\nloop:\nIADDI R10, R10, 1\nSETPI.LT P1, R10, 4\n@P1 BRA loop\n" +
+	"S2R R8, SR_LANEID\nANDI R9, R8, 1\nSETPI.NE P0, R9, 0\n@P0 BRA odd\nBRA join\nodd:\nMOVI R11, 1\n" +
+	"join:\nSETPI.EQ P2, R10, 3\n@P2 BRA skip\nBAR.SYNC\nskip:\nEXIT\n"
+
+// TestSyncStaleEdgeState: a block's in-state is the join of its
+// predecessors' current out-states, so R10 is uniform at the diamond's
+// divergent join and the barrier is convergent in every mode.
+func TestSyncStaleEdgeState(t *testing.T) {
+	m, err := asm.ParseString(loopThenDiamond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := vet.Modules(m); hasCheck(diags, vet.CheckBarrier, vet.SevError) {
+		t.Errorf("pre-ABI: barrier-divergence error: %v", diags)
+	}
+	for _, mode := range abi.Modes {
+		if rep := vet.Report(link(t, mode, m)); hasCheck(rep.Diags, vet.CheckBarrier, vet.SevError) {
+			t.Errorf("%s: barrier-divergence error: %v", mode, rep.Diags)
+		}
 	}
 }
 

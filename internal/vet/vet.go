@@ -381,7 +381,7 @@ func Report(p *isa.Program) *ProgramReport {
 	var diags []Diagnostic
 	vets := make([]*funcVet, len(p.Funcs))
 	sums := make([]*funcSummary, len(p.Funcs))
-	ranges := &rangeScratch{}
+	a := &arena{}
 	for fi, f := range p.Funcs {
 		v := &funcVet{
 			name:        f.Name,
@@ -393,7 +393,7 @@ func Report(p *isa.Program) *ProgramReport {
 			mode:        mode,
 			linked:      true,
 			indirect:    f.IndirectTargets,
-			ranges:      ranges,
+			arena:       a,
 		}
 		v.run()
 		diags = append(diags, v.diags...)
@@ -437,7 +437,7 @@ func Report(p *isa.Program) *ProgramReport {
 
 	// Synchronization analyses: uniformity/divergence, barrier legality,
 	// SSY/SYNC well-formedness, shared-memory races (sync.go, race.go).
-	sp := newSyncProgram(vets, mode, p.SmemSpillPerThread, true)
+	sp := newSyncProgram(vets, mode, p.SmemSpillPerThread, true, a)
 	sp.run()
 	verdicts := sp.analyzeRaces(sums)
 	diags = append(diags, sp.diags...)
@@ -499,7 +499,7 @@ func Modules(mods ...*kir.Module) []Diagnostic {
 	var diags []Diagnostic
 	var vets []*funcVet
 	var sums []*funcSummary
-	ranges := &rangeScratch{}
+	a := &arena{}
 	for _, m := range mods {
 		for _, f := range m.Funcs {
 			v := &funcVet{
@@ -508,7 +508,7 @@ func Modules(mods ...*kir.Module) []Diagnostic {
 				isKernel:    f.IsKernel,
 				calleeSaved: f.CalleeSaved,
 				preABI:      f,
-				ranges:      ranges,
+				arena:       a,
 			}
 			v.run()
 			diags = append(diags, v.diags...)
@@ -516,7 +516,7 @@ func Modules(mods ...*kir.Module) []Diagnostic {
 		}
 	}
 	resolveModuleCalls(vets)
-	sp := newSyncProgram(vets, modeBaseline, 0, false)
+	sp := newSyncProgram(vets, modeBaseline, 0, false, a)
 	sp.run()
 	sp.analyzeRaces(sums)
 	diags = append(diags, sp.diags...)
