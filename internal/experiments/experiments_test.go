@@ -104,16 +104,15 @@ func TestDefineConfigRefusesReusedName(t *testing.T) {
 	r.baseName() // the same config again is no clash
 	memo := request{cfgName: base, workload: "MST"}
 	r.results[memo] = &carsgo.Result{Config: base, Workload: "MST"}
-	if _, err := r.fetch(memo); err != nil {
+	if _, err := r.grid([]string{"MST"}, under(base)); err != nil {
 		t.Fatalf("re-registering an identical config: %v", err)
 	}
 
 	r.defineConfig(config.WithTimeline(config.V100(), 2048))
-	for _, q := range []request{memo, {cfgName: base, workload: "FIB"}} {
-		r.prefetch([]request{q})
-		_, err := r.fetch(q)
+	for _, w := range []string{"MST", "FIB"} {
+		_, err := r.grid([]string{w}, under(base))
 		if err == nil || !strings.Contains(err.Error(), `"V100"`) {
-			t.Errorf("%s after a clash: err = %v, want one naming \"V100\"", q.label(), err)
+			t.Errorf("%s after a clash: err = %v, want one naming \"V100\"", w, err)
 		}
 	}
 	if len(r.results) != 1 || len(r.errs) != 0 {
@@ -122,8 +121,8 @@ func TestDefineConfigRefusesReusedName(t *testing.T) {
 }
 
 // TestPanicIsNotMemoised plants a simulation that panics: the runner
-// must not memoise the panic, so each fetch of the request executes it
-// again, and each returns the *jobq.PanicError, never a nil result.
+// must not memoise the panic, so each grid naming the request executes
+// it again, and each returns the *jobq.PanicError, never a result.
 func TestPanicIsNotMemoised(t *testing.T) {
 	r := NewRunner(1)
 	runs := 0
@@ -131,15 +130,15 @@ func TestPanicIsNotMemoised(t *testing.T) {
 		runs++
 		panic("simulator bug")
 	}
-	q := request{cfgName: r.baseName(), workload: "MST"}
+	base := r.baseName()
 	for i := 1; i <= 2; i++ {
-		res, err := r.fetch(q)
+		res, err := r.grid([]string{"MST"}, under(base))
 		var pe *jobq.PanicError
 		if !errors.As(err, &pe) || res != nil {
-			t.Fatalf("fetch %d = %v, %v; want a *jobq.PanicError and no result", i, res, err)
+			t.Fatalf("grid %d = %v, %v; want a *jobq.PanicError and no result", i, res, err)
 		}
 		if runs != i {
-			t.Fatalf("after fetch %d the request ran %d time(s)", i, runs)
+			t.Fatalf("after grid %d the request ran %d time(s)", i, runs)
 		}
 	}
 	if len(r.errs) != 0 || len(r.results) != 0 {
@@ -213,7 +212,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		Config: "V100", Workload: "MST", Output: []uint32{1, 2, 3},
 	}
 	for i, k := range []string{"PTA_K1_kernel", "PTA_K2_kernel"} {
-		r.results[ptaKernel("V100", k)] = &carsgo.Result{Config: "V100", Workload: "PTA/" + k, Output: []uint32{uint32(i)}}
+		r.results[ptaUnder("V100")(k)] = &carsgo.Result{Config: "V100", Workload: "PTA/" + k, Output: []uint32{uint32(i)}}
 	}
 	if err := r.SaveCache(path); err != nil {
 		t.Fatal(err)
@@ -223,13 +222,14 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("load: n=%d err=%v", n, err)
 	}
-	if res, err := r2.fetch(ptaKernel("V100", "PTA_K2_kernel")); err != nil || res.Output[0] != 1 {
-		t.Fatalf("cached kernel run: %+v, %v", res, err)
+	if g, err := r2.grid([]string{"PTA_K2_kernel"}, ptaUnder("V100")); err != nil || g[0][0].Output[0] != 1 {
+		t.Fatalf("cached kernel run: %+v, %v", g, err)
 	}
-	res, err := r2.result("V100", "MST", false)
+	g, err := r2.grid([]string{"MST"}, under("V100"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := g[0][0]
 	if len(res.Output) != 3 || res.Output[2] != 3 {
 		t.Fatalf("cached result corrupted: %+v", res)
 	}

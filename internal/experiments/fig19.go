@@ -91,7 +91,6 @@ func (r *Runner) Fig19() (*Table, error) {
 		rfc  string // config name of the advised-window run; "" = none
 	}
 	lat := map[string]lattice{}
-	var reqs []request
 	for _, n := range allNames() {
 		w, err := workloads.ByName(n)
 		if err != nil {
@@ -101,17 +100,28 @@ func (r *Runner) Fig19() (*Table, error) {
 		if l.adv, l.smem, err = adviseLattice(w); err != nil {
 			return nil, fmt.Errorf("%s: %w", n, err)
 		}
-		reqs = append(reqs, request{base, n, false, ""}, request{carsN, n, false, ""})
-		if l.smem {
-			reqs = append(reqs, request{smemN, n, false, ""})
-			if l.adv.window > 0 {
-				l.rfc = r.defineConfig(config.WithRFCache(config.V100(), l.adv.window))
-				reqs = append(reqs, request{l.rfc, n, false, ""})
-			}
+		if l.smem && l.adv.window > 0 {
+			l.rfc = r.defineConfig(config.WithRFCache(config.V100(), l.adv.window))
 		}
 		lat[n] = l
 	}
-	r.prefetch(reqs)
+	// The shared-spill and RF-cache columns run only where measurable.
+	smem := func(n string) request {
+		if !lat[n].smem {
+			return request{}
+		}
+		return under(smemN)(n)
+	}
+	rfc := func(n string) request {
+		if lat[n].rfc == "" {
+			return request{}
+		}
+		return under(lat[n].rfc)(n)
+	}
+	g, err := r.grid(allNames(), under(base), under(carsN), smem, rfc)
+	if err != nil {
+		return nil, err
+	}
 
 	t := &Table{
 		ID:      "fig19",
@@ -119,32 +129,19 @@ func (r *Runner) Fig19() (*Table, error) {
 		Columns: []string{"Workload", "CARS", "SmemSpill", "RF-cache", "Window", "Advisor"},
 	}
 	var gC, gS, gR []float64
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.result(carsN, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, c, s, rf := g[i][0], g[i][1], g[i][2], g[i][3]
 		l := lat[n]
 		smemCell, rfcCell, winCell := "-", "-", "-"
 		if l.smem {
-			s, err := r.result(smemN, n, false)
-			if err != nil {
-				return nil, err
-			}
 			smemCell = fmtX(s.Speedup(b))
 			gS = append(gS, s.Speedup(b))
 			// A zero window means the kernel spills nothing: the
 			// RF-cache backend degenerates to plain shared spilling.
 			rfcCell, winCell = smemCell, "0"
-			rf := s
-			if l.rfc != "" {
-				if rf, err = r.result(l.rfc, n, false); err != nil {
-					return nil, err
-				}
+			if rf == nil {
+				rf = s
+			} else {
 				rfcCell = fmtX(rf.Speedup(b))
 				winCell = fmt.Sprintf("%dw (%s)", l.adv.window, l.adv.rfLevel)
 			}

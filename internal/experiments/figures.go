@@ -14,12 +14,10 @@ import (
 // Table1 regenerates Table I: call depth and CPKI per workload,
 // measured on the baseline, against the paper's reported values.
 func (r *Runner) Table1() (*Table, error) {
-	base := r.baseName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""})
+	g, err := r.grid(allNames(), under(r.baseName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:    "tab1",
 		Title: "22 function-calling workloads: call depth and CPKI (measured vs paper)",
@@ -27,11 +25,8 @@ func (r *Runner) Table1() (*Table, error) {
 			"CPKI", "CPKI(paper)"},
 	}
 	depthMatches := 0
-	for _, n := range allNames() {
-		res, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		res := g[i][0]
 		w, _ := carsgo.Workload(n)
 		if res.Stats.MaxCallDepth == w.PaperCallDepth {
 			depthMatches++
@@ -66,24 +61,18 @@ func accessBreakdownRow(st *stats.Kernel, denom float64) []string {
 // globals, and other locals, averaged over the 22 workloads on the
 // baseline. The paper reports 40.4% spills/fills.
 func (r *Runner) Fig2() (*Table, error) {
-	base := r.baseName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""})
+	g, err := r.grid(allNames(), under(r.baseName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig2",
 		Title:   "Baseline L1D access breakdown (paper avg: 40.4% spills/fills)",
 		Columns: []string{"Workload", "Spill/Fill", "Global", "OtherLocal"},
 	}
 	var sumSpill, sumGlobal, sumOther float64
-	for _, n := range allNames() {
-		res, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		st := &res.Stats
+	for i, n := range allNames() {
+		st := &g[i][0].Stats
 		total := float64(st.L1D.TotalAccesses())
 		if total == 0 {
 			total = 1
@@ -104,17 +93,10 @@ func (r *Runner) Fig2() (*Table, error) {
 // L1, Best-SWL, and CARS over the baseline V100, with geomeans. The
 // paper's CARS geomean is 1.26×.
 func (r *Runner) Fig8() (*Table, error) {
-	base, ideal, tenMB, cars := r.baseName(), r.idealName(), r.tenMBName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs,
-			request{base, n, false, ""}, request{ideal, n, false, ""},
-			request{tenMB, n, false, ""}, request{cars, n, false, ""})
-		for _, s := range []int{1, 2, 3, 4, 8, 16} {
-			reqs = append(reqs, request{r.swlName(s), n, false, ""})
-		}
+	g, err := r.versusBaseline()
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig8",
 		Title:   "Speedup over baseline V100 (paper: CARS geomean 1.26x)",
@@ -122,27 +104,9 @@ func (r *Runner) Fig8() (*Table, error) {
 	}
 	var gIdeal, gTen, gSWL, gCARS []float64
 	best, bestX := "", 0.0
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		iv, err := r.result(ideal, n, false)
-		if err != nil {
-			return nil, err
-		}
-		tm, err := r.result(tenMB, n, false)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := r.bestSWL(n)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, iv, tm, cs := g[i][0], g[i][1], g[i][2], g[i][3]
+		sw := bestSWL(b, g[i][4:])
 		row := []string{n, fmtX(iv.Speedup(b)), fmtX(tm.Speedup(b)),
 			fmtX(sw.Speedup(b)), fmtX(cs.Speedup(b))}
 		t.Rows = append(t.Rows, row)
@@ -165,16 +129,22 @@ func (r *Runner) Fig8() (*Table, error) {
 	return t, nil
 }
 
+// versusBaseline is the grid of Figs. 8 and 15: per workload, the
+// baseline, Idealized Virtual Warps, 10MB L1 and CARS, then the SWL
+// sweep.
+func (r *Runner) versusBaseline() ([][]*carsgo.Result, error) {
+	return r.grid(allNames(), append([]column{under(r.baseName()), under(r.idealName()),
+		under(r.tenMBName()), under(r.carsName())}, r.swlColumns()...)...)
+}
+
 // Fig9 regenerates Fig. 9: memory accesses with CARS, broken down by
 // class and normalised to the baseline's total. The paper reports the
 // spill/fill fraction dropping by 40% on average.
 func (r *Runner) Fig9() (*Table, error) {
-	base, cars := r.baseName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""}, request{cars, n, false, ""})
+	g, err := r.grid(allNames(), under(r.baseName()), under(r.carsName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:    "fig9",
 		Title: "L1D accesses under CARS, normalised to baseline total (paper: spills/fills -40%)",
@@ -182,15 +152,8 @@ func (r *Runner) Fig9() (*Table, error) {
 			"Base Global", "CARS Global", "Total vs base"},
 	}
 	var reduction []float64
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, c := g[i][0], g[i][1]
 		denom := float64(b.Stats.L1D.TotalAccesses())
 		if denom == 0 {
 			denom = 1
@@ -218,32 +181,18 @@ func (r *Runner) Fig9() (*Table, error) {
 // Fig10 regenerates Fig. 10: the ALL-HIT study, where every spill/fill
 // hits in the L1D at hit latency without touching tags.
 func (r *Runner) Fig10() (*Table, error) {
-	base, allhit, cars := r.baseName(), r.allHitName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""},
-			request{allhit, n, false, ""}, request{cars, n, false, ""})
+	g, err := r.grid(allNames(), under(r.baseName()), under(r.allHitName()), under(r.carsName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig10",
 		Title:   "ALL-HIT spills/fills vs CARS, speedup over baseline",
 		Columns: []string{"Workload", "ALL-HIT", "CARS"},
 	}
 	var gA, gC []float64
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.result(allhit, n, false)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, a, c := g[i][0], g[i][1], g[i][2]
 		t.Rows = append(t.Rows, []string{n, fmtX(a.Speedup(b)), fmtX(c.Speedup(b))})
 		gA = append(gA, a.Speedup(b))
 		gC = append(gC, c.Speedup(b))
@@ -255,28 +204,18 @@ func (r *Runner) Fig10() (*Table, error) {
 // Fig12 regenerates Fig. 12: L1D MPKI for baseline and CARS (paper:
 // 35% average reduction).
 func (r *Runner) Fig12() (*Table, error) {
-	base, cars := r.baseName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""}, request{cars, n, false, ""})
+	g, err := r.grid(allNames(), under(r.baseName()), under(r.carsName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig12",
 		Title:   "L1D MPKI (paper: CARS reduces MPKI by 35% on average)",
 		Columns: []string{"Workload", "Baseline", "CARS", "Reduction"},
 	}
 	var reds []float64
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
-		bm, cm := b.Stats.MPKI(), c.Stats.MPKI()
+	for i, n := range allNames() {
+		bm, cm := g[i][0].Stats.MPKI(), g[i][1].Stats.MPKI()
 		red := 0.0
 		if bm > 0 {
 			red = 1 - cm/bm
@@ -297,27 +236,18 @@ func (r *Runner) Fig12() (*Table, error) {
 // Fig13 regenerates Fig. 13: the dynamic instruction mix, normalised
 // to the baseline's instruction count.
 func (r *Runner) Fig13() (*Table, error) {
-	base, cars := r.baseName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""}, request{cars, n, false, ""})
+	g, err := r.grid(allNames(), under(r.baseName()), under(r.carsName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:    "fig13",
 		Title: "Instruction mix, normalised to baseline instruction count",
 		Columns: []string{"Workload", "Base Spill/Fill", "CARS Spill/Fill",
 			"CARS Stack-ops", "CARS Total"},
 	}
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, c := g[i][0], g[i][1]
 		denom := float64(b.Stats.TotalInstructions())
 		t.Rows = append(t.Rows, []string{n,
 			fmtPct(float64(b.Stats.Instructions[stats.CatSpillFill]) / denom),
@@ -333,42 +263,19 @@ func (r *Runner) Fig13() (*Table, error) {
 // workload, classified from the measured sensitivity of each workload
 // to the idealised configurations, alongside the paper's attribution.
 func (r *Runner) Table2() (*Table, error) {
-	base, tenMB, allhit, carsN := r.baseName(), r.tenMBName(), r.allHitName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""}, request{carsN, n, false, ""},
-			request{tenMB, n, false, ""}, request{allhit, n, false, ""})
-		for _, s := range []int{1, 2, 3, 4, 8, 16} {
-			reqs = append(reqs, request{r.swlName(s), n, false, ""})
-		}
+	g, err := r.grid(allNames(), append([]column{under(r.baseName()), under(r.tenMBName()),
+		under(r.allHitName()), under(r.carsName())}, r.swlColumns()...)...)
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "tab2",
 		Title:   "Main speedup factor per workload (measured classification vs paper)",
 		Columns: []string{"Workload", "Measured", "Paper"},
 	}
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		tm, err := r.result(tenMB, n, false)
-		if err != nil {
-			return nil, err
-		}
-		ah, err := r.result(allhit, n, false)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := r.bestSWL(n)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := r.result(carsN, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, tm, ah, cs := g[i][0], g[i][1], g[i][2], g[i][3]
+		sw := bestSWL(b, g[i][4:])
 		w, _ := carsgo.Workload(n)
 		t.Rows = append(t.Rows, []string{n,
 			classifyFactor(b, tm, sw, ah, cs), w.SpeedupFactor})
@@ -411,41 +318,19 @@ func classifyFactor(b, tenMB, swl, allhit, cars *carsgo.Result) string {
 // Fig15 regenerates Fig. 15: energy efficiency normalised to the V100
 // baseline (paper: CARS 28% more efficient on average).
 func (r *Runner) Fig15() (*Table, error) {
-	base, ideal, tenMB, cars := r.baseName(), r.idealName(), r.tenMBName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs,
-			request{base, n, false, ""}, request{ideal, n, false, ""},
-			request{tenMB, n, false, ""}, request{cars, n, false, ""})
+	g, err := r.versusBaseline()
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig15",
 		Title:   "Energy efficiency vs baseline (paper: CARS +28%)",
 		Columns: []string{"Workload", "IdealVW", "10MB-L1", "Best-SWL", "CARS"},
 	}
 	var gI, gT, gS, gC []float64
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		iv, err := r.result(ideal, n, false)
-		if err != nil {
-			return nil, err
-		}
-		tm, err := r.result(tenMB, n, false)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := r.bestSWL(n)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, iv, tm, cs := g[i][0], g[i][1], g[i][2], g[i][3]
+		sw := bestSWL(b, g[i][4:])
 		t.Rows = append(t.Rows, []string{n,
 			fmtX(iv.EnergyEfficiency(b)), fmtX(tm.EnergyEfficiency(b)),
 			fmtX(sw.EnergyEfficiency(b)), fmtX(cs.EnergyEfficiency(b))})
@@ -465,32 +350,19 @@ func (r *Runner) Fig15() (*Table, error) {
 // Fig16 regenerates Fig. 16: fully-inlined (LTO) code vs CARS (paper:
 // LTO +28% vs CARS +26% on average, with some workloads worse inlined).
 func (r *Runner) Fig16() (*Table, error) {
-	base, cars := r.baseName(), r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base, n, false, ""},
-			request{base, n, true, ""}, request{cars, n, false, ""})
+	base := r.baseName()
+	g, err := r.grid(allNames(), under(base), ltoUnder(base), under(r.carsName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig16",
 		Title:   "Fully inlined (LTO) vs CARS, speedup over baseline",
 		Columns: []string{"Workload", "LTO", "CARS"},
 	}
 	var gL, gC []float64
-	for _, n := range allNames() {
-		b, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		l, err := r.result(base, n, true)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
+		b, l, c := g[i][0], g[i][1], g[i][2]
 		t.Rows = append(t.Rows, []string{n, fmtX(l.Speedup(b)), fmtX(c.Speedup(b))})
 		gL = append(gL, l.Speedup(b))
 		gC = append(gC, c.Speedup(b))
@@ -506,66 +378,41 @@ func (r *Runner) Fig16() (*Table, error) {
 // column is the plain baseline and CARS configurations.
 func (r *Runner) Fig17() (*Table, error) {
 	factors := []int{1, 2, 4, 8}
-	baseNames, carsNames := map[int]string{}, map[int]string{}
-	for _, f := range factors {
-		baseNames[f], carsNames[f] = r.portNames(f)
+	// Columns: the baseline at each factor, then CARS at each.
+	cols := make([]column, 2*len(factors))
+	for i, f := range factors {
+		base, cars := r.portNames(f)
+		cols[i], cols[len(factors)+i] = under(base), under(cars)
 	}
-	var reqs []request
-	for _, n := range allNames() {
-		for _, f := range factors {
-			reqs = append(reqs, request{baseNames[f], n, false, ""},
-				request{carsNames[f], n, false, ""})
-		}
+	g, err := r.grid(allNames(), cols...)
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig17",
 		Title:   "L1 bandwidth scaling: geomean speedup over 1x baseline",
 		Columns: []string{"Config", "1x", "2x", "4x", "8x"},
 	}
-	// row returns the geomean speedup at each port factor.
-	row := func(names map[int]string) ([]float64, error) {
-		var g []float64
-		for _, f := range factors {
-			var sp []float64
-			for _, n := range allNames() {
-				b, err := r.result(baseNames[1], n, false)
-				if err != nil {
-					return nil, err
-				}
-				c, err := r.result(names[f], n, false)
-				if err != nil {
-					return nil, err
-				}
-				sp = append(sp, c.Speedup(b))
-			}
-			g = append(g, stats.Geomean(sp))
-		}
-		return g, nil
-	}
-	// span renders the 2x-8x range of a row.
-	span := func(g []float64) string {
-		lo, hi := fmtX(slices.Min(g[1:])), fmtX(slices.Max(g[1:]))
-		if lo == hi {
-			return lo + "x"
-		}
-		return lo + "-" + hi + "x"
-	}
 	var spans []string
-	for _, c := range []struct {
-		label string
-		names map[int]string
-	}{{"Baseline", baseNames}, {"CARS", carsNames}} {
-		g, err := row(c.names)
-		if err != nil {
-			return nil, err
-		}
-		cells := []string{c.label}
-		for _, x := range g {
-			cells = append(cells, fmtX(x))
+	for k, label := range []string{"Baseline", "CARS"} {
+		// The geomean speedup over the 1x baseline at each port factor.
+		var gm []float64
+		cells := []string{label}
+		for i := range factors {
+			var sp []float64
+			for _, row := range g {
+				sp = append(sp, row[k*len(factors)+i].Speedup(row[0]))
+			}
+			gm = append(gm, stats.Geomean(sp))
+			cells = append(cells, fmtX(gm[i]))
 		}
 		t.Rows = append(t.Rows, cells)
-		spans = append(spans, span(g))
+		// The 2x-8x range.
+		span := fmtX(slices.Min(gm[1:]))
+		if hi := fmtX(slices.Max(gm[1:])); hi != span {
+			span += "-" + hi
+		}
+		spans = append(spans, span+"x")
 	}
 	t.Notes = append(t.Notes,
 		"paper: baseline gains only 1.02-1.03x from 2-8x ports; CARS holds 1.28-1.29x")
@@ -595,39 +442,21 @@ func (r *Runner) rtx3070Names() (base, cars string) {
 // Fig18 regenerates Fig. 18: CARS speedups on the Ampere RTX 3070.
 func (r *Runner) Fig18() (*Table, error) {
 	base3070, cars3070 := r.rtx3070Names()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{base3070, n, false, ""}, request{cars3070, n, false, ""})
+	g, err := r.grid(allNames(), under(base3070), under(cars3070), under(r.baseName()), under(r.carsName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig18",
 		Title:   "CARS on RTX 3070 (Ampere), speedup over RTX 3070 baseline",
 		Columns: []string{"Workload", "CARS", "CARS (V100, for reference)"},
 	}
-	var g []float64
-	cars := r.carsName()
-	base := r.baseName()
-	for _, n := range allNames() {
-		b, err := r.result(base3070, n, false)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.result(cars3070, n, false)
-		if err != nil {
-			return nil, err
-		}
-		bv, err := r.result(base, n, false)
-		if err != nil {
-			return nil, err
-		}
-		cv, err := r.result(cars, n, false)
-		if err != nil {
-			return nil, err
-		}
+	var gC []float64
+	for i, n := range allNames() {
+		b, c, bv, cv := g[i][0], g[i][1], g[i][2], g[i][3]
 		t.Rows = append(t.Rows, []string{n, fmtX(c.Speedup(b)), fmtX(cv.Speedup(bv))})
-		g = append(g, c.Speedup(b))
+		gC = append(gC, c.Speedup(b))
 	}
-	t.Rows = append(t.Rows, []string{"GEOMEAN", fmtX(stats.Geomean(g)), ""})
+	t.Rows = append(t.Rows, []string{"GEOMEAN", fmtX(stats.Geomean(gC)), ""})
 	return t, nil
 }

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"carsgo/internal/config"
 )
 
 // TestRunsGoldenSlice re-simulates the cheapest lines of
@@ -18,31 +16,25 @@ import (
 // full `make published` run simulates most of those configurations.
 func TestRunsGoldenSlice(t *testing.T) {
 	r := NewRunner(runtime.NumCPU())
-	var reqs []request
-	fib := func(cfgName string) { reqs = append(reqs, request{cfgName: cfgName, workload: "FIB"}) }
-	for _, name := range []string{r.idealName(), r.tenMBName(), r.allHitName()} {
-		fib(name)
-	}
+	fib := []column{under(r.idealName()), under(r.tenMBName()), under(r.allHitName())}
 	for _, f := range []int{1, 2, 4, 8} {
 		base, cars := r.portNames(f)
-		fib(base)
-		fib(cars)
+		fib = append(fib, under(base), under(cars))
 	}
 	base3070, cars3070 := r.rtx3070Names()
-	fib(base3070)
-	fib(cars3070)
-	for _, n := range config.BestSWLCounts {
-		fib(r.swlName(n))
-	}
-	reqs = append(reqs, request{cfgName: r.baseName(), workload: "FIB", lto: true})
+	fib = append(fib, under(base3070), under(cars3070))
+	fib = append(append(fib, r.swlColumns()...), ltoUnder(r.baseName()))
+	var pta []column
 	for _, cfgName := range append([]string{r.baseName()}, r.policyNames()...) {
-		for _, k := range []string{"PTA_K4_kernel", "PTA_K5_kernel", "PTA_K6_kernel"} {
-			reqs = append(reqs, ptaKernel(cfgName, k))
-		}
+		pta = append(pta, ptaUnder(cfgName))
 	}
-	r.prefetch(reqs)
-	for q, err := range r.errs {
-		t.Fatalf("%s %s lto=%t: %v", q.cfgName, q.label(), q.lto, err)
+	kernels := []string{"PTA_K4_kernel", "PTA_K5_kernel", "PTA_K6_kernel"}
+	reqs := len(fib) + len(kernels)*len(pta)
+	if _, err := r.grid([]string{"FIB"}, fib...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.grid(kernels, pta...); err != nil {
+		t.Fatal(err)
 	}
 	got, err := r.runLines()
 	if err != nil {
@@ -65,9 +57,9 @@ func TestRunsGoldenSlice(t *testing.T) {
 			want.WriteString(line)
 		}
 	}
-	if n := strings.Count(string(got), "\n"); n != len(reqs) || strings.Count(want.String(), "\n") != n {
+	if n := strings.Count(string(got), "\n"); n != reqs || strings.Count(want.String(), "\n") != n {
 		t.Fatalf("%d requests ran %d simulations, %d of them in runs.golden",
-			len(reqs), n, strings.Count(want.String(), "\n"))
+			reqs, n, strings.Count(want.String(), "\n"))
 	}
 	if !bytes.Equal(want.Bytes(), got) {
 		t.Errorf("re-simulated runs differ from testdata/runs.golden; %s", firstDiff(want.Bytes(), got))

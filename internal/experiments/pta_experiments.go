@@ -47,11 +47,6 @@ func runKernel(ctx context.Context, cfg sim.Config, w *workloads.Workload, kerne
 	return res, nil
 }
 
-// ptaKernel is the request for one PTA kernel under a configuration.
-func ptaKernel(cfgName, kernel string) request {
-	return request{cfgName: cfgName, workload: "PTA", kernel: kernel}
-}
-
 // fig14Policies are Fig. 14's allocation mechanisms: the forced ladder
 // levels and the adaptive state machine.
 var fig14Policies = []struct {
@@ -81,37 +76,26 @@ func (r *Runner) policyNames() []string {
 // state machine), normalised to the baseline.
 func (r *Runner) Fig14() (*Table, error) {
 	kernels := workloads.PTAKernelNames()
-	base := r.baseName()
-	cfgNames := r.policyNames()
-	cols := []string{"Kernel"}
-	for _, p := range fig14Policies {
-		cols = append(cols, p.label)
+	cols := []column{ptaUnder(r.baseName())}
+	heads := []string{"Kernel"}
+	for i, name := range r.policyNames() {
+		cols = append(cols, ptaUnder(name))
+		heads = append(heads, fig14Policies[i].label)
 	}
-	var reqs []request
-	for _, k := range kernels {
-		reqs = append(reqs, ptaKernel(base, k))
-		for _, c := range cfgNames {
-			reqs = append(reqs, ptaKernel(c, k))
-		}
+	g, err := r.grid(kernels, cols...)
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:      "fig14",
 		Title:   "PTA per-kernel speedup by allocation mechanism (vs baseline)",
-		Columns: append(cols, "CtxSw(High)"),
+		Columns: append(heads, "CtxSw(High)"),
 	}
-	for _, k := range kernels {
-		b, err := r.fetch(ptaKernel(base, k))
-		if err != nil {
-			return nil, err
-		}
+	for j, k := range kernels {
+		b := g[j][0]
 		row := []string{k}
 		var ctxSw uint64
-		for i, c := range cfgNames {
-			res, err := r.fetch(ptaKernel(c, k))
-			if err != nil {
-				return nil, err
-			}
+		for i, res := range g[j][1:] {
 			row = append(row, fmtX(res.Speedup(b)))
 			if fig14Policies[i].label == "High" {
 				ctxSw = res.Stats.ContextSwitches
@@ -131,12 +115,10 @@ func (r *Runner) Fig14() (*Table, error) {
 // of each app — after the Fig. 5 machine has settled — rather than the
 // exploration phase.
 func (r *Runner) Table3() (*Table, error) {
-	carsN := r.carsName()
-	var reqs []request
-	for _, n := range allNames() {
-		reqs = append(reqs, request{carsN, n, false, ""})
+	g, err := r.grid(allNames(), under(r.carsName()))
+	if err != nil {
+		return nil, err
 	}
-	r.prefetch(reqs)
 	t := &Table{
 		ID:    "tab3",
 		Title: "Software trap handling at steady state under CARS (paper: PTA 0.014%, 0.78 B/call)",
@@ -144,14 +126,10 @@ func (r *Runner) Table3() (*Table, error) {
 			"Bytes spilled/filled per call"},
 	}
 	var trapping []string
-	for _, n := range allNames() {
-		res, err := r.result(carsN, n, false)
-		if err != nil {
-			return nil, err
-		}
+	for i, n := range allNames() {
 		// Steady state: the app's final launch sequence (for PTA, the
 		// final iteration over its kernels).
-		st := steadyState(res)
+		st := steadyState(g[i][0])
 		if st.TrapCalls == 0 && st.ContextSwitches == 0 {
 			continue
 		}
@@ -199,18 +177,13 @@ func (r *Runner) Fig11() (*Table, error) {
 		c.Name += "-Timeline"
 		return r.defineConfig(c)
 	}
-	baseQ := ptaKernel(timeline(config.V100()), kernel)
-	carsQ := ptaKernel(timeline(config.WithCARS(config.V100())), kernel)
-	r.prefetch([]request{baseQ, carsQ})
-	base, err := r.fetch(baseQ)
-	if err != nil {
-		return nil, err
-	}
-	crs, err := r.fetch(carsQ)
+	g, err := r.grid([]string{kernel},
+		ptaUnder(timeline(config.V100())), ptaUnder(timeline(config.WithCARS(config.V100()))))
 	if err != nil {
 		return nil, err
 	}
 	// Plot the final (converged) invocation of the kernel.
+	base, crs := g[0][0], g[0][1]
 	baseTL := base.PerLaunch[len(base.PerLaunch)-1]
 	carsTL := crs.PerLaunch[len(crs.PerLaunch)-1]
 	t := &Table{

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -114,9 +115,9 @@ func (q request) label() string {
 }
 
 // Runner executes and memoises simulation runs for the experiments.
-// All simulations go through one bounded jobq.Pool — the fan-out is
-// capped at the worker count no matter how many requests a figure
-// stages at once.
+// Each exhibit names its runs once, as a grid, and all simulations go
+// through one bounded jobq.Pool — the fan-out is capped at the worker
+// count no matter how many runs a grid stages at once.
 type Runner struct {
 	// Workers is the pool's parallelism (fixed at construction).
 	Workers int
@@ -185,15 +186,73 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// prefetch runs all missing requests in parallel. Results and
-// simulation errors are memoised for the runner's lifetime. A panic (a
-// *jobq.PanicError) or a refused admission is not: prefetch returns it
-// by request, and the request runs again when it is next asked for.
-func (r *Runner) prefetch(reqs []request) map[request]error {
+// column gives an exhibit's grid one run per row: the row names a
+// workload, or a PTA kernel. The zero request is no run.
+type column func(row string) request
+
+// under is the column of whole-workload runs under a config.
+func under(cfgName string) column {
+	return func(w string) request { return request{cfgName: cfgName, workload: w} }
+}
+
+// ltoUnder is the column of fully inlined (LTO) builds under a config.
+func ltoUnder(cfgName string) column {
+	return func(w string) request { return request{cfgName: cfgName, workload: w, lto: true} }
+}
+
+// ptaUnder is the column of PTA kernel runs under a config: each row
+// names one of PTA's kernels.
+func ptaUnder(cfgName string) column {
+	return func(k string) request { return request{cfgName: cfgName, workload: "PTA", kernel: k} }
+}
+
+// grid stages every run of an exhibit through the pool in one batch
+// and returns the results by row, then column: cell [i][j] is
+// cols[j](rows[i])'s result, nil where the column has no run. The
+// first failed cell in that order is the error.
+//
+// Results and simulation errors are memoised for the runner's
+// lifetime. A panic (a *jobq.PanicError) or a refused admission is
+// not, so the next grid that names the run executes it again. A
+// config-name clash fails every request of that name.
+func (r *Runner) grid(rows []string, cols ...column) ([][]*carsgo.Result, error) {
+	cells := make([][]request, len(rows))
+	var batch []request
+	for i, row := range rows {
+		cells[i] = make([]request, len(cols))
+		for j, col := range cols {
+			if q := col(row); q != (request{}) {
+				cells[i][j] = q
+				batch = append(batch, q)
+			}
+		}
+	}
+	failed := r.stage(batch)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([][]*carsgo.Result, len(rows))
+	for i, qs := range cells {
+		out[i] = make([]*carsgo.Result, len(cols))
+		for j, q := range qs {
+			if q == (request{}) {
+				continue
+			}
+			if err := cmp.Or(r.clashes[q.cfgName], r.errs[q], failed[q]); err != nil {
+				return nil, err
+			}
+			out[i][j] = r.results[q]
+		}
+	}
+	return out, nil
+}
+
+// stage runs every request of a batch without a memoised outcome, all
+// at once, and returns by request the failures it does not memoise.
+func (r *Runner) stage(batch []request) map[request]error {
 	var missing []request
 	r.mu.Lock()
 	seen := map[request]bool{}
-	for _, q := range reqs {
+	for _, q := range batch {
 		if _, ok := r.results[q]; ok || r.errs[q] != nil || r.clashes[q.cfgName] != nil || seen[q] {
 			continue
 		}
@@ -202,9 +261,6 @@ func (r *Runner) prefetch(reqs []request) map[request]error {
 	}
 	r.mu.Unlock()
 	failed := map[request]error{}
-	if len(missing) == 0 {
-		return failed
-	}
 	ctx := r.context()
 	type task struct {
 		q request
@@ -212,7 +268,6 @@ func (r *Runner) prefetch(reqs []request) map[request]error {
 	}
 	tasks := make([]task, 0, len(missing))
 	for _, q := range missing {
-		q := q
 		t, err := r.pool.SubmitWait(ctx, func(ctx context.Context) (any, error) {
 			res, err := r.exec(ctx, q)
 			r.mu.Lock()
@@ -262,41 +317,6 @@ func (r *Runner) execute(ctx context.Context, q request) (*carsgo.Result, error)
 	return carsgo.RunContext(ctx, cfg, w)
 }
 
-// result fetches (running if needed) one whole-workload run.
-func (r *Runner) result(cfgName, workload string, lto bool) (*carsgo.Result, error) {
-	return r.fetch(request{cfgName: cfgName, workload: workload, lto: lto})
-}
-
-// fetch returns one request's result, running it if needed.
-func (r *Runner) fetch(q request) (*carsgo.Result, error) {
-	r.mu.Lock()
-	if err := r.clashes[q.cfgName]; err != nil {
-		r.mu.Unlock()
-		return nil, err
-	}
-	if res, ok := r.results[q]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	if err := r.errs[q]; err != nil {
-		r.mu.Unlock()
-		return nil, err
-	}
-	r.mu.Unlock()
-	if err := r.prefetch([]request{q})[q]; err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.errs[q]; err != nil {
-		return nil, err
-	}
-	if res := r.results[q]; res != nil {
-		return res, nil
-	}
-	return nil, fmt.Errorf("experiments: %s %s: no result", q.cfgName, q.label())
-}
-
 // Standard configuration names used across experiments.
 func (r *Runner) baseName() string { return r.defineConfig(config.V100()) }
 func (r *Runner) carsName() string { return r.defineConfig(config.WithCARS(config.V100())) }
@@ -313,27 +333,27 @@ func (r *Runner) swlName(n int) string {
 	return r.defineConfig(c)
 }
 
-// bestSWL returns the best static-wavefront-limiter result for a
-// workload, sweeping the paper's warp counts {1,2,3,4,8,16} (§V-D).
-// The unlimited baseline is an implicit candidate: a limiter that only
-// hurts is simply not applied.
-func (r *Runner) bestSWL(workload string) (*carsgo.Result, error) {
-	reqs := []request{{r.baseName(), workload, false, ""}}
+// swlColumns is the static-wavefront-limiter sweep: one column per
+// warp count of config.BestSWLCounts, the paper's sweep (§V-D).
+func (r *Runner) swlColumns() []column {
+	var cols []column
 	for _, n := range config.BestSWLCounts {
-		reqs = append(reqs, request{r.swlName(n), workload, false, ""})
+		cols = append(cols, under(r.swlName(n)))
 	}
-	r.prefetch(reqs)
-	var best *carsgo.Result
-	for _, q := range reqs {
-		res, err := r.fetch(q)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Stats.Cycles < best.Stats.Cycles {
+	return cols
+}
+
+// bestSWL returns the fastest of a row's SWL cells (swlColumns). The
+// unlimited baseline is an implicit candidate: a limiter that only
+// hurts is simply not applied.
+func bestSWL(base *carsgo.Result, swl []*carsgo.Result) *carsgo.Result {
+	best := base
+	for _, res := range swl {
+		if res.Stats.Cycles < best.Stats.Cycles {
 			best = res
 		}
 	}
-	return best, nil
+	return best
 }
 
 // allNames lists the Table I workloads in order.

@@ -357,29 +357,44 @@ func (s *Spec) Validate() error {
 	return &ValidationError{Spec: s.Name, Errs: errs}
 }
 
-// Parse decodes and validates one spec document. The schema version is
-// probed before strict decoding so a future-versioned document fails
-// with a SchemaError, not an unknown-field complaint.
+// Parse decodes and validates one spec document, decoding it strictly
+// once. Only when that decode fails, or input other than space follows
+// the document, does it probe the schema version first and decode
+// again: a future-versioned document then fails with a SchemaError,
+// not an unknown-field complaint, and trailing input fails as
+// json.Unmarshal reports it.
 func Parse(data []byte) (*Spec, error) {
-	var probe struct {
-		Schema int `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	if probe.Schema != SchemaVersion {
-		return nil, &SchemaError{Got: probe.Schema}
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	s := &Spec{}
-	if err := dec.Decode(s); err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
+	s, rest, err := decodeStrict(data)
+	if err != nil || len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
+		var probe struct {
+			Schema int `json:"schema"`
+		}
+		if err := json.Unmarshal(data, &probe); err != nil {
+			return nil, fmt.Errorf("spec: %w", err)
+		}
+		if probe.Schema != SchemaVersion {
+			return nil, &SchemaError{Got: probe.Schema}
+		}
+		if s, _, err = decodeStrict(data); err != nil {
+			return nil, err
+		}
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// decodeStrict decodes the first JSON value of data into a Spec,
+// refusing unknown fields, and returns the input after it.
+func decodeStrict(data []byte) (*Spec, []byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	s := &Spec{}
+	if err := dec.Decode(s); err != nil {
+		return nil, nil, fmt.Errorf("spec: %w", err)
+	}
+	return s, data[dec.InputOffset():], nil
 }
 
 // Load reads and parses a spec file.

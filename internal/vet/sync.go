@@ -271,6 +271,10 @@ type syncFunc struct {
 	*funcVet
 
 	sum syncSummary
+	// seen is the step of the summary loop that last analysed the
+	// function, and moved the step after which its summary last
+	// changed.
+	seen, moved int
 
 	// Final-pass results.
 	divBranch []bool // per instruction: predicated BRA, varying predicate
@@ -337,15 +341,21 @@ func (sp *syncProgram) run() {
 	// Optimistic start, monotone decay: retUniform only falls,
 	// hasBarrier/sharedUser only rise. Passes are bounded by the
 	// deepest call chain; the cap is a safety net for fuzz inputs.
+	// A function's summary depends only on its code and its callees'
+	// summaries, so after the first pass a function is analysed again
+	// only when one of theirs moved since its last analysis (a
+	// recursive function is its own callee).
+	step := 0
 	for pass := 0; pass < 64; pass++ {
 		changed := false
 		for _, f := range sp.funcs {
-			if !f.sum.analyzed {
+			if !f.sum.analyzed || pass > 0 && !sp.calleeMoved(f) {
 				continue
 			}
-			next := sp.analyzeFunc(f, false)
-			if next != f.sum {
-				f.sum = next
+			f.seen = step
+			step++
+			if next := sp.analyzeFunc(f, false); next != f.sum {
+				f.sum, f.moved = next, step
 				changed = true
 			}
 		}
@@ -358,6 +368,19 @@ func (sp *syncProgram) run() {
 			sp.analyzeFunc(f, true)
 		}
 	}
+}
+
+// calleeMoved reports whether the summary of one of f's callees changed
+// since f was last analysed.
+func (sp *syncProgram) calleeMoved(f *syncFunc) bool {
+	for _, site := range f.summary.sites {
+		for _, ti := range site.callees {
+			if sp.funcs[ti].moved > f.seen {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // entry writes the architectural state at the entry of sp.f into st.

@@ -338,3 +338,28 @@ func TestSyncSpillPointerHygiene(t *testing.T) {
 		t.Fatalf("R0 clobber under shared-spill not flagged: %v", rep.Diags)
 	}
 }
+
+// barrierTwoCallsDown calls f under a lane-parity branch; f calls g,
+// which executes BAR.SYNC. The caller comes first, so the first
+// summary pass analyses k and f before it learns that g has a
+// barrier: f must be analysed again once g's summary moves.
+const barrierTwoCallsDown = ".kernel k\nS2R R8, SR_LANEID\nANDI R9, R8, 1\nSETPI.NE P0, R9, 0\n@P0 BRA skip\n" +
+	"CALL f\nskip:\nEXIT\n.func f\nCALL g\nRET\n.func g\nBAR.SYNC\nRET\n"
+
+// TestSyncBarrierTwoCallsDown: a barrier two calls below a divergent
+// call site is reported at that site, in the pre-ABI module and in
+// every mode.
+func TestSyncBarrierTwoCallsDown(t *testing.T) {
+	m, err := asm.ParseString(barrierTwoCallsDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags := vet.Modules(m); !hasCheck(diags, vet.CheckBarrier, vet.SevError) {
+		t.Errorf("pre-ABI: no barrier-divergence error: %v", diags)
+	}
+	for _, mode := range abi.Modes {
+		if rep := vet.Report(link(t, mode, m)); !hasCheck(rep.Diags, vet.CheckBarrier, vet.SevError) {
+			t.Errorf("%s: no barrier-divergence error: %v", mode, rep.Diags)
+		}
+	}
+}
