@@ -54,8 +54,12 @@ lint:
 # specs attempted, which covers all 512 pooled specs and so every
 # vet/ and opt/ digest in the oracle. A refactor that moves one
 # simulated cycle or one byte of vet JSON fails here, not only in the
-# benchmark. CI runs exactly this first.
+# benchmark. The per-layer benchmarks of the cycle loop and the memory
+# hierarchy (BenchmarkSimMST, BenchmarkL1Load, BenchmarkEventQueue, ...)
+# run once each, about 3 s, so none of them breaks unnoticed. CI runs
+# exactly this first.
 check: fmt build vet lint test-short opt
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/mem
 	$(GO) -C perfbench test ./...
 	@last=$$(bash perfbench/run.sh --workload toolchain --seed 1 --seconds 10 --trace 0 | tail -n 1); \
 	echo "$$last"; \

@@ -195,14 +195,16 @@ func (p *parser) touch(r uint8) {
 	}
 }
 
-// reg parses "R12".
+// reg parses "R12". R255 is not addressable: its encoding is
+// isa.NoReg, "no register".
 func reg(tok string) (uint8, error) {
 	if len(tok) < 2 || (tok[0] != 'R' && tok[0] != 'r') {
 		return 0, fmt.Errorf("expected register, got %q", tok)
 	}
 	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 || n >= isa.MaxArchRegs {
-		return 0, fmt.Errorf("bad register %q", tok)
+	if err != nil || n < 0 || n >= isa.NoReg {
+		return 0, fmt.Errorf("bad register %q: R0-R%d are addressable (R%d encodes no register)",
+			tok, isa.NoReg-1, isa.NoReg)
 	}
 	return uint8(n), nil
 }

@@ -121,17 +121,19 @@ func TestFormatParseRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
-		"no function":     "MOVI R4, 1\n",
-		"bad mnemonic":    ".kernel k\nFROB R1, R2\nEXIT\n",
-		"bad register":    ".kernel k\nMOVI R999, 1\nEXIT\n",
-		"missing label":   ".kernel k\nBRA nowhere\nEXIT\n",
-		"no exit":         ".kernel k\nMOVI R4, 1\n",
-		"func no ret":     ".func f\nMOVI R4, 1\n.kernel k\nEXIT\n",
-		"dup label":       ".kernel k\nx:\nx:\nEXIT\n",
-		"bad option":      ".func f callee_saved=zebra\nRET\n",
-		"bad operand ct":  ".kernel k\nIADD R1\nEXIT\n",
-		"bad special":     ".kernel k\nS2R R4, SR_BOGUS\nEXIT\n",
-		"calli no target": ".kernel k\nCALLI [R8]\nEXIT\n",
+		"no function":      "MOVI R4, 1\n",
+		"bad mnemonic":     ".kernel k\nFROB R1, R2\nEXIT\n",
+		"bad register":     ".kernel k\nMOVI R999, 1\nEXIT\n",
+		"no-register R255": ".kernel k\nMOV R255, R8\nEXIT\n",
+		"R255 source":      ".kernel k\nIADD R4, R255, R8\nEXIT\n",
+		"missing label":    ".kernel k\nBRA nowhere\nEXIT\n",
+		"no exit":          ".kernel k\nMOVI R4, 1\n",
+		"func no ret":      ".func f\nMOVI R4, 1\n.kernel k\nEXIT\n",
+		"dup label":        ".kernel k\nx:\nx:\nEXIT\n",
+		"bad option":       ".func f callee_saved=zebra\nRET\n",
+		"bad operand ct":   ".kernel k\nIADD R1\nEXIT\n",
+		"bad special":      ".kernel k\nS2R R4, SR_BOGUS\nEXIT\n",
+		"calli no target":  ".kernel k\nCALLI [R8]\nEXIT\n",
 	}
 	for name, src := range cases {
 		if _, err := asm.ParseString(src); err == nil {

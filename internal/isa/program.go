@@ -106,14 +106,18 @@ func (p *Program) FuncByName(name string) *Function {
 }
 
 // Validate checks structural invariants of the linked program: call
-// targets in range, branch targets within the function, register
-// operands below the function's declared usage, and the per-site call
-// metadata (Callees, IndirectTargets) consistent with the code and in
-// range — indirect targets outside the program would otherwise only
-// surface as a fault when the simulator resolves the call. Entry k of
-// Callees must name the k-th CALL's target: the call-graph analysis
-// reads Callees while the simulator and vet read the instruction, so
-// a disagreement would size register stacks for a different program.
+// targets in range, branch targets within the function, each
+// function's declared usage (RegsUsed) within MaxArchRegs, and the
+// per-site call metadata (Callees, IndirectTargets) consistent with the
+// code and in range — indirect targets outside the program would
+// otherwise only surface as a fault when the simulator resolves the
+// call. Entry k of Callees must name the k-th CALL's target: the
+// call-graph analysis reads Callees while the simulator and vet read
+// the instruction, so a disagreement would size register stacks for a
+// different program. Register operands are checked against the
+// architectural limit only, which an 8-bit operand always meets, not
+// against the function's declared usage; an operand that names R255
+// reads as NoReg, "no register", so the assembler refuses to encode it.
 func (p *Program) Validate() error {
 	for fi, f := range p.Funcs {
 		calls, indirects := 0, 0

@@ -8,6 +8,11 @@
 // consuming L1D ports and L2/DRAM bandwidth that global accesses need).
 package mem
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // AccessClass labels memory traffic for the paper's breakdowns.
 type AccessClass uint8
 
@@ -51,6 +56,31 @@ func (c CacheConfig) Sectors() int { return c.LineBytes / c.SectorBytes }
 // Lines returns the total line count.
 func (c CacheConfig) Lines() int { return c.Bytes / c.LineBytes }
 
+// Validate reports a geometry the cache's index math cannot serve.
+// Lines and sectors are addressed by shift and mask, so both sizes must
+// be powers of two, and a line's sector masks are uint8, so it holds 1
+// to 8 sectors.
+func (c CacheConfig) Validate() error {
+	switch {
+	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
+		return fmt.Errorf("line size %d bytes is not a power of two", c.LineBytes)
+	case c.SectorBytes <= 0 || c.SectorBytes&(c.SectorBytes-1) != 0:
+		return fmt.Errorf("sector size %d bytes is not a power of two", c.SectorBytes)
+	case c.SectorBytes > c.LineBytes || c.Sectors() > 8:
+		return fmt.Errorf("%d-byte lines of %d-byte sectors hold %d sectors, want 1 to 8",
+			c.LineBytes, c.SectorBytes, c.LineBytes/c.SectorBytes)
+	case c.Assoc < 1:
+		return fmt.Errorf("associativity %d, want at least 1", c.Assoc)
+	}
+	return nil
+}
+
+// Shifts returns log2 of the line and sector sizes of a geometry that
+// passes Validate.
+func (c CacheConfig) Shifts() (line, sector uint) {
+	return uint(bits.TrailingZeros(uint(c.LineBytes))), uint(bits.TrailingZeros(uint(c.SectorBytes)))
+}
+
 type line struct {
 	tag     uint64
 	valid   bool
@@ -88,19 +118,29 @@ func (s *CacheStats) TotalMisses() uint64 {
 // Cache is a sectored, set-associative cache tag array with LRU
 // replacement. It tracks tags and sector validity only; data values live
 // in the functional backing stores.
+//
+// Every operation scans its set once: find returns the set and the way
+// holding the line, and access, fill and markDirty act on that way. The
+// exported Access, Fill and MarkDirty are each one find and one action;
+// the L1 and L2 chain several actions on one find.
 type Cache struct {
-	cfg     CacheConfig
-	sets    int
-	assoc   int
-	lines   []line // sets × assoc
-	tick    uint64
-	Stats   CacheStats
-	setMask uint64
+	cfg         CacheConfig
+	assoc       int
+	lines       []line // sets × assoc
+	tick        uint64
+	Stats       CacheStats
+	lineShift   uint // log2 LineBytes; a line's tag is its address >> lineShift
+	sectorShift uint // log2 SectorBytes
+	setMask     uint64
 }
 
-// NewCache builds a cache from the config. Sets are forced to a power of
-// two by rounding down, keeping index math branch-free.
+// NewCache builds a cache from a config that passes Validate. Sets are
+// forced to a power of two by rounding down, keeping index math
+// branch-free.
 func NewCache(cfg CacheConfig) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic("mem: cache geometry: " + err.Error())
+	}
 	sets := cfg.Lines() / cfg.Assoc
 	// round down to power of two
 	p := 1
@@ -108,12 +148,14 @@ func NewCache(cfg CacheConfig) *Cache {
 		p *= 2
 	}
 	sets = p
+	lineShift, sectorShift := cfg.Shifts()
 	return &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		assoc:   cfg.Assoc,
-		lines:   make([]line, sets*cfg.Assoc),
-		setMask: uint64(sets - 1),
+		cfg:         cfg,
+		assoc:       cfg.Assoc,
+		lines:       make([]line, sets*cfg.Assoc),
+		lineShift:   lineShift,
+		sectorShift: sectorShift,
+		setMask:     uint64(sets - 1),
 	}
 }
 
@@ -122,30 +164,33 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // LineAddr converts a byte address to a line-aligned address.
 func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ uint64(c.cfg.LineBytes-1)
+	return addr >> c.lineShift << c.lineShift
 }
 
 // SectorOf returns the sector index of a byte address within its line.
 func (c *Cache) SectorOf(addr uint64) uint {
-	return uint((addr % uint64(c.cfg.LineBytes)) / uint64(c.cfg.SectorBytes))
+	return uint(addr&(1<<c.lineShift-1)) >> c.sectorShift
 }
 
-func (c *Cache) set(lineAddr uint64) []line {
-	idx := (lineAddr / uint64(c.cfg.LineBytes)) & c.setMask
-	return c.lines[idx*uint64(c.assoc) : (idx+1)*uint64(c.assoc)]
+// find returns the set lineAddr maps to and the way holding the line,
+// or nil when it is absent.
+func (c *Cache) find(lineAddr uint64) (set []line, ln *line) {
+	tag := lineAddr >> c.lineShift
+	i := int(tag&c.setMask) * c.assoc
+	set = c.lines[i : i+c.assoc]
+	for j := range set {
+		if set[j].valid && set[j].tag == tag {
+			return set, &set[j]
+		}
+	}
+	return set, nil
 }
-
-func (c *Cache) tagOf(lineAddr uint64) uint64 { return lineAddr / uint64(c.cfg.LineBytes) }
 
 // Probe looks up a line without updating LRU or stats. It returns the
 // valid-sector mask, or ok=false if the line is absent.
 func (c *Cache) Probe(lineAddr uint64) (sectors uint8, ok bool) {
-	tag := c.tagOf(lineAddr)
-	for i := range c.set(lineAddr) {
-		ln := &c.set(lineAddr)[i]
-		if ln.valid && ln.tag == tag {
-			return ln.sectors, true
-		}
+	if _, ln := c.find(lineAddr); ln != nil {
+		return ln.sectors, true
 	}
 	return 0, false
 }
@@ -154,88 +199,80 @@ func (c *Cache) Probe(lineAddr uint64) (sectors uint8, ok bool) {
 // requested sector under the class. It returns the subset of requested
 // sectors that hit and the subset that missed. LRU is updated on contact.
 func (c *Cache) Access(lineAddr uint64, sectorMask uint8, class AccessClass) (hit, miss uint8) {
+	_, ln := c.find(lineAddr)
+	return c.access(ln, sectorMask, class)
+}
+
+// access is Access on the way find returned (nil on a miss).
+func (c *Cache) access(ln *line, sectorMask uint8, class AccessClass) (hit, miss uint8) {
 	c.tick++
-	n := popcount8(sectorMask)
-	c.Stats.Accesses[class] += uint64(n)
-	tag := c.tagOf(lineAddr)
-	set := c.set(lineAddr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
-			ln.lru = c.tick
-			hit = sectorMask & ln.sectors
-			miss = sectorMask &^ ln.sectors
-			c.Stats.Misses[class] += uint64(popcount8(miss))
-			return hit, miss
-		}
+	n := uint64(bits.OnesCount8(sectorMask))
+	c.Stats.Accesses[class] += n
+	if ln == nil {
+		c.Stats.Misses[class] += n
+		return 0, sectorMask
 	}
-	c.Stats.Misses[class] += uint64(n)
-	return 0, sectorMask
+	ln.lru = c.tick
+	hit = sectorMask & ln.sectors
+	miss = sectorMask &^ ln.sectors
+	c.Stats.Misses[class] += uint64(bits.OnesCount8(miss))
+	return hit, miss
 }
 
 // Fill installs sectors for a line, allocating (and possibly evicting) a
 // way if the line is absent. It returns the evicted dirty-sector count
 // (writeback traffic) and the evicted line address.
 func (c *Cache) Fill(lineAddr uint64, sectorMask uint8) (evictedDirty int, evictedAddr uint64) {
+	set, ln := c.find(lineAddr)
+	_, evictedDirty, evictedAddr = c.fill(set, ln, lineAddr, sectorMask)
+	return evictedDirty, evictedAddr
+}
+
+// fill is Fill on the set and way find returned (ln nil when the line
+// is absent); it also returns the way that now holds the line.
+func (c *Cache) fill(set []line, ln *line, lineAddr uint64, sectorMask uint8) (way *line, evictedDirty int, evictedAddr uint64) {
 	c.tick++
-	tag := c.tagOf(lineAddr)
-	set := c.set(lineAddr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
-			ln.sectors |= sectorMask
-			ln.lru = c.tick
-			c.Stats.LineFills++
-			return 0, 0
-		}
+	c.Stats.LineFills++
+	if ln != nil {
+		ln.sectors |= sectorMask
+		ln.lru = c.tick
+		return ln, 0, 0
 	}
 	victim := &set[0]
 	for i := range set {
-		ln := &set[i]
-		if !ln.valid {
-			victim = ln
+		v := &set[i]
+		if !v.valid {
+			victim = v
 			break
 		}
-		if ln.lru < victim.lru {
-			victim = ln
+		if v.lru < victim.lru {
+			victim = v
 		}
 	}
 	if victim.valid && victim.dirty != 0 {
-		evictedDirty = popcount8(victim.dirty)
-		evictedAddr = victim.tag * uint64(c.cfg.LineBytes)
+		evictedDirty = bits.OnesCount8(victim.dirty)
+		evictedAddr = victim.tag << c.lineShift
 		c.Stats.Writebacks += uint64(evictedDirty)
 	}
-	victim.tag = tag
-	victim.valid = true
-	victim.sectors = sectorMask
-	victim.dirty = 0
-	victim.lru = c.tick
-	c.Stats.LineFills++
-	return evictedDirty, evictedAddr
+	*victim = line{tag: lineAddr >> c.lineShift, valid: true, sectors: sectorMask, lru: c.tick}
+	return victim, evictedDirty, evictedAddr
 }
 
 // MarkDirty marks sectors dirty (and valid) on a present line; it
 // reports whether the line was present.
 func (c *Cache) MarkDirty(lineAddr uint64, sectorMask uint8) bool {
-	tag := c.tagOf(lineAddr)
-	set := c.set(lineAddr)
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
-			ln.dirty |= sectorMask
-			ln.sectors |= sectorMask
-			ln.lru = c.tick
-			return true
-		}
-	}
-	return false
+	_, ln := c.find(lineAddr)
+	c.markDirty(ln, sectorMask)
+	return ln != nil
 }
 
-func popcount8(m uint8) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
+// markDirty is MarkDirty on the way find returned; an absent line (nil)
+// is left alone.
+func (c *Cache) markDirty(ln *line, sectorMask uint8) {
+	if ln == nil {
+		return
 	}
-	return n
+	ln.dirty |= sectorMask
+	ln.sectors |= sectorMask
+	ln.lru = c.tick
 }

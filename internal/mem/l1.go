@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // L1Config parameterises a per-SM L1 cache front-end.
 type L1Config struct {
 	Cache      CacheConfig
@@ -70,20 +72,21 @@ func (l *L1) SectorBytes() int { return l.cfg.Cache.SectorBytes }
 // nothing — if an MSHR is required but none is free; the caller retries.
 func (l *L1) Load(now int64, lineAddr uint64, sectorMask uint8, class AccessClass, t LoadTarget) bool {
 	if l.cfg.AllHitSpills && class == ClassLocalSpill {
-		l.cache.Stats.Accesses[class] += uint64(popcount8(sectorMask))
+		l.cache.Stats.Accesses[class] += uint64(bits.OnesCount8(sectorMask))
 		t.LoadDone(now + l.cfg.HitLatency)
 		return true
 	}
 	// Reserve MSHR capacity before mutating tag state: a miss with no
 	// free MSHR must leave the cache untouched so the retry is clean.
+	_, ln := l.cache.find(lineAddr)
 	mi := -1
-	if sectors, present := l.cache.Probe(lineAddr); !present || sectorMask&^sectors != 0 {
+	if ln == nil || sectorMask&^ln.sectors != 0 {
 		if mi = l.findMSHR(lineAddr); mi < 0 && len(l.mshrs) >= l.cfg.MSHRs {
 			return false
 		}
 	}
 
-	_, miss := l.cache.Access(lineAddr, sectorMask, class)
+	_, miss := l.cache.access(ln, sectorMask, class)
 	if miss == 0 {
 		t.LoadDone(now + l.cfg.HitLatency)
 		return true
@@ -167,10 +170,10 @@ func (l *L1) Fill(now int64, lineAddr uint64, sectors uint8) {
 // StoreGlobal processes a coalesced global store: write-through,
 // no-allocate. Stores complete asynchronously and never stall the warp.
 func (l *L1) StoreGlobal(now int64, lineAddr uint64, sectorMask uint8) {
-	hit, _ := l.cache.Access(lineAddr, sectorMask, ClassGlobal)
-	if hit != 0 {
+	_, ln := l.cache.find(lineAddr)
+	if hit, _ := l.cache.access(ln, sectorMask, ClassGlobal); hit != 0 {
 		// Keep L1 contents coherent with the write-through data.
-		l.cache.MarkDirty(lineAddr, hit)
+		l.cache.markDirty(ln, hit)
 	}
 	l.sys.WriteThrough(now, lineAddr, sectorMask, ClassGlobal)
 }
@@ -180,17 +183,19 @@ func (l *L1) StoreGlobal(now int64, lineAddr uint64, sectorMask uint8) {
 // warp-private full-sector writes, so the allocation fetches nothing.
 func (l *L1) StoreLocal(now int64, lineAddr uint64, sectorMask uint8, class AccessClass) {
 	if l.cfg.AllHitSpills && class == ClassLocalSpill {
-		l.cache.Stats.Accesses[class] += uint64(popcount8(sectorMask))
+		l.cache.Stats.Accesses[class] += uint64(bits.OnesCount8(sectorMask))
 		return
 	}
-	_, miss := l.cache.Access(lineAddr, sectorMask, class)
-	if miss != 0 {
-		evDirty, evAddr := l.cache.Fill(lineAddr, miss)
+	set, ln := l.cache.find(lineAddr)
+	if _, miss := l.cache.access(ln, sectorMask, class); miss != 0 {
+		var evDirty int
+		var evAddr uint64
+		ln, evDirty, evAddr = l.cache.fill(set, ln, lineAddr, miss)
 		if evDirty > 0 {
 			l.sys.Writeback(now, evAddr, evDirty)
 		}
 	}
-	l.cache.MarkDirty(lineAddr, sectorMask)
+	l.cache.markDirty(ln, sectorMask)
 }
 
 // PendingMSHRs returns the number of in-flight MSHR entries.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -86,8 +87,8 @@ func TestCacheAccountingProperty(t *testing.T) {
 		addr := uint64(rng.Intn(256)) * 128
 		mask := uint8(rng.Intn(15) + 1)
 		h, m := c.Access(addr, mask, ClassGlobal)
-		hits += uint64(popcount8(h))
-		misses += uint64(popcount8(m))
+		hits += uint64(bits.OnesCount8(h))
+		misses += uint64(bits.OnesCount8(m))
 		if h&m != 0 {
 			t.Fatal("sector both hit and missed")
 		}

@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // FillSink receives the line fills the System delivers: an L1's MSHR
 // fills and an instruction cache's line fills.
 type FillSink interface {
@@ -225,16 +227,17 @@ func reserve(nextFree *float64, now int64, sectors int, sectorsPerCycle float64)
 // arrives at the requesting L1. Class attribution follows the original
 // request so spill traffic is visible at every level.
 func (s *System) FetchLine(now int64, lineAddr uint64, sectorMask uint8, class AccessClass) int64 {
-	n := popcount8(sectorMask)
+	n := bits.OnesCount8(sectorMask)
 	start := reserve(&s.l2NextFree, now, n, s.cfg.L2SectorsPerCycle)
-	_, miss := s.l2.Access(lineAddr, sectorMask, class)
+	set, ln := s.l2.find(lineAddr)
+	_, miss := s.l2.access(ln, sectorMask, class)
 	done := start + s.cfg.L2Latency
 	if miss != 0 {
-		nm := popcount8(miss)
+		nm := bits.OnesCount8(miss)
 		dstart := reserve(&s.dramNextFree, done, nm, s.cfg.DRAMSectorsPerCycle)
 		s.Stats.DRAMSectors += uint64(nm)
 		done = dstart + s.cfg.DRAMLatency
-		evDirty, _ := s.l2.Fill(lineAddr, miss)
+		_, evDirty, _ := s.l2.fill(set, ln, lineAddr, miss)
 		if evDirty > 0 {
 			// L2 dirty eviction consumes DRAM write bandwidth.
 			reserve(&s.dramNextFree, done, evDirty, s.cfg.DRAMSectorsPerCycle)
@@ -248,18 +251,19 @@ func (s *System) FetchLine(now int64, lineAddr uint64, sectorMask uint8, class A
 // GPUs write through the L1). It consumes bandwidth but completes
 // asynchronously; stores do not stall the warp.
 func (s *System) WriteThrough(now int64, lineAddr uint64, sectorMask uint8, class AccessClass) {
-	n := popcount8(sectorMask)
+	n := bits.OnesCount8(sectorMask)
 	reserve(&s.l2NextFree, now, n, s.cfg.L2SectorsPerCycle)
-	_, miss := s.l2.Access(lineAddr, sectorMask, class)
+	set, ln := s.l2.find(lineAddr)
+	_, miss := s.l2.access(ln, sectorMask, class)
 	if miss != 0 {
-		s.l2.Fill(lineAddr, miss)
-		s.l2.MarkDirty(lineAddr, miss)
+		ln, _, _ = s.l2.fill(set, ln, lineAddr, miss)
+		s.l2.markDirty(ln, miss)
 		// Dirty data eventually drains to DRAM; book write bandwidth.
-		nm := popcount8(miss)
+		nm := bits.OnesCount8(miss)
 		reserve(&s.dramNextFree, now, nm, s.cfg.DRAMSectorsPerCycle)
 		s.Stats.DRAMSectors += uint64(nm)
 	} else {
-		s.l2.MarkDirty(lineAddr, sectorMask)
+		s.l2.markDirty(ln, sectorMask)
 	}
 }
 

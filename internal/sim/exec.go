@@ -331,11 +331,7 @@ func (s *SM) execALU(w *Warp, in *isa.Instruction, guard uint32) {
 	if !aluLanes(in.Op, &r, a, b, c, imm) {
 		s.execFault(w, "op %s reached the ALU without an evaluation rule", in.Op)
 	}
-	for l := range r {
-		if guard&(1<<l) != 0 {
-			dst[l] = r[l]
-		}
-	}
+	mergeLanes(dst, &r, guard)
 }
 
 // aluLanes sets r[l] = op(a[l], b[l], c[l]) for every lane, reporting
@@ -527,8 +523,6 @@ func (s *SM) execGlobal(w *Warp, in *isa.Instruction, guard uint32) {
 	} else {
 		val = w.reg(in.SrcC)
 	}
-	lineBytes := uint64(s.gpu.Cfg.L1D.Cache.LineBytes)
-	secBytes := uint64(s.gpu.Cfg.L1D.Cache.SectorBytes)
 	capWords := sys.GlobalWords()
 
 	e := s.lsu.newEntry(w, mem.ClassGlobal, isLoad, false, in.Dst)
@@ -545,46 +539,88 @@ func (s *SM) execGlobal(w *Warp, in *isa.Instruction, guard uint32) {
 		} else {
 			sys.WriteGlobal(addr, val[l])
 		}
-		e.accesses = coalesce(e.accesses, uint64(addr), lineBytes, secBytes)
+		e.accesses = s.gpu.coalesce(e.accesses, uint64(addr))
 	}
 	s.dispatchMem(e)
 }
 
+// execLocal runs an LDL or STL. When every guarded lane names the same
+// word, as every ABI spill, fill and stack access does, the access is
+// that word's row of its local page and that row's coalesced lines;
+// otherwise each lane reads or writes its own word.
 func (s *SM) execLocal(w *Warp, in *isa.Instruction, guard uint32) {
 	addrs := w.reg(in.SrcA)
 	isLoad := in.Op == isa.OpLdL
-	var dst, val *[isa.WarpSize]uint32
+	var dst, val *lanes
 	if isLoad {
 		dst = w.reg(in.Dst)
 	} else {
 		val = w.reg(in.SrcC)
 	}
-	lineBytes := uint64(s.gpu.Cfg.L1D.Cache.LineBytes)
-	secBytes := uint64(s.gpu.Cfg.L1D.Cache.SectorBytes)
 
 	class := mem.ClassLocalOther
 	if in.Spill {
 		class = mem.ClassLocalSpill
 	}
 	e := s.lsu.newEntry(w, class, isLoad, true, in.Dst)
+	if guard != 0 && uniformLanes(addrs, guard) {
+		word := s.localWordAt(w, addrs[bits.TrailingZeros32(guard)]+uint32(in.Imm))
+		row := w.localRow(word)
+		if isLoad {
+			mergeLanes(dst, row, guard)
+		} else {
+			mergeLanes(row, val, guard)
+		}
+		e.accesses = s.gpu.rowAccesses(e.accesses, s.gpu.localPhysAddr(w.GWID, word, 0), guard)
+		s.dispatchMem(e)
+		return
+	}
 	for l := 0; l < isa.WarpSize; l++ {
 		if guard&(1<<l) == 0 {
 			continue
 		}
-		byteAddr := addrs[l] + uint32(in.Imm)
-		word := int(byteAddr / 4)
-		if word >= localWordsPerWarp {
-			s.execFault(w, "local-memory access at word %d beyond the warp's %d-word window", word, localWordsPerWarp)
-		}
+		word := s.localWordAt(w, addrs[l]+uint32(in.Imm))
 		if isLoad {
-			dst[l] = *w.localWord(word, l)
+			dst[l] = w.localRow(word)[l]
 		} else {
-			*w.localWord(word, l) = val[l]
+			w.localRow(word)[l] = val[l]
 		}
-		phys := s.gpu.localPhysAddr(w.GWID, word, l)
-		e.accesses = coalesce(e.accesses, phys, lineBytes, secBytes)
+		e.accesses = s.gpu.coalesce(e.accesses, s.gpu.localPhysAddr(w.GWID, word, l))
 	}
 	s.dispatchMem(e)
+}
+
+// localWordAt returns the local word a byte address names, faulting
+// past the warp's local window.
+func (s *SM) localWordAt(w *Warp, byteAddr uint32) int {
+	word := int(byteAddr / 4)
+	if word >= localWordsPerWarp {
+		s.execFault(w, "local-memory access at word %d beyond the warp's %d-word window", word, localWordsPerWarp)
+	}
+	return word
+}
+
+// uniformLanes reports whether every lane in guard holds the same value.
+func uniformLanes(v *lanes, guard uint32) bool {
+	x := v[bits.TrailingZeros32(guard)]
+	for m := guard; m != 0; m &= m - 1 {
+		if v[bits.TrailingZeros32(m)] != x {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeLanes copies the lanes in guard from src to dst.
+func mergeLanes(dst, src *lanes, guard uint32) {
+	if guard == simt.FullMask {
+		*dst = *src
+		return
+	}
+	for m := guard; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		dst[l] = src[l]
+	}
 }
 
 // smemBanks is the shared-memory bank count: successive 4-byte words
@@ -709,10 +745,11 @@ func (s *SM) dispatchMem(e *lsuEntry) {
 	s.lsu.enqueue(e)
 }
 
-// coalesce merges a byte address into the access list (line + sector).
-func coalesce(accs []access, addr, lineBytes, secBytes uint64) []access {
-	lineAddr := addr &^ (lineBytes - 1)
-	sector := uint8(1) << ((addr % lineBytes) / secBytes)
+// coalesce merges a byte address into the access list (line + sector
+// of the L1D's geometry).
+func (g *GPU) coalesce(accs []access, addr uint64) []access {
+	lineAddr := addr >> g.lineShift << g.lineShift
+	sector := uint8(1) << (addr & (1<<g.lineShift - 1) >> g.sectorShift)
 	for i := range accs {
 		if accs[i].lineAddr == lineAddr {
 			accs[i].sectors |= sector
@@ -720,6 +757,37 @@ func coalesce(accs []access, addr, lineBytes, secBytes uint64) []access {
 		}
 	}
 	return append(accs, access{lineAddr: lineAddr, sectors: sector})
+}
+
+// rowAccesses appends the coalesced accesses of one local row: the 32
+// lanes' consecutive words from byte address row, of which the lanes in
+// guard take part. That is what coalescing each guarded lane's address
+// in lane order gives, since the addresses ascend, except that it never
+// merges into an access already in accs: a trap appends one row per
+// register slot.
+func (g *GPU) rowAccesses(accs []access, row uint64, guard uint32) []access {
+	first := len(accs)
+	secBytes := uint64(1) << g.sectorShift
+	end := row + 4*isa.WarpSize
+	for sec := row &^ (secBytes - 1); sec < end; sec += secBytes {
+		// The lanes whose words start in this sector: lo ≤ l < hi.
+		lo, hi := uint64(0), (sec+secBytes-row+3)/4
+		if sec > row {
+			lo = (sec - row + 3) / 4
+		}
+		hi = min(hi, isa.WarpSize)
+		if lo >= hi || guard&uint32((uint64(1)<<hi-1)&^(uint64(1)<<lo-1)) == 0 {
+			continue
+		}
+		lineAddr := sec >> g.lineShift << g.lineShift
+		bit := uint8(1) << (sec & (1<<g.lineShift - 1) >> g.sectorShift)
+		if n := len(accs); n > first && accs[n-1].lineAddr == lineAddr {
+			accs[n-1].sectors |= bit
+		} else {
+			accs = append(accs, access{lineAddr: lineAddr, sectors: bit})
+		}
+	}
+	return accs
 }
 
 // bankConflicts counts operand-collector serialisation: source operands

@@ -47,6 +47,10 @@ type GPU struct {
 	funcBase  []uint64
 	localBase uint64
 
+	// lineShift and sectorShift are log2 of the L1D's line and sector
+	// sizes: the geometry the LSU coalesces accesses by.
+	lineShift, sectorShift uint
+
 	// Per-launch state.
 	launch          *isa.Launch
 	kernelFunc      int
@@ -86,12 +90,21 @@ func New(cfg Config, prog *isa.Program) (*GPU, error) {
 		return nil, fmt.Errorf("sim: %d warp slots over %d schedulers: each scheduler must own 1 to %d slots",
 			cfg.MaxWarpsPerSM, cfg.SchedulersPerSM, maxWarpsPerScheduler)
 	}
+	for _, c := range []struct {
+		name string
+		geom mem.CacheConfig
+	}{{"L1D", cfg.L1D.Cache}, {"L1I", cfg.L1I}, {"L2", cfg.Mem.L2}} {
+		if err := c.geom.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: %s geometry: %v", c.name, err)
+		}
+	}
 	g := &GPU{
 		Cfg:        cfg,
 		Prog:       prog,
 		Sys:        mem.NewSystem(cfg.Mem, cfg.GlobalMemWords),
 		Controller: cars.NewController(),
 	}
+	g.lineShift, g.sectorShift = cfg.L1D.Cache.Shifts()
 	g.localBase = uint64(cfg.GlobalMemWords) * 4
 	// Lay out code addresses: 128B-aligned functions, 16B instructions.
 	addr := uint64(0)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"carsgo/internal/abi"
@@ -206,6 +207,32 @@ func TestConfigProgramModeMismatch(t *testing.T) {
 	cfg.CARSEnabled = true
 	if _, err := New(cfg, tinyProgram(t)); err == nil {
 		t.Error("CARS config accepted baseline program")
+	}
+}
+
+// sim.New rejects a cache geometry the shift-and-mask index math
+// cannot serve, naming the cache: a line that is not a power of two, or
+// more than 8 sectors to a line (a line's sector masks are uint8).
+func TestCacheGeometryValidated(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"L1D", func(cfg *Config) { cfg.L1D.Cache.LineBytes = 96 }},
+		{"L1I", func(cfg *Config) { cfg.L1I.LineBytes = 96 }},
+		{"L2", func(cfg *Config) { cfg.Mem.L2.LineBytes, cfg.Mem.L2.SectorBytes = 256, 16 }},
+		{"L1D", func(cfg *Config) { cfg.L1D.Cache.LineBytes, cfg.L1D.Cache.SectorBytes = 256, 16 }},
+	} {
+		cfg := tinyConfig()
+		c.edit(&cfg)
+		_, err := New(cfg, tinyProgram(t))
+		if err == nil || !strings.Contains(err.Error(), c.name+" geometry") {
+			t.Errorf("%s %+v %+v %+v: New returned %v, want an error naming %s",
+				c.name, cfg.L1D.Cache, cfg.L1I, cfg.Mem.L2, err, c.name)
+		}
+	}
+	if _, err := New(tinyConfig(), tinyProgram(t)); err != nil {
+		t.Fatalf("the valid geometry was rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"carsgo/internal/isa"
 	"carsgo/internal/mem"
 )
@@ -103,7 +105,7 @@ func (l *lsu) tick(now int64) (moved bool) {
 		e := l.queue[0]
 		for e.next < len(e.accesses) {
 			acc := e.accesses[e.next]
-			cost := popcount8(acc.sectors)
+			cost := bits.OnesCount8(acc.sectors)
 			if cost > budget {
 				return moved
 			}
@@ -160,13 +162,4 @@ func (l *lsu) finish(e *lsuEntry) {
 		l.sm.lowerWake(w, e.maxDone)
 	}
 	l.release(e)
-}
-
-func popcount8(m uint8) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }

@@ -1,9 +1,11 @@
 package sim
 
 // The SM keeps each warp's issue state in one table indexed by slot:
-// a set of park reasons and a wake cycle. The scheduler reads only the
-// table (and per-scheduler masks derived from it) and dereferences a
-// *Warp only when the warp has no park reason and its wake has passed.
+// a set of park reasons, a wake cycle, and whether that wake already
+// covers the scoreboard of the warp's next instruction. The scheduler
+// reads only the table (and per-scheduler masks derived from it) and
+// dereferences a *Warp only when the warp has no park reason and its
+// wake has passed.
 
 // parkBits are the reasons a resident warp cannot issue whatever its
 // wake cycle. They overlap: a warp arriving at a barrier can be
@@ -17,6 +19,7 @@ const (
 	parkNoRegs                        // holds no register range
 	parkSWL                           // held back by the static wavefront limiter
 	parkTrap                          // TrapOutstanding > 0
+	parkLoad                          // next instruction waits on an in-flight load's register
 )
 
 // maxWarpsPerScheduler bounds the slots one scheduler owns: its ready
@@ -37,6 +40,7 @@ func (s *SM) parked(w *Warp, r parkBits) bool { return s.parkState[w.Slot]&r != 
 func (s *SM) resetSlot(w *Warp, p parkBits) {
 	s.parkState[w.Slot] = p
 	s.wake[w.Slot] = 0
+	s.wakeExact[w.Slot] = false
 	sc, bit := s.slotBit(w.Slot)
 	s.lsuWait[sc] &^= bit
 	if p == 0 {
@@ -47,7 +51,9 @@ func (s *SM) resetSlot(w *Warp, p parkBits) {
 }
 
 // park adds reasons r to w's slot. Only the warp's own issue parks it
-// (a barrier, EXIT, a trap, a context switch), or its admission.
+// (a barrier, EXIT, a trap, a context switch, a load-wait), or its
+// admission. So a warp parked on parkLoad holds no other reason: it
+// parked with none, and a parked warp does not issue.
 func (s *SM) park(w *Warp, r parkBits) {
 	s.parkState[w.Slot] |= r
 	sc, bit := s.slotBit(w.Slot)
@@ -58,7 +64,8 @@ func (s *SM) park(w *Warp, r parkBits) {
 // ignored, so when the last reason clears the warp may issue from
 // cycle at: each unpark event knows when its blocker lifts (a barrier
 // release or register activation now, a trap when its last access
-// returns).
+// returns, a load at its data's arrival). Nothing has checked the
+// scoreboard against that wake.
 func (s *SM) unpark(w *Warp, r parkBits, at int64) {
 	p := s.parkState[w.Slot]
 	if p&r == 0 {
@@ -68,18 +75,30 @@ func (s *SM) unpark(w *Warp, r parkBits, at int64) {
 	s.parkState[w.Slot] = p
 	if p == 0 {
 		s.wake[w.Slot] = at
+		s.wakeExact[w.Slot] = false
 		sc, bit := s.slotBit(w.Slot)
 		s.ready[sc] |= bit
 	}
 }
 
-// lowerWake moves an unparked resident warp's wake down to at: a load
-// completion may clear the scoreboard hazard the warp parked on. A warp
-// that has exited is left alone, as is its slot, which may already hold
-// a newly admitted warp.
+// lowerWake runs at a load's completion, whose data arrives at cycle
+// at: it may clear the scoreboard hazard the warp waits on. A warp
+// parked on parkLoad unparks at the arrival; an unparked warp's wake
+// moves down to it, even a wake that BRA, CALL or RET set (DESIGN.md
+// §5 records that timing deviation). A warp that has exited is left
+// alone, as is its slot, which may already hold a newly admitted warp.
 func (s *SM) lowerWake(w *Warp, at int64) {
-	if s.warps[w.Slot] == w && s.parkState[w.Slot] == 0 && s.wake[w.Slot] > at {
-		s.wake[w.Slot] = at
+	if s.warps[w.Slot] != w {
+		return
+	}
+	switch s.parkState[w.Slot] {
+	case parkLoad:
+		s.unpark(w, parkLoad, at)
+	case 0:
+		if s.wake[w.Slot] > at {
+			s.wake[w.Slot] = at
+			s.wakeExact[w.Slot] = false
+		}
 	}
 }
 

@@ -38,11 +38,14 @@ type SM struct {
 
 	// The issue-state table (park.go), by slot: parkState holds the
 	// reasons a warp cannot issue and wake the first cycle an unparked
-	// warp may. Per scheduler, bit i of ready marks slot sc+i*nsched as
+	// warp may; wakeExact marks a wake computed from the scoreboard of
+	// the warp's next instruction, so that tryIssue need not check it
+	// again. Per scheduler, bit i of ready marks slot sc+i*nsched as
 	// holding a warp with no park reason, and of lsuWait as refused for
 	// LSU space since its last issue.
 	parkState []parkBits
 	wake      []int64
+	wakeExact []bool
 	ready     []uint64
 	lsuWait   []uint64
 
@@ -84,6 +87,7 @@ func newSM(id int, g *GPU) *SM {
 		greedy:    make([]int, cfg.SchedulersPerSM),
 		parkState: make([]parkBits, cfg.MaxWarpsPerSM),
 		wake:      make([]int64, cfg.MaxWarpsPerSM),
+		wakeExact: make([]bool, cfg.MaxWarpsPerSM),
 		ready:     make([]uint64, cfg.SchedulersPerSM),
 		lsuWait:   make([]uint64, cfg.SchedulersPerSM),
 	}
@@ -265,7 +269,8 @@ func (s *SM) initWarp(w *Warp, hasRegs bool) {
 		w.PredReadyAt[i] = 0
 	}
 	w.Preds = [8]uint32{}
-	w.IBufFunc, w.IBufPC = -1, -1
+	w.IBufAddr = noCodeAddr
+	s.decode(w)
 	w.TrapOutstanding = 0
 	w.DynCallDepth = 0
 	var p parkBits
@@ -443,16 +448,15 @@ func (s *SM) noteWake(c int64) {
 // tryIssue issues w's next instruction if its remaining hazards clear:
 // the caller has found w unparked with its wake passed.
 func (s *SM) tryIssue(now int64, w *Warp) bool {
-	if w.SIMT.Empty() {
-		return false
+	in := w.next
+	if in == nil {
+		if w.SIMT.Empty() {
+			return false
+		}
+		top := w.SIMT.Top()
+		fn := s.gpu.Prog.Funcs[top.Func]
+		s.execFault(w, "PC %d past the end of %s (%d instructions)", top.PC, fn.Name, len(fn.Code))
 	}
-	top := w.SIMT.Top()
-	code := s.gpu.Prog.Funcs[top.Func].Code
-	if top.PC >= len(code) {
-		s.execFault(w, "PC %d past the end of %s (%d instructions)", top.PC,
-			s.gpu.Prog.Funcs[top.Func].Name, len(code))
-	}
-	in := &code[top.PC]
 
 	// Structural hazard first: with the LSU saturated (the common state
 	// of memory-bound phases) this is one boolean per warp.
@@ -460,46 +464,78 @@ func (s *SM) tryIssue(now int64, w *Warp) bool {
 		s.setLSUWait(w, true)
 		return false
 	}
-	// Scoreboard: the hazard clears at a known cycle, so wait until then.
-	// Issue parks on it already (parkOnScoreboard); a load completion can
-	// lower the wake before the register it completes is the last one.
-	if ok, at := w.regsReady(now, in); !ok {
-		s.wake[w.Slot] = at
-		s.noteWake(at)
-		return false
+	// Scoreboard: the hazard clears at a known cycle, so wait until then,
+	// or until the in-flight load it waits on completes. A wake that
+	// parkOnScoreboard or an earlier check computed already covers it;
+	// an unpark or a load completion (lowerWake) sets a wake that may not.
+	if !s.wakeExact[w.Slot] {
+		s.wakeExact[w.Slot] = true
+		if at := w.regsReady(in); at > now {
+			if at == farFuture {
+				s.park(w, parkLoad)
+			} else {
+				s.wake[w.Slot] = at
+				s.noteWake(at)
+			}
+			return false
+		}
 	}
 	// Instruction fetch, through the warp's instruction buffer.
-	if w.IBufFunc != top.Func || w.IBufPC != top.PC {
-		if ready, wake := s.l1i.Fetch(now, s.gpu.funcBase[top.Func]+uint64(top.PC)*16); !ready {
+	if w.IBufAddr != w.nextAddr {
+		if ready, wake := s.l1i.Fetch(now, w.nextAddr); !ready {
 			s.wake[w.Slot] = wake
 			s.noteWake(wake)
 			return false
 		}
-		w.IBufFunc, w.IBufPC = top.Func, top.PC
+		w.IBufAddr = w.nextAddr
 	}
 	s.setLSUWait(w, false)
 	s.execute(now, w, in)
+	s.decode(w)
 	s.parkOnScoreboard(w)
 	return true
 }
 
-// parkOnScoreboard raises a just-issued warp's wake to the cycle its
-// next instruction's operands are ready. That is exact: until then
-// tryIssue would refuse the warp at the LSU or scoreboard check, and
-// neither refusal has a side effect; the i-fetch check, which has one,
-// is reached only once the scoreboard clears.
-func (s *SM) parkOnScoreboard(w *Warp) {
-	if s.parkState[w.Slot] != 0 || w.SIMT.Empty() {
+// noCodeAddr is an instruction-buffer key no instruction has.
+const noCodeAddr = ^uint64(0)
+
+// decode caches the instruction under w's SIMT top and its code
+// address (16-byte instructions from the function's base). It runs
+// whenever the top moves: at admission and after every issue. A PC
+// past the end of its function leaves no instruction, for tryIssue to
+// report.
+func (s *SM) decode(w *Warp) {
+	w.next = nil
+	if w.SIMT.Empty() {
 		return
 	}
 	top := w.SIMT.Top()
-	code := s.gpu.Prog.Funcs[top.Func].Code
-	if top.PC >= len(code) {
-		return // tryIssue reports the fault when it gets there
+	if code := s.gpu.Prog.Funcs[top.Func].Code; top.PC < len(code) {
+		w.next = &code[top.PC]
+		w.nextAddr = s.gpu.funcBase[top.Func] + uint64(top.PC)*16
 	}
-	if _, at := w.regsReady(0, &code[top.PC]); at > s.wake[w.Slot] {
+}
+
+// parkOnScoreboard raises a just-issued warp's wake to the cycle its
+// next instruction's operands are ready, or parks it on parkLoad when
+// an operand waits on an in-flight load. That is exact: until then
+// tryIssue would refuse the warp at the LSU or scoreboard check, and
+// neither refusal has a side effect; the i-fetch check, which has one,
+// is reached only once the scoreboard clears. A warp's scoreboard
+// entries only fall while it does not issue (a load's completion), so
+// the wake stays a sufficient one and tryIssue skips the check.
+func (s *SM) parkOnScoreboard(w *Warp) {
+	if s.parkState[w.Slot] != 0 || w.next == nil {
+		return
+	}
+	switch at := w.regsReady(w.next); {
+	case at == farFuture:
+		s.park(w, parkLoad)
+		return
+	case at > s.wake[w.Slot]:
 		s.wake[w.Slot] = at
 	}
+	s.wakeExact[w.Slot] = true
 }
 
 // recordStats routes per-SM counters into the launch-wide kernel stats.

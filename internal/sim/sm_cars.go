@@ -5,6 +5,7 @@ import (
 	"carsgo/internal/cars"
 	"carsgo/internal/isa"
 	"carsgo/internal/mem"
+	"carsgo/internal/simt"
 	"carsgo/internal/stats"
 )
 
@@ -75,15 +76,11 @@ func (s *SM) injectSpill(now int64, w *Warp, op cars.SpillOp) {
 		phys := w.CStack.PhysSlot(abs)
 		slotVals := w.stackSlot(phys)
 		if op.Fill {
-			for lane := 0; lane < isa.WarpSize; lane++ {
-				slotVals[lane] = *w.localWord(word, lane)
-			}
+			*slotVals = *w.localRow(word)
 		} else {
-			for lane := 0; lane < isa.WarpSize; lane++ {
-				*w.localWord(word, lane) = slotVals[lane]
-			}
+			*w.localRow(word) = *slotVals
 		}
-		e.accesses = append(e.accesses, s.localLineAccess(w, word, ^uint32(0)))
+		e.accesses = s.gpu.rowAccesses(e.accesses, s.gpu.localPhysAddr(w.GWID, word, 0), simt.FullMask)
 		// The trap handler's injected LDL/STL instructions are part of
 		// the dynamic instruction stream (Fig. 13's spill/fill bars).
 		st.Instructions[stats.CatSpillFill]++
@@ -111,23 +108,6 @@ func (s *SM) enqueueTrap(e *lsuEntry) {
 	w.trapMaxDone = 0
 	s.park(w, parkTrap)
 	s.lsu.enqueue(e)
-}
-
-// localLineAccess computes the coalesced line access for a warp-uniform
-// local word: all 32 lanes of one word share one 128B line by the local
-// address interleaving.
-func (s *SM) localLineAccess(w *Warp, word int, mask uint32) access {
-	lineBytes := uint64(s.gpu.Cfg.L1D.Cache.LineBytes)
-	addr := s.gpu.localPhysAddr(w.GWID, word, 0)
-	lineAddr := addr &^ (lineBytes - 1)
-	// Sector mask from active lanes: 8 lanes per 32B sector.
-	var sectors uint8
-	for sec := 0; sec < 4; sec++ {
-		if mask&(uint32(0xFF)<<(8*sec)) != 0 {
-			sectors |= 1 << sec
-		}
-	}
-	return access{lineAddr: lineAddr, sectors: sectors}
 }
 
 // checkBarrierContextSwitch fires the §IV-B trap: a warp is waiting at
@@ -191,12 +171,9 @@ const ctxBaseWord = abi.TrapSpillBase/4 + cars.SpillWindowSlots
 func (s *SM) spillWarpState(now int64, w *Warp) {
 	e := s.newTrapEntry(w, false)
 	for i := 0; i < w.RegCount; i++ {
-		vals := &s.regArena[w.RegBase+i]
 		word := ctxBaseWord + i
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			*w.localWord(word, lane) = vals[lane]
-		}
-		e.accesses = append(e.accesses, s.localLineAccess(w, word, ^uint32(0)))
+		*w.localRow(word) = s.regArena[w.RegBase+i]
+		e.accesses = s.gpu.rowAccesses(e.accesses, s.gpu.localPhysAddr(w.GWID, word, 0), simt.FullMask)
 	}
 	s.enqueueTrap(e)
 }
@@ -204,12 +181,9 @@ func (s *SM) spillWarpState(now int64, w *Warp) {
 func (s *SM) fillWarpState(now int64, w *Warp) {
 	e := s.newTrapEntry(w, true)
 	for i := 0; i < w.RegCount; i++ {
-		vals := &s.regArena[w.RegBase+i]
 		word := ctxBaseWord + i
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			vals[lane] = *w.localWord(word, lane)
-		}
-		e.accesses = append(e.accesses, s.localLineAccess(w, word, ^uint32(0)))
+		s.regArena[w.RegBase+i] = *w.localRow(word)
+		e.accesses = s.gpu.rowAccesses(e.accesses, s.gpu.localPhysAddr(w.GWID, word, 0), simt.FullMask)
 	}
 	s.enqueueTrap(e)
 }

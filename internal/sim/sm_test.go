@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"carsgo/internal/isa"
+	"carsgo/internal/mem"
 )
 
 func TestRangeAllocFirstFitAndCoalesce(t *testing.T) {
@@ -80,13 +81,15 @@ func TestBlockTailMask(t *testing.T) {
 
 func TestCoalesceMergesSectors(t *testing.T) {
 	var accs []access
+	g := &GPU{}
+	g.lineShift, g.sectorShift = mem.CacheConfig{LineBytes: 128, SectorBytes: 32}.Shifts()
 	// Two addresses in the same sector, two in other sectors, one in a
 	// different line.
-	accs = coalesce(accs, 0, 128, 32)
-	accs = coalesce(accs, 4, 128, 32)
-	accs = coalesce(accs, 40, 128, 32)
-	accs = coalesce(accs, 127, 128, 32)
-	accs = coalesce(accs, 200, 128, 32)
+	accs = g.coalesce(accs, 0)
+	accs = g.coalesce(accs, 4)
+	accs = g.coalesce(accs, 40)
+	accs = g.coalesce(accs, 127)
+	accs = g.coalesce(accs, 200)
 	if len(accs) != 2 {
 		t.Fatalf("lines = %d, want 2", len(accs))
 	}

@@ -13,7 +13,7 @@ const farFuture = int64(1) << 60
 // localPageWords is the granularity of lazy local-memory allocation.
 const localPageWords = 64
 
-type localPage [localPageWords][isa.WarpSize]uint32
+type localPage [localPageWords]lanes
 
 // Block is one resident thread block (CTA) on an SM.
 type Block struct {
@@ -74,10 +74,16 @@ type Warp struct {
 	TrapOutstanding int
 	trapMaxDone     int64
 
-	// Instruction buffer: the (func,pc) already fetched into the warp's
-	// front-end, so stalled re-scans skip the instruction cache.
-	IBufFunc int
-	IBufPC   int
+	// IBufAddr is the instruction buffer: the code address of the
+	// instruction already fetched into the warp's front-end, so stalled
+	// re-scans skip the instruction cache.
+	IBufAddr uint64
+
+	// next is the instruction under the SIMT top and nextAddr its code
+	// address, decoded when the top moves (SM.decode); next is nil when
+	// the stack is empty or its PC lies past the function's end.
+	next     *isa.Instruction
+	nextAddr uint64
 
 	// Local is the functional per-thread local memory: pages indexed by
 	// page number, allocated on first touch. Software LDL/STL stay
@@ -131,8 +137,9 @@ func (w *Warp) predMask(in *isa.Instruction) uint32 {
 	return m
 }
 
-// localWord reads/writes functional local memory for one lane.
-func (w *Warp) localWord(wordIdx int, lane int) *uint32 {
+// localRow returns a local word's row: its value in each of the 32
+// lanes, allocating the word's page on first touch.
+func (w *Warp) localRow(wordIdx int) *lanes {
 	pageIdx := wordIdx / localPageWords
 	if pageIdx >= len(w.Local) {
 		w.Local = append(w.Local, make([]*localPage, pageIdx+1-len(w.Local))...)
@@ -142,13 +149,13 @@ func (w *Warp) localWord(wordIdx int, lane int) *uint32 {
 		pg = &localPage{}
 		w.Local[pageIdx] = pg
 	}
-	return &pg[wordIdx%localPageWords][lane]
+	return &pg[wordIdx%localPageWords]
 }
 
-// regsReady reports whether the scoreboard permits reading/writing the
-// instruction's registers at cycle now; when blocked it also returns
-// the cycle at which the hazard clears (for idle skipping).
-func (w *Warp) regsReady(now int64, in *isa.Instruction) (bool, int64) {
+// regsReady returns the first cycle at which the scoreboard lets the
+// instruction read and write its registers: farFuture while one of
+// them waits on an in-flight load.
+func (w *Warp) regsReady(in *isa.Instruction) int64 {
 	at := int64(0)
 	if in.SrcA != isa.NoReg && w.ReadyAt[in.SrcA] > at {
 		at = w.ReadyAt[in.SrcA]
@@ -168,5 +175,5 @@ func (w *Warp) regsReady(now int64, in *isa.Instruction) (bool, int64) {
 	if in.Op == isa.OpSetP && w.PredReadyAt[in.PDst] > at {
 		at = w.PredReadyAt[in.PDst]
 	}
-	return at <= now, at
+	return at
 }
