@@ -28,7 +28,9 @@ type loadDelta struct {
 
 // compareLoadReports diffs two load reports stage by stage (matched by
 // position in the ramp): latency quantiles regress upward, throughput
-// regresses downward, both expressed with positive pct = worse.
+// regresses downward, both expressed with positive pct = worse. A
+// quantile that either report omits (too few samples beyond it) is
+// skipped.
 func compareLoadReports(old, new *carsload.Report) []loadDelta {
 	var deltas []loadDelta
 	n := min(len(old.Stages), len(new.Stages))
@@ -50,10 +52,19 @@ func compareLoadReports(old, new *carsload.Report) []loadDelta {
 			}
 			deltas = append(deltas, loadDelta{stage: stage, metric: metric, old: ov, new: nv, pct: pct})
 		}
-		add("p50Ms", ob.Latency.P50Ms, nb.Latency.P50Ms, true)
-		add("p90Ms", ob.Latency.P90Ms, nb.Latency.P90Ms, true)
-		add("p99Ms", ob.Latency.P99Ms, nb.Latency.P99Ms, true)
-		add("p999Ms", ob.Latency.P999Ms, nb.Latency.P999Ms, true)
+		for _, q := range []struct {
+			metric string
+			ov, nv *float64
+		}{
+			{"p50Ms", ob.Latency.P50Ms, nb.Latency.P50Ms},
+			{"p90Ms", ob.Latency.P90Ms, nb.Latency.P90Ms},
+			{"p99Ms", ob.Latency.P99Ms, nb.Latency.P99Ms},
+			{"p999Ms", ob.Latency.P999Ms, nb.Latency.P999Ms},
+		} {
+			if q.ov != nil && q.nv != nil {
+				add(q.metric, *q.ov, *q.nv, true)
+			}
+		}
 		add("throughputRps", ob.ThroughputRPS, nb.ThroughputRPS, false)
 	}
 	return deltas

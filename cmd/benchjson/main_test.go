@@ -2,10 +2,23 @@ package main
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	carsload "carsgo/internal/load"
 )
+
+// quantiles builds a latency summary; a negative value leaves that
+// quantile absent, as when too few samples lie beyond it.
+func quantiles(p50, p90, p99, p999 float64) carsload.Quantiles {
+	opt := func(v float64) *float64 {
+		if v < 0 {
+			return nil
+		}
+		return &v
+	}
+	return carsload.Quantiles{P50Ms: opt(p50), P90Ms: opt(p90), P99Ms: opt(p99), P999Ms: opt(p999)}
+}
 
 func loadReportFixture(t *testing.T, dir, name string, p50, p99, tput float64) string {
 	t.Helper()
@@ -17,7 +30,7 @@ func loadReportFixture(t *testing.T, dir, name string, p50, p99, tput float64) s
 		Stages: []carsload.StageReport{{
 			Concurrency: 8, DurationSec: 5, Sent: 100, OK: 100,
 			ThroughputRPS: tput,
-			Latency:       carsload.Quantiles{P50Ms: p50, P90Ms: p50 * 2, P99Ms: p99, P999Ms: p99 * 2},
+			Latency:       quantiles(p50, p50*2, p99, p99*2),
 		}},
 	}
 	path := filepath.Join(dir, name)
@@ -31,13 +44,13 @@ func TestCompareLoadReports(t *testing.T) {
 	old := &carsload.Report{Stages: []carsload.StageReport{{
 		Concurrency:   8,
 		ThroughputRPS: 100,
-		Latency:       carsload.Quantiles{P50Ms: 1, P90Ms: 2, P99Ms: 5, P999Ms: 10},
+		Latency:       quantiles(1, 2, 5, 10),
 	}}}
 	// p99 regresses 40%, throughput drops 20%, p50 improves.
 	new := &carsload.Report{Stages: []carsload.StageReport{{
 		Concurrency:   8,
 		ThroughputRPS: 80,
-		Latency:       carsload.Quantiles{P50Ms: 0.5, P90Ms: 2, P99Ms: 7, P999Ms: 10},
+		Latency:       quantiles(0.5, 2, 7, 10),
 	}}}
 	deltas := compareLoadReports(old, new)
 	if len(deltas) != 5 {
@@ -58,6 +71,18 @@ func TestCompareLoadReports(t *testing.T) {
 	}
 	if d := byMetric["p50Ms"]; d.pct >= 0 {
 		t.Errorf("p50 improvement should be negative pct: %+v", d)
+	}
+
+	// p99 absent on the new side and p99.9 on the old: both are skipped,
+	// not reported as a −100% change.
+	old.Stages[0].Latency = quantiles(1, 2, 5, -1)
+	new.Stages[0].Latency = quantiles(1, 2, -1, 10)
+	var metrics []string
+	for _, d := range compareLoadReports(old, new) {
+		metrics = append(metrics, d.metric)
+	}
+	if want := []string{"p50Ms", "p90Ms", "throughputRps"}; !slices.Equal(metrics, want) {
+		t.Fatalf("metrics compared = %v, want %v", metrics, want)
 	}
 }
 

@@ -3,7 +3,7 @@
 //
 //	carsbench -addr http://localhost:8344 -mode closed -ramp 8x5s,16x5s
 //	carsbench -mode open -ramp 200x10s -keys 64 -skew 1 -cold 10
-//	carsbench -requests 2000 -seed 42 -o LOAD_2026-08-08.json
+//	carsbench -requests 2000 -seed 42 -o LOAD_2026-10-22.json
 //
 // The offered load is a zipf-skewed hot set of Keys distinct workload
 // specs mixed with -cold percent never-before-seen specs, all derived
@@ -11,9 +11,10 @@
 // see internal/load). Around the run carsbench reads the daemon's
 // /metricsz typed snapshot, so the report pairs client-observed
 // latency quantiles with the daemon's own ground truth: singleflight
-// collapse rate, cache hit ratio, and 429/503/504 counts. The result
-// is a LOAD_<date>.json report; cmd/benchjson -compare diffs two of
-// them advisorily.
+// collapse rate, cache hit ratio, and 429/503/504 counts. Quantiles are
+// exact over every response and printed only when ten samples lie
+// beyond them. The result is a LOAD_<date>.json report;
+// cmd/benchjson -compare diffs two of them advisorily.
 package main
 
 import (
@@ -262,8 +263,17 @@ func printSummary(w io.Writer, r *load.Report) {
 		}
 		fmt.Fprintf(w, "stage %d: %d %s for %.1fs: %d sent, %d ok, %.0f req/s\n",
 			i+1, level, unit, st.DurationSec, st.Sent, st.OK, st.ThroughputRPS)
-		fmt.Fprintf(w, "  latency p50 %.3fms p90 %.3fms p99 %.3fms p99.9 %.3fms max %.3fms\n",
-			st.Latency.P50Ms, st.Latency.P90Ms, st.Latency.P99Ms, st.Latency.P999Ms, st.Latency.MaxMs)
+		lat := st.Latency
+		fmt.Fprint(w, "  latency")
+		for _, q := range []struct {
+			name string
+			ms   *float64
+		}{{"p50", lat.P50Ms}, {"p90", lat.P90Ms}, {"p99", lat.P99Ms}, {"p99.9", lat.P999Ms}} {
+			if q.ms != nil {
+				fmt.Fprintf(w, " %s %.3fms", q.name, *q.ms)
+			}
+		}
+		fmt.Fprintf(w, " max %.3fms mean %.3fms over %d samples\n", lat.MaxMs, lat.MeanMs, lat.Samples)
 		fmt.Fprintf(w, "  cached %d, collapsed %d, cold %d, dropped %d, transport errors %d\n",
 			st.Cached, st.Shared, st.ColdSent, st.Dropped, st.TransportErrors)
 		if len(st.Codes) > 0 {

@@ -56,8 +56,12 @@ func TestRunClosedEndToEnd(t *testing.T) {
 	if st.Sent != 200 || st.OK != 200 {
 		t.Fatalf("stage = %+v", st)
 	}
-	if st.Latency.P50Ms <= 0 || st.Latency.P99Ms < st.Latency.P50Ms {
-		t.Fatalf("latency quantiles = %+v", st.Latency)
+	// 200 samples leave 100 beyond p50 and 20 beyond p90, but only 2
+	// beyond p99, so p99 and p99.9 are not reported.
+	lat := st.Latency
+	if lat.Samples != 200 || lat.P50Ms == nil || lat.P90Ms == nil || *lat.P50Ms <= 0 || *lat.P90Ms < *lat.P50Ms ||
+		*lat.P90Ms > lat.MaxMs || lat.P99Ms != nil || lat.P999Ms != nil {
+		t.Fatalf("latency quantiles = %+v", lat)
 	}
 	if r.Server == nil {
 		t.Fatal("server delta missing")

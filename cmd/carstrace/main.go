@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"carsgo/internal/abi"
 	"carsgo/internal/config"
@@ -105,22 +104,10 @@ func main() {
 	fmt.Printf("  spill/fill instructions: %d (%.1f%% of stream)\n",
 		sum.SpillFillInstr, 100*float64(sum.SpillFillInstr)/float64(sum.WarpInstructions))
 
-	type opCount struct {
-		op string
-		n  uint64
-	}
-	var ops []opCount
-	for op, n := range sum.ByOp {
-		ops = append(ops, opCount{op.String(), n})
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].n > ops[j].n })
 	fmt.Println("  top opcodes:")
-	for i, oc := range ops {
-		if i >= 10 {
-			break
-		}
-		fmt.Printf("    %-9s %10d (%.1f%%)\n", oc.op, oc.n,
-			100*float64(oc.n)/float64(sum.WarpInstructions))
+	for _, oc := range sum.TopOps(10) {
+		fmt.Printf("    %-9s %10d (%.1f%%)\n", oc.Op, oc.N,
+			100*float64(oc.N)/float64(sum.WarpInstructions))
 	}
 }
 

@@ -61,9 +61,10 @@ type StageResult struct {
 	TransportErrors int
 	// Dropped counts open-loop arrivals shed at the MaxInFlight bound.
 	Dropped int
-	// Hist holds every response latency (transport errors included:
-	// the client waited that long either way).
-	Hist *Hist
+	// Latencies holds every response latency in completion order
+	// (transport errors included: the client waited that long either
+	// way).
+	Latencies []time.Duration
 }
 
 // Throughput is the stage's completed responses per second.
@@ -74,17 +75,18 @@ func (r *StageResult) Throughput() float64 {
 	return float64(r.Sent-r.Dropped) / r.Elapsed.Seconds()
 }
 
-// record folds one observation into the result (mutex-held counters;
-// the histogram is atomic and recorded outside the lock).
+// recorder folds observations into a stage result under one mutex.
 type recorder struct {
 	mu  sync.Mutex
 	res *StageResult
 }
 
+// observe records one response: its latency (a negative one, from a
+// clock step, as 0) and its status counts.
 func (rc *recorder) observe(req Request, out Outcome, d time.Duration) {
-	rc.res.Hist.Observe(d)
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
+	rc.res.Latencies = append(rc.res.Latencies, max(d, 0))
 	rc.res.Sent++
 	if req.Cold {
 		rc.res.ColdSent++
@@ -124,7 +126,7 @@ func runClosedStage(ctx context.Context, st Stage, src Source, target Target) St
 	if st.Concurrency < 1 {
 		st.Concurrency = 1
 	}
-	res := StageResult{Stage: st, Codes: map[int]int{}, Hist: &Hist{}}
+	res := StageResult{Stage: st, Codes: map[int]int{}}
 	rc := &recorder{res: &res}
 	sctx, cancel := stageContext(ctx, st)
 	defer cancel()
@@ -176,7 +178,7 @@ func runOpenStage(ctx context.Context, st Stage, src Source, target Target) Stag
 	if st.MaxInFlight <= 0 {
 		st.MaxInFlight = 1024
 	}
-	res := StageResult{Stage: st, Codes: map[int]int{}, Hist: &Hist{}}
+	res := StageResult{Stage: st, Codes: map[int]int{}}
 	rc := &recorder{res: &res}
 	sctx, cancel := stageContext(ctx, st)
 	defer cancel()

@@ -48,8 +48,8 @@ func TestRunClosedRequestBudget(t *testing.T) {
 	if got := ct.hits.Load(); got != 100 {
 		t.Fatalf("target executed %d times, want 100", got)
 	}
-	if res.Hist.Count() != 100 {
-		t.Fatalf("Hist recorded %d samples, want 100", res.Hist.Count())
+	if len(res.Latencies) != 100 {
+		t.Fatalf("recorded %d latencies, want 100", len(res.Latencies))
 	}
 	// 4 distinct keys → at most 4 uncached responses.
 	if res.Cached < res.OK-4 {

@@ -14,9 +14,10 @@
 //     concurrency, each virtual client waits for its response — the
 //     way N programs hammering a daemon actually behave), both with
 //     multi-stage ramp schedules;
-//   - WHAT came back: an HDR-style log-linear latency recorder with
-//     rank-exact quantiles at the recorder's resolution (≤ ~3.2%
-//     relative error), plus per-stage status-code and dedup counts.
+//   - WHAT came back: every response latency, summarised as exact
+//     nearest-rank quantiles over the raw samples (each reported only
+//     when ten samples lie beyond it), plus per-stage status-code and
+//     dedup counts.
 //
 // Randomness discipline: every stream in this package derives from a
 // caller-supplied seed through a self-contained splitmix64 generator —

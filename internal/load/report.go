@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -12,8 +13,9 @@ import (
 
 // ReportSchemaVersion versions the LOAD_<date>.json layout; bump on
 // any field rename or semantic change (ReadReport, and so
-// cmd/benchjson -compare, refuses other versions).
-const ReportSchemaVersion = 1
+// cmd/benchjson -compare, refuses other versions). Version 2 computes
+// quantiles from the raw samples and omits the unreportable ones.
+const ReportSchemaVersion = 2
 
 // ReportKind marks a file as a serving-layer load report; ReadReport
 // refuses JSON of any other kind.
@@ -54,14 +56,18 @@ type ModelInfo struct {
 	Full    bool   `json:"full,omitempty"`
 }
 
-// Quantiles are client-observed latencies in milliseconds.
+// Quantiles are client-observed latencies in milliseconds. Samples,
+// max and mean are exact. Each quantile is the nearest-rank order
+// statistic of the samples, present only when at least minBeyond
+// samples lie beyond its rank.
 type Quantiles struct {
-	P50Ms  float64 `json:"p50Ms"`
-	P90Ms  float64 `json:"p90Ms"`
-	P99Ms  float64 `json:"p99Ms"`
-	P999Ms float64 `json:"p999Ms"`
-	MaxMs  float64 `json:"maxMs"`
-	MeanMs float64 `json:"meanMs"`
+	Samples int      `json:"samples"`
+	P50Ms   *float64 `json:"p50Ms,omitempty"`
+	P90Ms   *float64 `json:"p90Ms,omitempty"`
+	P99Ms   *float64 `json:"p99Ms,omitempty"`
+	P999Ms  *float64 `json:"p999Ms,omitempty"`
+	MaxMs   float64  `json:"maxMs"`
+	MeanMs  float64  `json:"meanMs"`
 }
 
 // StageReport is one ramp stage's archived measurement.
@@ -122,7 +128,7 @@ func StageReportOf(res StageResult) StageReport {
 		Dropped:         res.Dropped,
 		TransportErrors: res.TransportErrors,
 		ThroughputRPS:   res.Throughput(),
-		Latency:         QuantilesOf(res.Hist),
+		Latency:         QuantilesOf(res.Latencies),
 	}
 	if len(res.Codes) > 0 {
 		sr.Codes = map[string]int{}
@@ -133,15 +139,40 @@ func StageReportOf(res StageResult) StageReport {
 	return sr
 }
 
-// QuantilesOf renders a recorder's summary in milliseconds.
-func QuantilesOf(h *Hist) Quantiles {
-	s := h.Summarize()
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return Quantiles{
-		P50Ms: ms(s.P50), P90Ms: ms(s.P90), P99Ms: ms(s.P99), P999Ms: ms(s.P999),
-		MaxMs: ms(s.Max), MeanMs: ms(s.Mean),
+// minBeyond is how many samples must lie beyond a quantile's rank
+// before it is reported: fewer, and the figure is one or two outliers.
+const minBeyond = 10
+
+// QuantilesOf summarises latency samples in milliseconds. The
+// q-quantile is the smallest sample with at least ⌈q·n⌉ samples at or
+// below it, computed in integer per-mille arithmetic so each boundary
+// is exact. samples is sorted in place.
+func QuantilesOf(samples []time.Duration) Quantiles {
+	n := len(samples)
+	q := Quantiles{Samples: n}
+	if n == 0 {
+		return q
 	}
+	slices.Sort(samples)
+	var sum time.Duration
+	for _, d := range samples {
+		sum += d
+	}
+	q.MaxMs = ms(samples[n-1])
+	q.MeanMs = ms(sum / time.Duration(n))
+	at := func(perMille int) *float64 {
+		rank := (n*perMille + 999) / 1000
+		if n-rank < minBeyond {
+			return nil
+		}
+		v := ms(samples[rank-1])
+		return &v
+	}
+	q.P50Ms, q.P90Ms, q.P99Ms, q.P999Ms = at(500), at(900), at(990), at(999)
+	return q
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // ServerDeltaOf computes the daemon-side counter deltas between two
 // /metricsz snapshots.

@@ -2,10 +2,12 @@
 // registry for the carsd daemon: counters, gauges (including callback
 // gauges sampled at scrape time), and cumulative histograms, with
 // optional label sets. Output is deterministic — families sort by
-// name, series by label values — so tests can assert on exact lines.
+// name, series by their rendered label sets — so tests can assert on
+// exact lines.
 //
-// The exposition format follows the Prometheus text format v0.0.4:
-// one HELP and TYPE line per family, then one line per series.
+// One walk over the registry (Snapshot) feeds both encodings: the typed
+// JSON document and the Prometheus text format v0.0.4, one HELP and
+// TYPE line per family, then one line per series.
 package metrics
 
 import (
@@ -13,7 +15,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,8 +59,15 @@ type family struct {
 	buckets []float64
 
 	mu     sync.Mutex
-	series map[string]any // label-values key -> *Counter/*Gauge/*Histogram
-	fns    map[string]func() float64
+	series map[string]*series // rendered label set -> series
+}
+
+// series is one label-value combination of a family. Its metric is a
+// *Counter, *Gauge or *Histogram, or a func() float64 sampled at read
+// time.
+type series struct {
+	values []string
+	metric any
 }
 
 func (r *Registry) family(name, help string, kind familyKind, labels []string, buckets []float64) *family {
@@ -71,30 +80,58 @@ func (r *Registry) family(name, help string, kind familyKind, labels []string, b
 		return f
 	}
 	f := &family{name: name, help: help, kind: kind, labels: labels,
-		buckets: buckets, series: map[string]any{}, fns: map[string]func() float64{}}
+		buckets: buckets, series: map[string]*series{}}
 	r.families[name] = f
 	return f
 }
 
-// seriesKey renders label values into a stable map key / label string.
-func (f *family) seriesKey(values []string) string {
+// with returns the metric of the series with the given label values,
+// making it with mk when With first sees those values.
+func (f *family) with(values []string, mk func() any) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
+	k := labelString(f.labels, values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s, ok := f.series[k]
+	if !ok {
+		s = &series{values: slices.Clone(values), metric: mk()}
+		f.series[k] = s
+	}
+	return s.metric
+}
+
+// setFunc makes fn the family's unlabeled series.
+func (f *family) setFunc(fn func() float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.series[""] = &series{metric: fn}
+}
+
+// labelEscaper escapes a label value as the text format specifies.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelString renders a label set as the text format writes it,
+// {name="value",...}, escaping each value once; "" for no labels. It
+// is both a series' map key and its label set in the exposition.
+func labelString(names, values []string) string {
 	if len(values) == 0 {
 		return ""
 	}
-	parts := make([]string, len(values))
+	var b strings.Builder
+	b.WriteByte('{')
 	for i, v := range values {
-		parts[i] = fmt.Sprintf("%s=%q", f.labels[i], escape(v))
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(names[i])
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, v)
+		b.WriteByte('"')
 	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
-func escape(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return s
+	b.WriteByte('}')
+	return b.String()
 }
 
 // Counter is a monotonically-increasing value.
@@ -178,46 +215,24 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterFamil
 
 // With returns the series for the given label values.
 func (cf *CounterFamily) With(values ...string) *Counter {
-	k := cf.f.seriesKey(values)
-	cf.f.mu.Lock()
-	defer cf.f.mu.Unlock()
-	if s, ok := cf.f.series[k]; ok {
-		return s.(*Counter)
-	}
-	c := &Counter{}
-	cf.f.series[k] = c
-	return c
+	return cf.f.with(values, func() any { return &Counter{} }).(*Counter)
 }
 
 // Gauge registers (or fetches) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, kindGauge, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.series[""]; ok {
-		return s.(*Gauge)
-	}
-	g := &Gauge{}
-	f.series[""] = g
-	return g
+	return r.family(name, help, kindGauge, nil, nil).with(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeFunc registers a gauge whose value is sampled at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, kindGauge, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.fns[""] = fn
+	r.family(name, help, kindGauge, nil, nil).setFunc(fn)
 }
 
 // CounterFunc registers a counter whose value is sampled at scrape
 // time — for monotonic counts another subsystem already maintains
 // (pool and cache statistics).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, kindCounter, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.fns[""] = fn
+	r.family(name, help, kindCounter, nil, nil).setFunc(fn)
 }
 
 // DefBuckets is the default latency bucket ladder (seconds).
@@ -236,89 +251,39 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 
 // With returns the series for the given label values.
 func (hf *HistogramFamily) With(values ...string) *Histogram {
-	k := hf.f.seriesKey(values)
-	hf.f.mu.Lock()
-	defer hf.f.mu.Unlock()
-	if s, ok := hf.f.series[k]; ok {
-		return s.(*Histogram)
-	}
-	h := &Histogram{buckets: hf.f.buckets, counts: make([]uint64, len(hf.f.buckets))}
-	hf.f.series[k] = h
-	return h
+	f := hf.f
+	return f.with(values, func() any {
+		return &Histogram{buckets: f.buckets, counts: make([]uint64, len(f.buckets))}
+	}).(*Histogram)
 }
 
-// WriteTo renders every family in Prometheus text format.
+// WriteTo renders the registry's Snapshot in Prometheus text format:
+// per family a HELP and a TYPE line, then one line per series, or per
+// histogram series its cumulative buckets, _sum and _count.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	fams := make(map[string]*family, len(r.families))
-	for n, f := range r.families {
-		names = append(names, n)
-		fams[n] = f
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-
 	var b strings.Builder
-	for _, n := range names {
-		fams[n].write(&b)
-	}
-	nn, err := io.WriteString(w, b.String())
-	return int64(nn), err
-}
-
-func (f *family) write(b *strings.Builder) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, f.help)
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
-	keys := make([]string, 0, len(f.series)+len(f.fns))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
-	for k := range f.fns {
-		if _, dup := f.series[k]; !dup {
-			keys = append(keys, k)
+	for _, f := range r.Snapshot().Families {
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, f.Help)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
+		for _, s := range f.Series {
+			labels := labelString(f.LabelNames, s.LabelValues)
+			h := s.Histogram
+			if h == nil {
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, labels, fmtFloat(s.Value))
+				continue
+			}
+			names := append(slices.Clip(f.LabelNames), "le")
+			le := func(bound string) string { return labelString(names, append(slices.Clip(s.LabelValues), bound)) }
+			for _, bk := range h.Buckets {
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, le(fmtFloat(bk.UpperBound)), bk.Count)
+			}
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, le("+Inf"), h.Count)
+			fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, labels, fmtFloat(h.Sum))
+			fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, labels, h.Count)
 		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if fn, ok := f.fns[k]; ok {
-			fmt.Fprintf(b, "%s%s %s\n", f.name, k, fmtFloat(fn()))
-			continue
-		}
-		switch s := f.series[k].(type) {
-		case *Counter:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, k, fmtFloat(s.Value()))
-		case *Gauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, k, fmtFloat(s.Value()))
-		case *Histogram:
-			s.writeSeries(b, f.name, k)
-		}
-	}
-}
-
-// writeSeries emits the cumulative bucket lines plus _sum and _count.
-func (h *Histogram) writeSeries(b *strings.Builder, name, key string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cum := uint64(0)
-	for i, ub := range h.buckets {
-		cum += h.counts[i]
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketKey(key, fmtFloat(ub)), cum)
-	}
-	fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketKey(key, "+Inf"), h.total)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, key, fmtFloat(h.sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, key, h.total)
-}
-
-// bucketKey splices le="..." into an existing label set.
-func bucketKey(key, le string) string {
-	le = fmt.Sprintf("le=%q", le)
-	if key == "" {
-		return "{" + le + "}"
-	}
-	return strings.TrimSuffix(key, "}") + "," + le + "}"
+	n, err := io.WriteString(w, b.String())
+	return int64(n), err
 }
 
 func fmtFloat(v float64) string {

@@ -1,9 +1,10 @@
 package metrics
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -11,12 +12,12 @@ import (
 // /metricsz document). Bump on any field rename or semantic change.
 const SnapshotSchemaVersion = 1
 
-// Snapshot is a typed point-in-time readout of a whole registry:
-// what the Prometheus text exposition says, as data instead of lines,
-// so programmatic consumers (carsbench, tests) read counters and
-// histograms without text-parsing. Families are sorted by name and
-// series by label values — two snapshots of the same state are
-// DeepEqual.
+// Snapshot is a typed point-in-time readout of a whole registry, the
+// one walk over it that both endpoints encode: /metricsz as JSON and
+// /metrics as Prometheus text (WriteTo). Programmatic consumers
+// (carsbench, tests) read counters and histograms as data. Families
+// are sorted by name and series by their rendered label sets — two
+// snapshots of the same state are DeepEqual.
 type Snapshot struct {
 	SchemaVersion int              `json:"schemaVersion"`
 	Families      []FamilySnapshot `json:"families"`
@@ -57,22 +58,15 @@ type BucketSnapshot struct {
 // Snapshot reads every family atomically enough for monotonic
 // consumers: each series is read under its family's lock (a counter
 // never appears to decrease across snapshots), though distinct
-// families are not mutually synchronized — the same guarantee the
-// text exposition gives.
+// families are not mutually synchronized.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	fams := make(map[string]*family, len(r.families))
-	for n, f := range r.families {
-		names = append(names, n)
-		fams[n] = f
-	}
+	fams := slices.SortedFunc(maps.Values(r.families), func(a, b *family) int { return strings.Compare(a.name, b.name) })
 	r.mu.Unlock()
-	sort.Strings(names)
 
 	snap := Snapshot{SchemaVersion: SnapshotSchemaVersion}
-	for _, n := range names {
-		snap.Families = append(snap.Families, fams[n].snapshot())
+	for _, f := range fams {
+		snap.Families = append(snap.Families, f.snapshot())
 	}
 	return snap
 }
@@ -84,109 +78,24 @@ func (f *family) snapshot() FamilySnapshot {
 		Name:       f.name,
 		Kind:       f.kind.String(),
 		Help:       f.help,
-		LabelNames: append([]string(nil), f.labels...),
+		LabelNames: slices.Clone(f.labels),
 	}
-	keys := make([]string, 0, len(f.series)+len(f.fns))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
-	for k := range f.fns {
-		if _, dup := f.series[k]; !dup {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		var ss SeriesSnapshot
-		if len(f.labels) > 0 {
-			ss.LabelValues = labelValuesOf(f, k)
-		}
-		if fn, ok := f.fns[k]; ok {
-			ss.Value = fn()
-		} else {
-			switch s := f.series[k].(type) {
-			case *Counter:
-				ss.Value = s.Value()
-			case *Gauge:
-				ss.Value = s.Value()
-			case *Histogram:
-				ss.Histogram = s.snapshot()
-			}
+	for _, k := range slices.Sorted(maps.Keys(f.series)) {
+		s := f.series[k]
+		ss := SeriesSnapshot{LabelValues: slices.Clone(s.values)}
+		switch m := s.metric.(type) {
+		case func() float64:
+			ss.Value = m()
+		case *Counter:
+			ss.Value = m.Value()
+		case *Gauge:
+			ss.Value = m.Value()
+		case *Histogram:
+			ss.Histogram = m.snapshot()
 		}
 		fs.Series = append(fs.Series, ss)
 	}
 	return fs
-}
-
-// labelValuesOf recovers a series' label values from its rendered map
-// key ({name="v1",other="v2"}). Exact inverse of seriesKey: values are
-// %q-quoted over the escaped form, so unquoting inside the commas that
-// terminate quoted values round-trips every value byte for byte.
-func labelValuesOf(f *family, key string) []string {
-	if key == "" {
-		return nil
-	}
-	// key looks like {name="v1",other="v2"}; values never contain an
-	// unescaped quote, so split on `",` boundaries after stripping the
-	// braces.
-	body := key[1 : len(key)-1]
-	parts := splitLabelBody(body)
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if i := strings.IndexByte(p, '='); i >= 0 {
-			q := p[i+1:] // the %q-quoted, escape()d value
-			u, err := strconv.Unquote(q)
-			if err != nil {
-				u = q // defensive: surface the raw form rather than drop the series
-			}
-			out = append(out, unescapeLabel(u))
-		}
-	}
-	return out
-}
-
-// splitLabelBody splits `a="x",b="y"` on commas that terminate a
-// quoted value (a `",` sequence), never on commas inside values.
-func splitLabelBody(s string) []string {
-	var parts []string
-	start := 0
-	inQuote := false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if inQuote {
-				i++ // skip the escaped byte
-			}
-		case '"':
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	parts = append(parts, s[start:])
-	return parts
-}
-
-// unescapeLabel reverses escape (backslash and newline escaping).
-func unescapeLabel(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
-			i++
-			switch s[i] {
-			case 'n':
-				out = append(out, '\n')
-			default:
-				out = append(out, s[i])
-			}
-			continue
-		}
-		out = append(out, s[i])
-	}
-	return string(out)
 }
 
 func (h *Histogram) snapshot() *HistogramSnapshot {

@@ -61,8 +61,8 @@ func TestSnapshotBasics(t *testing.T) {
 	}
 }
 
-// TestSnapshotLabelRoundTrip: label values survive the rendered-key
-// round trip even with quotes, commas, backslashes, and newlines.
+// TestSnapshotLabelRoundTrip: label values reach the snapshot as
+// With received them, quotes, commas, backslashes and newlines too.
 func TestSnapshotLabelRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("cars_weird_total", "weird labels", "k")

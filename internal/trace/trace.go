@@ -13,9 +13,12 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"carsgo/internal/isa"
 )
@@ -250,6 +253,25 @@ func Summarize(events []Event, prog *isa.Program) *Summary {
 		s.CPKI = 1000 * float64(s.Calls) / float64(s.WarpInstructions)
 	}
 	return s
+}
+
+// OpCount is one opcode's warp-instruction count.
+type OpCount struct {
+	Op isa.Op
+	N  uint64
+}
+
+// TopOps returns the n most frequent opcodes in ByOp, ranked by count
+// and then by mnemonic, so tied counts come out in a fixed order.
+func (s *Summary) TopOps(n int) []OpCount {
+	ops := make([]OpCount, 0, len(s.ByOp))
+	for op, c := range s.ByOp {
+		ops = append(ops, OpCount{op, c})
+	}
+	slices.SortFunc(ops, func(a, b OpCount) int {
+		return cmp.Or(cmp.Compare(b.N, a.N), strings.Compare(a.Op.String(), b.Op.String()), cmp.Compare(a.Op, b.Op))
+	})
+	return ops[:min(n, len(ops))]
 }
 
 func popcount32(m uint32) int {

@@ -182,3 +182,31 @@ func TestSummarizeByFuncAndOps(t *testing.T) {
 		t.Errorf("byop: %v", s.ByOp)
 	}
 }
+
+// TestTopOpsTiedCounts: opcodes with equal counts rank by mnemonic,
+// whatever order the ByOp map yields them in.
+func TestTopOpsTiedCounts(t *testing.T) {
+	s := &trace.Summary{ByOp: map[isa.Op]uint64{
+		isa.OpShr: 8576, isa.OpCall: 8576, isa.OpRet: 8576, isa.OpPush: 8576,
+		isa.OpSetP: 8576, isa.OpIAdd: 9000, isa.OpBra: 12,
+	}}
+	for _, c := range []struct {
+		n    int
+		want []string
+	}{
+		{0, nil},
+		{1, []string{"IADD"}},
+		{4, []string{"IADD", "CALL", "PUSH", "RET"}},
+		{10, []string{"IADD", "CALL", "PUSH", "RET", "SETP", "SHR", "BRA"}},
+	} {
+		for range 20 {
+			var got []string
+			for _, oc := range s.TopOps(c.n) {
+				got = append(got, oc.Op.String())
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("TopOps(%d) = %v, want %v", c.n, got, c.want)
+			}
+		}
+	}
+}

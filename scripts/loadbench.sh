@@ -12,7 +12,7 @@ ADDR="127.0.0.1:${CARSD_PORT:-8346}"
 BASE="http://$ADDR"
 DIR="$(mktemp -d)"
 OUT="${LOADBENCH_OUT:-load-head.json}"
-BASELINE="${LOAD_BASELINE:-LOAD_2026-08-08.json}"
+BASELINE="${LOAD_BASELINE:-LOAD_2026-10-22.json}"
 cleanup() {
   if [ -n "${DPID:-}" ] && kill -0 "$DPID" 2>/dev/null; then
     kill "$DPID" 2>/dev/null || true
@@ -43,7 +43,7 @@ grep -q 'collapse rate' "$DIR/carsbench.out"
 grep -q 'latency p50' "$DIR/carsbench.out"
 grep -q "archived $OUT" "$DIR/carsbench.out"
 grep -q '"kind": "load"' "$OUT"
-grep -q '"schemaVersion": 1' "$OUT"
+grep -q '"schemaVersion": 2' "$OUT"
 grep -q '"seed": 42' "$OUT"
 # The daemon must have deduplicated: 800 requests over 16 hot keys
 # cannot all have executed. The summary's "server: N sim runs" line is
